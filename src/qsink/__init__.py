@@ -8,12 +8,9 @@ can survive and which initial state survives the longest.
 """
 
 from .dynamics import (
-    AbcdCoefficients,
     ChannelParams,
-    abcd,
     detection_probability,
     ptm_at,
-    ptm_from_coefficients,
     ptm_via_integration,
 )
 from .entanglement import (
@@ -26,7 +23,6 @@ from .entanglement import (
     max_lifetime,
     negativity,
     optimal_state,
-    robust_state_unital,
 )
 from .linalg import (
     HermitianEigenResult,
@@ -56,7 +52,6 @@ from .ptm import (
 )
 from .sinkhorn import (
     SinkhornDecomposition,
-    closed_form_s,
     decompose,
     fixed_point_iterate,
     unital_lambdas,
@@ -65,7 +60,6 @@ from .sinkhorn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbcdCoefficients",
     "ChannelParams",
     "HermitianEigenResult",
     "LifetimeResult",
@@ -74,11 +68,9 @@ __all__ = [
     "SIGMA",
     "SIGMA2",
     "SinkhornDecomposition",
-    "abcd",
     "apply",
     "apply_two_qubit",
     "choi",
-    "closed_form_s",
     "compose",
     "conditional_state",
     "decompose",
@@ -103,9 +95,7 @@ __all__ = [
     "pd_inverse_sqrt",
     "pd_sqrt",
     "ptm_at",
-    "ptm_from_coefficients",
     "ptm_via_integration",
-    "robust_state_unital",
     "sandwich",
     "trace_norm",
     "unital_lambdas",

@@ -141,7 +141,7 @@ def cmd_lifetime(cfg: JobConfig) -> int:
     result = max_lifetime(cfg.line1, cfg.line2, cfg.t_max)
     if result.tau is None:
         print(
-            f"no finite lifetime up to t_max (g = {result.residual:.6g} at t = {result.bracket[1]:.6g})",
+            f"no finite lifetime up to t = {result.bracket[1]:.6g} (g = {result.residual:.6g} there)",
             file=sys.stderr,
         )
         return EXIT_NO_LIFETIME
@@ -155,7 +155,6 @@ def cmd_lifetime(cfg: JobConfig) -> int:
             "bracket": list(result.bracket),
             "residual": result.residual,
             "iterations": result.iterations,
-            "lhs_at_zero": result.lhs_at_zero,
             "post_root_sign_changes": result.post_root_sign_changes,
             "lambdas": {"line1": list(lam1), "line2": list(lam2)},
         }

@@ -21,9 +21,12 @@ E = exp(-(g + gh + gv) t / 2)):
     b    = -((gh - gv) / G) * E * sinh(G t / 2)
     c    = exp(-(2 g + gh + gv) t / 2)
 
-abcd() assembles these from the decay modes exp(-((g + gh + gv -+ G) t / 2))
-in one-signed combinations, so both the G -> 0 limit and large G t come out
-exact, and ptm_via_integration() recomputes the same matrix by brute-force
+Every quantity of this package that depends on the line and the time goes
+through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
+mode ratio q = exp(-G t) with its log and 1 - q, the ratios g/G and
+(gh - gv)/G, and c.  ptm_at() reads absolute entries off it; the normal form
+in sinkhorn.py reads ratios, which stay finite where the modes underflow.
+ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check.
 """
 
@@ -64,90 +67,68 @@ class ChannelParams:
         return max(self.gamma_h, self.gamma_v, self.gamma)
 
 
-@dataclass(frozen=True)
-class AbcdCoefficients:
-    """Transfer-matrix entries of the loss model at one instant."""
+def decay_modes(
+    params: ChannelParams, t: float
+) -> tuple[float, float, float, float, float, float, float]:
+    """The two decay modes of one line at time t, and the ratios built on them.
 
-    a: float
-    b: float
-    c: float
-    d: float
-    t: float
+    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta, c):
 
-    def __post_init__(self) -> None:
-        if self.t < 0.0:
-            raise ValueError(f"t must be >= 0, got {self.t!r}")
-        for name in ("a", "c", "d"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0 + 1e-12:
-                raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
-        if self.a + self.d < 2.0 * abs(self.b) - 1e-12:
-            raise ValueError(
-                f"coefficients violate a + d >= 2|b|: a={self.a!r} b={self.b!r} d={self.d!r}"
-            )
+    * slow = exp(-(r - G) t / 2), r = g + gh + gv, the slower mode;
+    * q = fast / slow = exp(-G t), its log -G t, and 1 - q from expm1, so
+      every ratio of the modes stays exact where the modes underflow;
+    * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken as
+      (1, 0) when G = 0, where it only ever multiplies 1 - q = 0;
+    * c = exp(-(2 g + gh + gv) t / 2), the coherence damping.
 
-
-def _sinch(x: float) -> float:
-    # sinh(x)/x, with the series for small x so the limit at 0 is exact.
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
-
-
-def abcd(params: ChannelParams, t: float) -> AbcdCoefficients:
-    """Closed-form transfer-matrix coefficients at time t.
-
-    a, b, d mix the two decay modes exp(-((r -+ G) t / 2)), r = g + gh + gv.
-    The textbook E (cosh -+ (g/G) sinh) form cancels catastrophically once
-    G t is large (d underflows through zero around G t ~ 80 for pure
-    depolarization), so every coefficient is assembled from terms of one
-    sign only; 1 - g/G is expanded so it survives g ~ G.
+    r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
+    r + G first, so it neither cancels nor overflows.
     """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     gh, gv, g = params.gamma_h, params.gamma_v, params.gamma
     delta = gh - gv
     big_g = math.hypot(g, delta)
-    x = 0.5 * big_g * t
-    envelope = math.exp(-0.5 * (g + gh + gv) * t)
-    mode_fast = math.exp(-0.5 * (g + gh + gv + big_g) * t)
+    rate = g + gh + gv
+    loss = gh + gv
+    total = rate + big_g
+    slow_rate = (
+        4.0 * (max(gh, gv) / total) * min(gh, gv) + 2.0 * (max(g, loss) / total) * min(g, loss)
+        if total > 0.0
+        else 0.0
+    )
+    log_q = -big_g * t
     if big_g > 0.0:
-        ratio_g = g / big_g
-        # 1 - g/G = delta^2 / (G (G + g)), exact where direct subtraction is not
-        rest = delta * delta / (big_g * (big_g + g))
-        ratio_d = delta / big_g
+        r_gamma, r_delta = g / big_g, delta / big_g
     else:
-        ratio_g, rest, ratio_d = 0.0, 1.0, 0.0
-    if x < 1.0:
-        # E sinh(G t/2) via sinh(x)/x, exact through G = 0
-        esh = big_g * envelope * 0.5 * t * _sinch(x)
-        ech = envelope * math.cosh(x)
-    else:
-        mode_slow = math.exp(-0.5 * (g + gh + gv - big_g) * t)
-        esh = 0.5 * (mode_slow - mode_fast)
-        ech = 0.5 * (mode_slow + mode_fast)
-    return AbcdCoefficients(
-        a=ech + ratio_g * esh,
-        b=-ratio_d * esh,
-        c=math.exp(-0.5 * (2.0 * g + gh + gv) * t),
-        d=mode_fast + rest * esh,
-        t=t,
+        r_gamma, r_delta = 1.0, 0.0
+    return (
+        math.exp(-0.5 * slow_rate * t),
+        log_q,
+        math.exp(log_q),
+        -math.expm1(log_q),
+        r_gamma,
+        r_delta,
+        math.exp(-0.5 * (2.0 * g + loss) * t),
     )
 
 
-def ptm_from_coefficients(coeffs: AbcdCoefficients) -> np.ndarray:
-    m = np.zeros((4, 4))
-    m[0, 0] = coeffs.a
-    m[0, 3] = m[3, 0] = coeffs.b
-    m[1, 1] = m[2, 2] = coeffs.c
-    m[3, 3] = coeffs.d
-    return m
-
-
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
-    """Transfer matrix of the loss model at time t (closed form)."""
-    return ptm_from_coefficients(abcd(params, t))
+    """Transfer matrix of the loss model at time t (closed form).
+
+    Each entry is the slow mode times a sum of non-negative terms, so both
+    the G -> 0 limit and large G t come out exact; entries may underflow
+    to 0 at times where the photon is surely lost.
+    """
+    slow, _, q, one_minus_q, r_gamma, r_delta, c = decay_modes(params, t)
+    half_slow = 0.5 * slow
+    m = np.zeros((4, 4))
+    m[0, 0] = half_slow * (1.0 + q + r_gamma * one_minus_q)
+    m[0, 3] = m[3, 0] = -half_slow * r_delta * one_minus_q
+    m[1, 1] = m[2, 2] = c
+    # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
+    m[3, 3] = half_slow * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
+    return m
 
 
 # ---------------------------------------------------------------------------

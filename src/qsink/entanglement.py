@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import ChannelParams
 from .linalg import hermitian_part, partial_transpose_second, trace_norm
 from .ptm import apply_two_qubit
-from .sinkhorn import decompose, unital_lambdas
+from .sinkhorn import fixed_point_diagonal, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -93,30 +93,40 @@ def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> fl
 class LifetimeResult:
     """Root-finding report for the lifetime equation.
 
-    tau is None when g never crosses zero up to t_max (then bracket holds
-    the last expansion probe and residual the g value there).  iterations
-    counts g evaluations; post_root_sign_changes reports sign reversals of
-    g found on a scan of [tau, 4 tau] and should be 0.
+    tau is None when g never crosses zero: at once when neither line
+    depolarizes (bracket (0, inf), residual 2, no g evaluation), else only
+    below an explicit t_max (bracket ends at t_max, residual is g there).
+    iterations counts g evaluations; post_root_sign_changes reports sign
+    reversals of g found on a scan of [tau, 4 tau] and should be 0.
     """
 
     tau: float | None
     bracket: tuple[float, float]
     residual: float
     iterations: int
-    lhs_at_zero: float
     post_root_sign_changes: int = 0
 
 
 def max_lifetime(
     params1: ChannelParams, params2: ChannelParams, t_max: float | None = None
 ) -> LifetimeResult:
-    """First root of the lifetime equation via bracket doubling and bisection."""
-    total = params1.total_rate + params2.total_rate
-    t_start = 1.0 / total if total > 0.0 else 1.0
-    if t_max is None:
-        t_max = 1e3 * t_start
-    if t_max <= 0.0:
+    """First root of the lifetime equation via bracket doubling and bisection.
+
+    With a depolarizing line g(t) tends to -1, so doubling brackets the
+    root before t overflows; t_max, if given, caps the search.
+    """
+    if t_max is not None and t_max <= 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
+    if params1.gamma == 0.0 and params2.gamma == 0.0:
+        # both unital parts are the identity: g(t) = 2 for every t
+        return LifetimeResult(tau=None, bracket=(0.0, math.inf), residual=2.0, iterations=0)
+    if t_max is None:
+        t_max = math.inf
+    total = params1.total_rate + params2.total_rate
+    if total == math.inf:
+        # rates near the double limit: a start at 1/inf = 0 would never double
+        total = max(params1.max_rate, params2.max_rate)
+    t_start = 1.0 / total
 
     def g(t: float) -> float:
         return lifetime_lhs(params1, params2, t)
@@ -125,13 +135,9 @@ def max_lifetime(
     g_high = g(high)
     evals = 1
     while g_high >= 0.0:
-        if high >= t_max:
+        if high >= t_max or 2.0 * high == math.inf:
             return LifetimeResult(
-                tau=None,
-                bracket=(low, high),
-                residual=g_high,
-                iterations=evals,
-                lhs_at_zero=2.0,
+                tau=None, bracket=(low, high), residual=g_high, iterations=evals
             )
         low = high
         high = min(2.0 * high, t_max)
@@ -171,7 +177,6 @@ def max_lifetime(
         bracket=(low, high),
         residual=residual,
         iterations=evals,
-        lhs_at_zero=2.0,
         post_root_sign_changes=changes,
     )
 
@@ -192,30 +197,18 @@ def optimal_state(
 
     Proportional to (B1 x B2)(|HH> + |VV>) with B the output filters of the
     two normal forms at tau; more weight ends up on the polarization that
-    decays faster.
+    decays faster.  B is proportional to the square root of the fixed point
+    S, so only the diagonals of the two fixed points enter.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau!r}")
-    b1 = decompose(params1, tau).b_op
-    b2 = decompose(params2, tau).b_op
-    amp_h = float((b1[0, 0] * b2[0, 0]).real)
-    amp_v = float((b1[1, 1] * b2[1, 1]).real)
+    s1_h, s1_v = fixed_point_diagonal(params1, tau)
+    s2_h, s2_v = fixed_point_diagonal(params2, tau)
+    amp_h = math.sqrt(s1_h * s2_h)
+    amp_v = math.sqrt(s1_v * s2_v)
     norm = math.hypot(amp_h, amp_v)
     psi = np.array([amp_h, 0.0, 0.0, amp_v], dtype=complex) / norm
     rho = np.outer(psi, psi.conj())
     coeffs = sorted((abs(amp_h) / norm, abs(amp_v) / norm), reverse=True)
     return OptimalState(psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]))
 
-
-def robust_state_unital(
-    lambdas1: tuple[float, float, float], lambdas2: tuple[float, float, float]
-) -> np.ndarray:
-    """Most robust state for two unital lines: the maximally entangled pair.
-
-    Valid only for signal parameters sorted lx >= ly >= lz >= 0 on both lines.
-    """
-    for lam in (lambdas1, lambdas2):
-        lx, ly, lz = lam
-        if not (lx >= ly >= lz >= 0.0):
-            raise ValueError(f"signal parameters must satisfy lx >= ly >= lz >= 0, got {lam!r}")
-    return PSI_PLUS.copy()

@@ -14,11 +14,17 @@ For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
 serves as the independent cross-check.
 
-Numerical note: the coefficients a, b, d share the two decay modes
-exp(-((r +- G) t / 2)) with r = g + gh + gv, and combinations such as
-(a + d)^2 - 4 b^2 lose all precision once G t is large, while their
-mode-level forms stay exact.  The lifetime search probes such times on
-purpose, so everything below is written in terms of the modes.
+Numerical note: everything below is a view of dynamics.decay_modes().
+Divided by the slow mode, s, the shape of the filters and the signal
+parameters depend on the line only through the mode ratio q = exp(-G t),
+1 - q and g/G, and each is written as a sum of terms of one sign.  With
+A = asinh((g/G) sinh(G t / 2)) the signal parameters are
+
+    lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
+
+and A is formed from log q, so they stay finite and exact at times where
+the modes themselves underflow; the lifetime search probes such times on
+purpose.  Only the filter B carries the absolute scale of the map.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AbcdCoefficients, ChannelParams, ptm_at
+from .dynamics import ChannelParams, decay_modes, ptm_at
 from .linalg import PD_MIN_EIG, pd_inverse
 from .ptm import PSD_TOL, SIGMA, apply, compose, sandwich
 
@@ -106,73 +112,68 @@ def fixed_point_iterate(
 # Closed form
 # ---------------------------------------------------------------------------
 
-
-def closed_form_s(coeffs: AbcdCoefficients) -> float:
-    """The sigma_z weight of the fixed point, s ∈ (-1, 1), from a, b, d.
-
-    Written as -2b / (a + d + sqrt((a+d)^2 - 4b^2)) so small b is harmless.
-    """
-    a, b, d = coeffs.a, coeffs.b, coeffs.d
-    if abs(b) < 1e-14:
-        return 0.0
-    radicand = (a + d) ** 2 - 4.0 * b * b
-    if radicand <= 0.0:
-        # a + d > 2|b| holds strictly for the loss model at any finite time,
-        # so hitting the boundary means the coefficients are not from it.
-        raise ValueError(f"coefficients violate a + d > 2|b|: a={a!r} b={b!r} d={d!r}")
-    return -2.0 * b / (a + d + math.sqrt(radicand))
+_LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class _Modes:
-    """Decay modes and reduced quantities of one map at one instant."""
-
-    slow: float  # exp(-((r - G) t / 2))
-    fast: float  # exp(-((r + G) t / 2))
-    r_gamma: float  # g / G       (0 when G = 0)
-    r_delta: float  # (gh-gv) / G (0 when G = 0)
-    coherence: float  # the c coefficient
-
-    @property
-    def width(self) -> float:
-        # E * sqrt(1 + (g/G)^2 sinh^2(G t / 2)), the stabilized radical.
-        half_gap = 0.5 * self.r_gamma * (self.slow - self.fast)
-        return math.sqrt(self.slow * self.fast + half_gap * half_gap)
-
-
-def _modes(params: ChannelParams, t: float) -> _Modes:
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    gh, gv, g = params.gamma_h, params.gamma_v, params.gamma
-    delta = gh - gv
-    big_g = math.hypot(g, delta)
-    rate = g + gh + gv
-    slow = math.exp(-0.5 * (rate - big_g) * t)
-    if slow == 0.0:
-        raise ValueError(f"decay modes underflow to zero at t={t!r}")
-    return _Modes(
-        slow=slow,
-        fast=math.exp(-0.5 * (rate + big_g) * t),
-        r_gamma=g / big_g if big_g > 0.0 else 0.0,
-        r_delta=delta / big_g if big_g > 0.0 else 0.0,
-        coherence=math.exp(-0.5 * (2.0 * g + gh + gv) * t),
-    )
+def _lambdas(
+    log_q: float, one_minus_q: float, r_gamma: float
+) -> tuple[float, float, float]:
+    if r_gamma == 0.0 or one_minus_q == 0.0:
+        # pure loss (or t = 0): the unital part is the identity map
+        return 1.0, 1.0, 1.0
+    # log of (g/G) sinh(G t / 2) = (g/G) (1 - q) / (2 sqrt(q))
+    log_sinh = math.log(r_gamma) + math.log(one_minus_q) - _LN2 - 0.5 * log_q
+    # asinh(y) = log(2 y) to double precision once y > e^20
+    big_a = math.asinh(math.exp(log_sinh)) if log_sinh < 20.0 else log_sinh + _LN2
+    # g t / 2 = -(g/G) log(q) / 2, halved before the product so that a
+    # subnormal g/G cannot round to 0 against log q = -inf
+    lam_x = math.exp(r_gamma * (0.5 * log_q) - big_a)
+    return lam_x, lam_x, math.exp(-2.0 * big_a)
 
 
 def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float]:
     """Signal parameters (lx, ly, lz) of the unital normal form at time t.
 
-    Defined and well conditioned for every t >= 0; (1, 1, 1) exactly at
-    t = 0 and identically for pure polarization-dependent loss.
+    Finite and well conditioned for every t >= 0, including times where the
+    decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
+    pure polarization-dependent loss.
     """
-    modes = _modes(params, t)
-    denom = modes.r_gamma * (modes.slow - modes.fast) + 2.0 * modes.width
-    if denom == 0.0:
-        # reachable for pure loss once slow*fast underflows double precision
-        raise ValueError(f"decay modes underflow at t={t!r}; signal parameters undefined")
-    lam_x = 2.0 * modes.coherence / denom
-    lam_z = 4.0 * modes.slow * modes.fast / (denom * denom)
-    return lam_x, lam_x, lam_z
+    _, log_q, _, one_minus_q, r_gamma, _, _ = decay_modes(params, t)
+    return _lambdas(log_q, one_minus_q, r_gamma)
+
+
+def _fixed_point(
+    q: float, one_minus_q: float, r_gamma: float, r_delta: float
+) -> tuple[float, float, float, float, float]:
+    """(s, 1 + s, 1 - s, eig_h, eig_v) with eig the eigenvalues of L^dag[S] over the slow mode."""
+    half_gap = 0.5 * r_gamma * one_minus_q
+    width = math.sqrt(q + half_gap * half_gap)
+    denom = 1.0 + q + 2.0 * width
+    s = r_delta * one_minus_q / denom
+    # 1 +- (gh-gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
+    larger = 1.0 + abs(r_delta)
+    smaller = r_gamma * r_gamma / larger
+    plus_delta, minus_delta = (larger, smaller) if r_delta >= 0.0 else (smaller, larger)
+    # 1 +- s in cancellation-free all-positive form.
+    upper = 0.5 * (plus_delta + q * minus_delta)
+    lower = 0.5 * (minus_delta + q * plus_delta)
+    one_plus_s = 2.0 * (upper + width) / denom
+    one_minus_s = 2.0 * (lower + width) / denom
+    # L^dag[S] = (a + b s) I + (b + d s) sigma_z on |H>, |V>.
+    eig_h = one_plus_s * lower + one_minus_s * half_gap
+    eig_v = one_minus_s * upper + one_plus_s * half_gap
+    return s, one_plus_s, one_minus_s, eig_h, eig_v
+
+
+def fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, float]:
+    """(1 + s, 1 - s), the diagonal of the fixed point S = I + s sigma_z at time t.
+
+    The map is self-dual, so L^dag[S] is proportional to S^-1 and the output
+    filter B = (L^dag[S])^(-1/2) to sqrt(S): this is the filter's shape,
+    free of the absolute scale that makes B itself overflow at long times.
+    """
+    _, _, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
+    return _fixed_point(q, one_minus_q, r_gamma, r_delta)[1:3]
 
 
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
@@ -181,25 +182,16 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     The composed transfer matrix F_A . L . F_B is verified against
     diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
     """
-    modes = _modes(params, t)
-    gap = modes.slow - modes.fast
-    denom_s = modes.slow + modes.fast + 2.0 * modes.width
-    s = modes.r_delta * gap / denom_s
-    # 1 +- s in cancellation-free all-positive form.
-    upper = 0.5 * (modes.slow * (1.0 + modes.r_delta) + modes.fast * (1.0 - modes.r_delta))
-    lower = 0.5 * (modes.slow * (1.0 - modes.r_delta) + modes.fast * (1.0 + modes.r_delta))
-    one_plus_s = 2.0 * (upper + modes.width) / denom_s
-    one_minus_s = 2.0 * (lower + modes.width) / denom_s
-    # Eigenvalues of L^dag[S] = (a + b s) I + (b + d s) sigma_z on |H>, |V>.
-    half_gsh = 0.5 * modes.r_gamma * gap
-    eig_h = one_plus_s * lower + one_minus_s * half_gsh
-    eig_v = one_minus_s * upper + one_plus_s * half_gsh
+    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
+    s, one_plus_s, one_minus_s, eig_h, eig_v = _fixed_point(q, one_minus_q, r_gamma, r_delta)
+    eig_h *= slow
+    eig_v *= slow
     if eig_h <= PD_MIN_EIG or eig_v <= PD_MIN_EIG:
         raise ValueError(
             f"degenerate filter: image of the fixed point has eigenvalues "
             f"({eig_h:.3e}, {eig_v:.3e})"
         )
-    lam_x, lam_y, lam_z = unital_lambdas(params, t)
+    lam_x, lam_y, lam_z = _lambdas(log_q, one_minus_q, r_gamma)
 
     a_op = np.diag([math.sqrt(one_plus_s), math.sqrt(one_minus_s)]).astype(complex)
     b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)

@@ -16,8 +16,7 @@ import numpy as np
 from .dynamics import ChannelParams, ptm_at, ptm_via_integration
 from .entanglement import max_lifetime
 from .ptm import compose, dual, is_trace_preserving, is_unital, sandwich
-from .sinkhorn import closed_form_s, decompose, fixed_point_iterate
-from . import dynamics
+from .sinkhorn import decompose, fixed_point_iterate
 
 RATE_GRID = (0.0, 0.5, 1.0, 5.0)
 TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -88,7 +87,7 @@ def suite_sinkhorn() -> SuiteResult:
             m = ptm_at(params, t)
             s_iter = fixed_point_iterate(m)
             devs = [
-                abs(closed_form_s(dynamics.abcd(params, t)) - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real),
+                abs(dec.s - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real),
                 float(np.max(np.abs(dec.upsilon[0] - flat))),
                 float(np.max(np.abs(dec.upsilon[:, 0] - flat))),
             ]

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import random_density, random_pure_density, random_separable, read_csv_columns
 from qsink.cli import EXIT_OK, main
-from qsink.dynamics import ChannelParams, abcd, ptm_at, ptm_via_integration
+from qsink.dynamics import ChannelParams, ptm_at, ptm_via_integration
 from qsink.entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -22,7 +22,7 @@ from qsink.entanglement import (
     optimal_state,
 )
 from qsink.ptm import compose, sandwich
-from qsink.sinkhorn import closed_form_s, decompose, fixed_point_iterate
+from qsink.sinkhorn import decompose, fixed_point_iterate
 
 RATE_GRID = (0.0, 0.5, 1.0, 5.0)
 TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -98,7 +98,7 @@ def test_criterion_3_normal_form(capsys):
             dec = decompose(params, t)
             s_iterated = fixed_point_iterate(ptm_at(params, t))
             s_weight = float((s_iterated[0, 0] - s_iterated[1, 1]).real) / 2.0
-            worst_s = max(worst_s, abs(closed_form_s(abcd(params, t)) - s_weight))
+            worst_s = max(worst_s, abs(dec.s - s_weight))
             worst_residual = max(
                 worst_residual,
                 float(np.max(np.abs(dec.upsilon[0] - flat))),

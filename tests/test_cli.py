@@ -64,6 +64,30 @@ def test_lifetime_pure_loss_exit_code(capsys):
     assert "no finite lifetime" in err
 
 
+def test_lifetime_pure_loss_against_depolarization(capsys):
+    # the loss line's modes underflow long before the root; its unital part
+    # is the identity, so the depolarizing line alone sets tau = ln 3 / g
+    code, out, _ = run(capsys, ["lifetime", "--gh1", "100", "--g2", "0.01"])
+    assert code == EXIT_OK
+    tau = read_csv_columns(out)["tau"][0]
+    expected = math.log(3.0) / 0.01
+    assert abs(tau - expected) / expected <= 1e-9
+
+
+def test_lifetime_weak_depolarization_has_no_search_horizon(capsys):
+    # tau ~ 2 ln(1/g) + C as g -> 0, far past any fixed multiple of 1/rates
+    taus = []
+    for g in ("1e-200", "1e-100"):
+        code, out, _ = run(
+            capsys, ["lifetime", "--gh1", "1", "--g1", g, "--gh2", "1", "--g2", g]
+        )
+        assert code == EXIT_OK
+        taus.append(read_csv_columns(out)["tau"][0])
+    assert abs(taus[0] - 920.85) <= 0.01
+    expected = 200.0 * math.log(10.0)
+    assert abs((taus[0] - taus[1]) - expected) / expected <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # optimal-state
 # ---------------------------------------------------------------------------
@@ -115,6 +139,17 @@ def test_evolve_csv_contract(capsys):
     assert cols["negativity_psi_plus"][-1] <= 1e-12
     assert cols["negativity_optimal"][-1] <= 1e-12
     assert all(p < 1.0 for p in cols["detection_prob_psi_plus"][1:])
+
+
+def test_evolve_past_coherence_underflow(capsys):
+    # c = exp(-g t) underflows at t = 1000; the conditional state is still
+    # defined (the lines only depolarize) and fully mixed
+    code, out, _ = run(capsys, ["evolve", "--g1", "1", "--g2", "1", "--t-max", "2000", "--steps", "3"])
+    assert code == EXIT_OK
+    cols = read_csv_columns(out)
+    assert cols["t"] == [0.0, 1000.0, 2000.0]
+    assert cols["negativity_psi_plus"][1:] == [0.0, 0.0]
+    assert all(abs(p - 1.0) <= 1e-12 for p in cols["detection_prob_psi_plus"])
 
 
 def test_evolve_is_deterministic(capsys):

@@ -16,7 +16,6 @@ from qsink.entanglement import (
     max_lifetime,
     negativity,
     optimal_state,
-    robust_state_unital,
 )
 from qsink.ptm import apply_two_qubit, identity_ptm
 from qsink.sinkhorn import decompose
@@ -149,7 +148,6 @@ def test_max_lifetime_symmetric_depolarization():
         assert abs(result.tau - expected) / expected <= 1e-9
         assert abs(result.residual) <= 1e-10
         assert result.post_root_sign_changes == 0
-        assert result.lhs_at_zero == 2.0
         assert result.bracket[0] <= result.tau <= result.bracket[1]
 
 
@@ -164,9 +162,10 @@ def test_max_lifetime_loss_plus_depolarization():
 def test_max_lifetime_pure_loss_has_none():
     result = max_lifetime(ChannelParams(1.0, 5.0, 0.0), ChannelParams(1.0, 5.0, 0.0))
     assert result.tau is None
-    # the final probe is clamped to the default search horizon exactly
-    assert result.bracket[1] == 1e3 * (1.0 / 12.0)
-    assert result.residual > 1.9
+    # neither line depolarizes: g = 2 for all t, answered without a search
+    assert result.bracket == (0.0, math.inf)
+    assert result.residual == 2.0
+    assert result.iterations == 0
 
 
 def test_max_lifetime_trivial_lines_have_none():
@@ -301,25 +300,3 @@ def test_unital_parts_kill_psi_plus_exactly_at_the_lifetime():
             high = mid
     assert abs(0.5 * (low + high) - tau) <= 1e-8
 
-
-# ---------------------------------------------------------------------------
-# robust_state_unital
-# ---------------------------------------------------------------------------
-
-
-def test_robust_state_unital_returns_fresh_copy():
-    state = robust_state_unital((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    assert np.array_equal(state, PSI_PLUS)
-    assert state is not PSI_PLUS
-
-
-def test_robust_state_unital_accepts_sorted_signals():
-    state = robust_state_unital((0.9, 0.5, 0.1), (1.0, 1.0, 0.0))
-    assert np.array_equal(state, PSI_PLUS)
-
-
-def test_robust_state_unital_rejects_unsorted_signals():
-    with pytest.raises(ValueError):
-        robust_state_unital((0.5, 0.9, 0.1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        robust_state_unital((0.9, 0.5, -0.1), (1.0, 1.0, 1.0))

@@ -1,0 +1,79 @@
+"""Property tests of the decay-mode core over rates and times spanning many decades.
+
+Rates are 0 or log-uniform on [1e-300, 1e300] and times 0 or log-uniform on
+[1e-300, 1e300], so the modes underflow, G t overflows and g/G leaves double
+range; the invariants below must hold everywhere regardless.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qsink.dynamics import ChannelParams, ptm_at
+from qsink.entanglement import lifetime_lhs
+from qsink.sinkhorn import decompose, fixed_point_diagonal, fixed_point_iterate, unital_lambdas
+
+
+def decades(low: float, high: float) -> st.SearchStrategy[float]:
+    return st.one_of(st.just(0.0), st.floats(low, high).map(lambda e: 10.0**e))
+
+
+RATES = decades(-300.0, 300.0)
+TIMES = decades(-300.0, 300.0)
+LINES = st.builds(ChannelParams, RATES, RATES, RATES)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, TIMES)
+def test_ptm_entries_finite_bounded_and_positive(params, t):
+    m = ptm_at(params, t)
+    a, b, c, d = m[0, 0], m[0, 3], m[1, 1], m[3, 3]
+    assert np.all(np.isfinite(m))
+    for value in (a, c, d):
+        assert 0.0 <= value <= 1.0 + 1e-12
+    assert a + d >= 2.0 * abs(b) - 1e-12
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, TIMES)
+def test_lambdas_bounded_and_ordered(params, t):
+    lam_x, lam_y, lam_z = unital_lambdas(params, t)
+    assert lam_x == lam_y
+    for lam in (lam_x, lam_z):
+        assert 0.0 <= lam <= 1.0
+    # x and z coincide up to rounding for pure depolarization
+    assert lam_x >= lam_z - 1e-12
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, LINES, TIMES)
+def test_lifetime_lhs_is_finite(params1, params2, t):
+    value = lifetime_lhs(params1, params2, t)
+    assert math.isfinite(value)
+    assert -1.0 <= value <= 2.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    # a depolarizing line: for pure loss every diagonal S is a fixed point
+    st.builds(
+        ChannelParams, decades(-2.0, 2.0), decades(-2.0, 2.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    ),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+)
+def test_closed_form_matches_iteration_where_nothing_underflows(params, t):
+    m = ptm_at(params, t)
+    # moderate maps only: every entry well above underflow, the filters far
+    # from singular, and a unital part that contracts, so the iteration
+    # converges (at about lambda^2 per step)
+    assume(min(m[0, 0], m[1, 1], m[3, 3]) >= 1e-3)
+    assume(max(unital_lambdas(params, t)) <= 0.9)
+    plus, minus = fixed_point_diagonal(params, t)
+    assume(min(plus, minus) >= 0.1)
+    iterated = fixed_point_iterate(m)
+    assert abs(iterated[0, 0].real - plus) <= 1e-9
+    assert abs(iterated[1, 1].real - minus) <= 1e-9
+    weight = 0.5 * (iterated[0, 0] - iterated[1, 1]).real
+    assert abs(decompose(params, t).s - weight) <= 1e-9
