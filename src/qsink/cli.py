@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,9 +27,8 @@ from .entanglement import (
     negativity,
     optimal_state,
 )
-from .ptm import compose, sandwich
-from .sinkhorn import decompose
-from .validate import run_all
+from .sinkhorn import decompose, fixed_point_diagonal
+from .validate import normal_form_residuals, run_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,7 +42,7 @@ class JobConfig:
     line2: ChannelParams
     t_max: float | None = None
     steps: int = 200
-    initial_state: str | np.ndarray = "max_entangled"
+    initial_state: np.ndarray | None = None
     output_path: str | None = None
     format: str = "csv"
 
@@ -53,11 +53,6 @@ class JobConfig:
             raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if isinstance(self.initial_state, str) and self.initial_state not in (
-            "max_entangled",
-            "optimal",
-        ):
-            raise ValueError(f"unknown initial state {self.initial_state!r}")
 
 
 def _fmt(x: float) -> str:
@@ -65,8 +60,11 @@ def _fmt(x: float) -> str:
 
 
 def _parse_custom_state(entries) -> np.ndarray:
-    values = np.asarray(entries, dtype=float)
-    if values.shape != (16, 2):
+    try:
+        values = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (16, 2):
         raise ValueError("a custom state needs 16 [re, im] entries (row-major 4x4)")
     return (values[:, 0] + 1j * values[:, 1]).reshape(4, 4)
 
@@ -87,11 +85,9 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
             gamma=float(entry.get("gamma", 0.0)),
         )
 
-    initial_state = raw.get("initial_state", "max_entangled")
-    if not isinstance(initial_state, str):
+    initial_state = raw.get("initial_state")
+    if initial_state is not None:
         initial_state = _parse_custom_state(initial_state)
-    if getattr(args, "state", None) is not None:
-        initial_state = args.state
 
     cfg = JobConfig(
         line1=line("line1", (args.gh1, args.gv1, args.g1)),
@@ -181,8 +177,9 @@ def cmd_optimal_state(cfg: JobConfig) -> int:
         print("no finite lifetime, optimal state undefined", file=sys.stderr)
         return EXIT_NO_LIFETIME
     state = optimal_state(cfg.line1, cfg.line2, result.tau)
-    b1 = [float(x.real) for x in np.diag(decompose(cfg.line1, result.tau).b_op)]
-    b2 = [float(x.real) for x in np.diag(decompose(cfg.line2, result.tau).b_op)]
+    # B is proportional to sqrt(S), S = diag(1 + s, 1 - s): print that shape
+    b1 = [math.sqrt(x) for x in fixed_point_diagonal(cfg.line1, result.tau)]
+    b2 = [math.sqrt(x) for x in fixed_point_diagonal(cfg.line2, result.tau)]
     if cfg.format == "json":
         record = {
             "tau": result.tau,
@@ -217,7 +214,7 @@ def cmd_evolve(cfg: JobConfig) -> int:
         ("psi_plus", np.outer(PSI_PLUS, PSI_PLUS.conj())),
         ("optimal", opt.rho),
     ]
-    if isinstance(cfg.initial_state, np.ndarray):
+    if cfg.initial_state is not None:
         states.append(("custom", cfg.initial_state))
 
     # Column order is part of the output contract; a custom state appends
@@ -248,11 +245,6 @@ def cmd_evolve(cfg: JobConfig) -> int:
 
 def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
     dec = decompose(cfg.line1, t)
-    m = ptm_at(cfg.line1, t)
-    a_inv = np.diag(1.0 / np.diag(dec.a_op))
-    b_inv = np.diag(1.0 / np.diag(dec.b_op))
-    rebuilt = compose(sandwich(a_inv), compose(dec.upsilon, sandwich(b_inv)))
-    flat = np.array([1.0, 0.0, 0.0, 0.0])
     record = {
         "t": t,
         "s": dec.s,
@@ -261,11 +253,7 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
         "lambda_x": dec.lambda_x,
         "lambda_y": dec.lambda_y,
         "lambda_z": dec.lambda_z,
-        "residuals": {
-            "trace_preserving": float(np.max(np.abs(dec.upsilon[0] - flat))),
-            "unital": float(np.max(np.abs(dec.upsilon[:, 0] - flat))),
-            "round_trip": float(np.max(np.abs(rebuilt - m))),
-        },
+        "residuals": normal_form_residuals(dec, ptm_at(cfg.line1, t)),
     }
     _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
     return EXIT_OK
@@ -304,7 +292,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(flag, dest=dest, type=float, default=None)
     sub.add_argument("--t-max", dest="t_max", type=float, default=None)
     sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--state", choices=("max_entangled", "optimal"), default=None)
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--config", default=None)

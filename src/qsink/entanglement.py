@@ -146,7 +146,9 @@ def max_lifetime(
 
     tau = None
     residual = math.nan
-    while high - low > _ROOT_INTERVAL_TOL:
+    # the bracket width is relative below tau = 1, so roots at tiny tau
+    # (rates far above 1) keep their digits
+    while high - low > _ROOT_INTERVAL_TOL * min(high, 1.0):
         mid = 0.5 * (low + high)
         g_mid = g(mid)
         evals += 1

@@ -8,8 +8,6 @@ further than HERMITICITY_TOL from their own adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Max allowed |m - m^dag| before an input no longer counts as Hermitian.
@@ -47,57 +45,17 @@ def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class HermitianEigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    eigenvalues are sorted descending; column k of eigenvectors belongs to
-    eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(m: np.ndarray) -> HermitianEigenResult:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = hermitian_part(m)
-    vals, vecs = np.linalg.eigh(h)
-    return HermitianEigenResult(vals[::-1].copy(), vecs[:, ::-1].copy())
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, descending."""
-    return np.linalg.eigvalsh(hermitian_part(m))[::-1].copy()
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(m)))))
 
 
-def _spectral_map(m: np.ndarray, fn, what: str) -> np.ndarray:
-    """Apply fn to the spectrum of a positive definite Hermitian matrix."""
-    h = hermitian_part(m)
-    vals, vecs = np.linalg.eigh(h)
-    if vals[0] <= PD_MIN_EIG:
-        raise ValueError(
-            f"{what} needs a positive definite matrix; "
-            f"smallest eigenvalue is {vals[0]:.3e}"
-        )
-    return (vecs * fn(vals)) @ vecs.conj().T
-
-
-def pd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a positive definite matrix."""
-    return _spectral_map(m, np.sqrt, "pd_sqrt")
-
-
-def pd_inverse_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse principal square root of a positive definite matrix."""
-    return _spectral_map(m, lambda v: 1.0 / np.sqrt(v), "pd_inverse_sqrt")
-
-
 def pd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a positive definite matrix via its spectrum."""
-    return _spectral_map(m, lambda v: 1.0 / v, "pd_inverse")
+    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    if vals[0] <= PD_MIN_EIG:
+        raise ValueError(
+            f"pd_inverse needs a positive definite matrix; "
+            f"smallest eigenvalue is {vals[0]:.3e}"
+        )
+    return (vecs * (1.0 / vals)) @ vecs.conj().T

@@ -33,10 +33,6 @@ PSD_TOL = 1e-9
 _FLAT_TOL = 1e-9  # tolerance for the trace-preserving / unital row and column
 
 
-def identity_ptm() -> np.ndarray:
-    return np.eye(4)
-
-
 def _check_ptm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
@@ -44,17 +40,11 @@ def _check_ptm(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _apply_linear(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # Linear extension to arbitrary 2x2 inputs; used for matrix units too.
-    coeffs = np.einsum("kab,ba->k", _SIG, np.asarray(rho, dtype=complex))
-    return 0.5 * np.einsum("k,kab->ab", m @ coeffs, _SIG)
-
-
 def apply(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply the map with transfer matrix m to a Hermitian 2x2 operator."""
     m = _check_ptm(m)
-    rho = hermitian_part(rho)
-    return _apply_linear(m, rho)
+    coeffs = np.einsum("kab,ba->k", _SIG, hermitian_part(rho))
+    return 0.5 * np.einsum("k,kab->ab", m @ coeffs, _SIG)
 
 
 def apply_two_qubit(m1: np.ndarray, m2: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -88,23 +78,6 @@ def sandwich(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m.real)
 
 
-def choi(m: np.ndarray) -> np.ndarray:
-    """Choi operator sum_ij |i><j| (x) L[|i><j|], trace 2 for trace-preserving L."""
-    m = _check_ptm(m)
-    c = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            c += kron(unit, _apply_linear(m, unit))
-    return c
-
-
-def is_cp(m: np.ndarray) -> bool:
-    """Complete positivity: the Choi operator is PSD up to PSD_TOL."""
-    return float(np.linalg.eigvalsh(choi(m))[0]) >= -PSD_TOL
-
-
 def is_trace_preserving(m: np.ndarray) -> bool:
     m = _check_ptm(m)
     return float(np.max(np.abs(m[0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL
@@ -113,9 +86,3 @@ def is_trace_preserving(m: np.ndarray) -> bool:
 def is_unital(m: np.ndarray) -> bool:
     m = _check_ptm(m)
     return float(np.max(np.abs(m[:, 0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL
-
-
-def is_trace_nonincreasing(m: np.ndarray) -> bool:
-    """Whether identity minus the adjoint image of the identity is PSD."""
-    gap = np.eye(2, dtype=complex) - _apply_linear(_check_ptm(m).T, np.eye(2, dtype=complex))
-    return float(np.linalg.eigvalsh(gap)[0]) >= -PSD_TOL

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsink.ptm import SIGMA
+from qsink.ptm import PSD_TOL, SIGMA
 
 
 @pytest.fixture
@@ -36,6 +36,30 @@ def ptm_to_superop(m: np.ndarray) -> np.ndarray:
             # tr[sigma_j rho] = vec(sigma_j^T) . vec(rho)
             sup += 0.5 * m[i, j] * np.outer(vec(SIGMA[i]), vec(SIGMA[j].T))
     return sup
+
+
+def identity_ptm() -> np.ndarray:
+    return np.eye(4)
+
+
+def choi(m: np.ndarray) -> np.ndarray:
+    """Choi operator sum_ij |i><j| (x) L[|i><j|], trace 2 for trace-preserving L."""
+    # superop[(a b), (i j)] = L[|i><j|][a, b]; the Choi entry [(i a), (j b)] is
+    # the same number, so the Choi operator is a reshuffle of the superoperator
+    sup = ptm_to_superop(m).reshape(2, 2, 2, 2)
+    return sup.transpose(2, 0, 3, 1).reshape(4, 4)
+
+
+def is_cp(m: np.ndarray) -> bool:
+    """Complete positivity: the Choi operator is PSD up to PSD_TOL."""
+    return float(np.linalg.eigvalsh(choi(m))[0]) >= -PSD_TOL
+
+
+def is_trace_nonincreasing(m: np.ndarray) -> bool:
+    """Whether identity minus the adjoint image of the identity is PSD."""
+    eye = np.eye(2, dtype=complex)
+    gap = eye - unvec(ptm_to_superop(np.transpose(m)) @ vec(eye))
+    return float(np.linalg.eigvalsh(gap)[0]) >= -PSD_TOL
 
 
 def two_qubit_superop(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

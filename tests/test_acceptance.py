@@ -5,14 +5,13 @@ straight to the terminal (capture suspended), then asserts.  Tolerances are
 the published contract of the package; do not loosen them here.
 """
 
-import math
 import time
 
 import numpy as np
 
 from conftest import random_density, random_pure_density, random_separable, read_csv_columns
 from qsink.cli import EXIT_OK, main
-from qsink.dynamics import ChannelParams, ptm_at, ptm_via_integration
+from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -21,12 +20,9 @@ from qsink.entanglement import (
     negativity,
     optimal_state,
 )
-from qsink.ptm import compose, sandwich
-from qsink.sinkhorn import decompose, fixed_point_iterate
+from qsink.ptm import compose
+from qsink.validate import SuiteResult, suite_lifetime, suite_ptm_oracle, suite_sinkhorn
 
-RATE_GRID = (0.0, 0.5, 1.0, 5.0)
-TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
-ORACLE_DT = 5e-4
 SEED = 20260822
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -44,35 +40,23 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def grid_params(require_depolarization: bool = False):
-    for gh in RATE_GRID:
-        for gv in RATE_GRID:
-            for g in RATE_GRID:
-                if gh == gv == g == 0.0:
-                    continue
-                if require_depolarization and g == 0.0:
-                    continue
-                yield ChannelParams(gh, gv, g)
+def check_suite(result: SuiteResult, tol: float, cases: int) -> tuple[bool, str]:
+    """A replay suite passes here only on its own verdict, this gate's
+    tolerance and the full case count."""
+    ok = result.passed and result.max_deviation <= tol and result.cases == cases
+    detail = (
+        f"{result.name} max deviation {result.max_deviation:.3e} <= {tol:.0e} over "
+        f"{result.cases} cases ({cases} expected), worst at {result.worst_case or '-'}"
+    )
+    return ok, detail
 
 
 def test_criterion_1_closed_form_vs_integration(capsys):
+    # closed-form transfer matrices against RK4 integration
     started = time.perf_counter()
-    worst, cases = 0.0, 0
-    for params in grid_params():
-        for t in TIME_GRID:
-            dev = float(
-                np.max(np.abs(ptm_at(params, t) - ptm_via_integration(params, t, ORACLE_DT)))
-            )
-            worst = max(worst, dev)
-            cases += 1
+    ok, detail = check_suite(suite_ptm_oracle(), 1e-8, 315)
     elapsed = time.perf_counter() - started
-    report(
-        capsys,
-        1,
-        worst <= 1e-8 and elapsed < 30.0,
-        f"max |closed form - integration| = {worst:.3e} <= 1e-8 "
-        f"over {cases} cases in {elapsed:.2f} s (< 30 s)",
-    )
+    report(capsys, 1, ok and elapsed < 30.0, f"{detail}, in {elapsed:.2f} s (< 30 s)")
 
 
 def test_criterion_2_semigroup(capsys):
@@ -89,62 +73,15 @@ def test_criterion_2_semigroup(capsys):
 
 
 def test_criterion_3_normal_form(capsys):
-    flat = np.array([1.0, 0.0, 0.0, 0.0])
-    worst_s, worst_residual, worst_round_trip = 0.0, 0.0, 0.0
-    ordered = True
-    cases = 0
-    for params in grid_params(require_depolarization=True):
-        for t in TIME_GRID:
-            dec = decompose(params, t)
-            s_iterated = fixed_point_iterate(ptm_at(params, t))
-            s_weight = float((s_iterated[0, 0] - s_iterated[1, 1]).real) / 2.0
-            worst_s = max(worst_s, abs(dec.s - s_weight))
-            worst_residual = max(
-                worst_residual,
-                float(np.max(np.abs(dec.upsilon[0] - flat))),
-                float(np.max(np.abs(dec.upsilon[:, 0] - flat))),
-            )
-            a_inv = np.diag(1.0 / np.diag(dec.a_op))
-            b_inv = np.diag(1.0 / np.diag(dec.b_op))
-            rebuilt = compose(sandwich(a_inv), compose(dec.upsilon, sandwich(b_inv)))
-            worst_round_trip = max(
-                worst_round_trip, float(np.max(np.abs(rebuilt - ptm_at(params, t))))
-            )
-            # x and z coincide to the last ulp when gh == gv
-            ordered = ordered and (
-                dec.lambda_x == dec.lambda_y
-                and dec.lambda_y >= dec.lambda_z - 1e-12
-                and dec.lambda_z >= 0.0
-            )
-            cases += 1
-    ok = worst_s <= 1e-9 and worst_residual <= 1e-9 and worst_round_trip <= 1e-9 and ordered
-    report(
-        capsys,
-        3,
-        ok,
-        f"closed form vs iteration {worst_s:.3e}, unital/trace residual "
-        f"{worst_residual:.3e}, round trip {worst_round_trip:.3e} (all <= 1e-9), "
-        f"ordering {'held' if ordered else 'violated'} over {cases} cases",
-    )
+    # closed-form fixed point against iteration, unital/trace residuals,
+    # round trip and signal-parameter ordering
+    report(capsys, 3, *check_suite(suite_sinkhorn(), 1e-9, 240))
 
 
 def test_criterion_4_lifetime_closed_forms(capsys):
-    worst_rel = 0.0
-    for g in (0.25, 1.0, 2.0):
-        result = max_lifetime(ChannelParams(0.0, 0.0, g), ChannelParams(0.0, 0.0, g))
-        expected = math.log(3.0) / (2.0 * g)
-        worst_rel = max(worst_rel, abs(result.tau - expected) / expected)
-    no_lifetime = all(
-        max_lifetime(params, params).tau is None
-        for params in (ChannelParams(1.0, 5.0, 0.0), ChannelParams(2.0, 0.5, 0.0))
-    )
-    report(
-        capsys,
-        4,
-        worst_rel <= 1e-9 and no_lifetime,
-        f"symmetric depolarization rel err = {worst_rel:.3e} <= 1e-9; "
-        f"pure loss reports no finite lifetime: {no_lifetime}",
-    )
+    # symmetric-depolarization roots against ln(3)/(2 gamma); pure-loss lines
+    # must report no finite lifetime
+    report(capsys, 4, *check_suite(suite_lifetime(), 1e-9, 5))
 
 
 def test_criterion_5_crossing_window_early(capsys, tmp_path):

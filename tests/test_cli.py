@@ -109,6 +109,20 @@ def test_optimal_state_json(capsys):
     assert record["b1_diag"][1] > record["b1_diag"][0]
 
 
+def test_optimal_state_pure_loss_against_depolarization(capsys):
+    # the loss line's filter is only a shape: sqrt(1 + s), sqrt(1 - s) with
+    # s -> 1, however far its absolute scale has underflowed
+    code, out, _ = run(
+        capsys, ["optimal-state", "--gh1", "100", "--g2", "0.01", "--format", "json"]
+    )
+    assert code == EXIT_OK
+    record = json.loads(out)
+    expected = math.log(3.0) / 0.01
+    assert abs(record["tau"] - expected) / expected <= 1e-9
+    assert record["b1_diag"] == [math.sqrt(2.0), 0.0]
+    assert record["b2_diag"] == [1.0, 1.0]
+
+
 def test_optimal_state_pure_loss_exit_code(capsys):
     code, _, err = run(
         capsys, ["optimal-state", "--gh1", "1", "--gv1", "5", "--gh2", "1", "--gv2", "5"]
@@ -268,19 +282,23 @@ def test_steps_below_two_rejected(capsys):
 
 
 def test_bad_usage_raises_exit_code_one():
-    for argv in ([], ["lifetime", "--bogus"], ["evolve", "--steps", "abc"], ["sinkhorn"]):
+    for argv in (
+        [], ["lifetime", "--bogus"], ["evolve", "--steps", "abc"], ["sinkhorn"],
+        ["evolve", "--g1", "1", "--g2", "1", "--state", "optimal"],
+    ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == EXIT_USAGE
 
 
 def test_custom_state_must_be_4x4(capsys, tmp_path):
-    config = {"initial_state": [[1.0, 0.0]] * 4}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    code, _, err = run(capsys, ["evolve", "--config", str(path), "--g1", "1", "--g2", "1"])
-    assert code == EXIT_USAGE
-    assert "16" in err
+    # evolve always traces both built-in states, so a state name is no state
+    for state in ([[1.0, 0.0]] * 4, "optimal"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"initial_state": state}))
+        code, _, err = run(capsys, ["evolve", "--config", str(path), "--g1", "1", "--g2", "1"])
+        assert code == EXIT_USAGE
+        assert "16" in err
 
 
 # ---------------------------------------------------------------------------

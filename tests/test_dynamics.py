@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import is_cp, is_trace_nonincreasing, random_density
 from qsink.dynamics import (
     ChannelParams,
     decay_modes,
@@ -13,7 +13,7 @@ from qsink.dynamics import (
     ptm_at,
     ptm_via_integration,
 )
-from qsink.ptm import compose, is_cp, is_trace_nonincreasing
+from qsink.ptm import compose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
 

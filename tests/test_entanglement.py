@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_two_qubit_oracle, random_separable
+from conftest import apply_two_qubit_oracle, identity_ptm, random_separable
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import (
     ENTANGLEMENT_TOL,
@@ -17,7 +17,7 @@ from qsink.entanglement import (
     negativity,
     optimal_state,
 )
-from qsink.ptm import apply_two_qubit, identity_ptm
+from qsink.ptm import apply_two_qubit
 from qsink.sinkhorn import decompose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -141,7 +141,9 @@ def test_lifetime_lhs_pure_loss_never_decays():
 
 
 def test_max_lifetime_symmetric_depolarization():
-    for g in (0.25, 1.0, 2.0):
+    # the large rates put tau near 1e-6 and 1e-12, where an absolute bracket
+    # width would swamp the root
+    for g in (0.25, 1.0, 2.0, 1e6, 1e12):
         result = max_lifetime(depolarizing(g), depolarizing(g))
         expected = math.log(3.0) / (2.0 * g)
         assert result.tau is not None

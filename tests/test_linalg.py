@@ -5,14 +5,10 @@ import pytest
 
 from conftest import random_hermitian, random_pd
 from qsink.linalg import (
-    hermitian_eigen,
-    hermitian_eigenvalues,
     hermitian_part,
     kron,
     partial_transpose_second,
     pd_inverse,
-    pd_inverse_sqrt,
-    pd_sqrt,
     trace_norm,
 )
 from qsink.ptm import SIGMA
@@ -61,8 +57,6 @@ def test_partial_transpose_psi_plus_spectrum():
     # independent route: plain numpy eigendecomposition of the 4x4
     direct = np.sort(np.linalg.eigvalsh(pt))
     assert np.max(np.abs(direct - np.array([-0.5, 0.5, 0.5, 0.5]))) < 1e-12
-    ours = hermitian_eigenvalues(pt)
-    assert np.max(np.abs(ours - np.array([0.5, 0.5, 0.5, -0.5]))) < 1e-12
 
 
 def test_partial_transpose_involution_and_trace(rng):
@@ -82,41 +76,9 @@ def test_partial_transpose_rejects_wrong_size():
         partial_transpose_second(np.eye(2, dtype=complex))
 
 
-def test_hermitian_eigen_sigma_z():
-    res = hermitian_eigen(SIGMA[3])
-    assert np.max(np.abs(res.eigenvalues - np.array([1.0, -1.0]))) < 1e-12
-    assert abs(abs(res.eigenvectors[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(res.eigenvectors[1, 1]) - 1.0) < 1e-12
-
-
-def test_hermitian_eigen_sigma_x():
-    res = hermitian_eigen(SIGMA[1])
-    assert np.max(np.abs(res.eigenvalues - np.array([1.0, -1.0]))) < 1e-12
-    for k, sign in ((0, 1.0), (1, -1.0)):
-        target = np.array([1.0, sign]) / np.sqrt(2.0)
-        overlap = abs(np.vdot(target, res.eigenvectors[:, k]))
-        assert abs(overlap - 1.0) < 1e-12
-
-
-def test_hermitian_eigen_reconstruction(rng):
-    for _ in range(50):
-        h = random_hermitian(rng, 4)
-        res = hermitian_eigen(h)
-        assert np.all(np.diff(res.eigenvalues) <= 0.0)
-        rebuilt = (res.eigenvectors * res.eigenvalues) @ res.eigenvectors.conj().T
-        assert np.max(np.abs(rebuilt - h)) <= 1e-9 * max(1.0, np.max(np.abs(h)))
-        gram = res.eigenvectors.conj().T @ res.eigenvectors
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
-        norm = np.linalg.norm(h, 2)
-        for k in range(4):
-            v = res.eigenvectors[:, k]
-            residual = np.linalg.norm(h @ v - res.eigenvalues[k] * v)
-            assert residual <= 1e-10 * norm
-
-
 def test_hermitian_eigen_rejects_drift():
     with pytest.raises(ValueError):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_hermitian_part_symmetrizes_small_drift():
@@ -134,29 +96,7 @@ def test_trace_norm_values():
 
 def test_trace_norm_matches_eigenvalue_sum(rng):
     h = random_hermitian(rng, 4)
-    assert abs(trace_norm(h) - np.sum(np.abs(hermitian_eigenvalues(h)))) <= 1e-10
-
-
-def test_pd_sqrt_identity():
-    assert np.max(np.abs(pd_sqrt(np.eye(2, dtype=complex)) - np.eye(2))) < 1e-12
-
-
-def test_pd_inverse_sqrt_diagonal():
-    out = pd_inverse_sqrt(np.diag([4.0, 9.0]).astype(complex))
-    assert np.max(np.abs(out - np.diag([0.5, 1.0 / 3.0]))) < 1e-12
-
-
-def test_pd_sqrt_shifted_sigma_z():
-    out = pd_sqrt(np.eye(2, dtype=complex) + 0.5 * SIGMA[3])
-    assert np.max(np.abs(out - np.diag([np.sqrt(1.5), np.sqrt(0.5)]))) < 1e-12
-
-
-def test_pd_sqrt_squares_back(rng):
-    for _ in range(20):
-        m = random_pd(rng, 4, log_condition=4.0)
-        root = pd_sqrt(m)
-        assert np.max(np.abs(root @ root - m)) <= 1e-10
-        assert np.max(np.abs(root - root.conj().T)) <= 1e-12
+    assert abs(trace_norm(h) - np.sum(np.abs(np.linalg.eigvalsh(h)))) <= 1e-10
 
 
 def test_pd_inverse_moderate_condition(rng):
@@ -173,16 +113,10 @@ def test_pd_inverse_condition_1e6(rng):
         assert np.max(np.abs(pd_inverse(m) @ m - np.eye(4))) <= 1e-9
 
 
-def test_pd_inverse_sqrt_composes(rng):
-    m = random_pd(rng, 2, log_condition=2.0)
-    inv_root = pd_inverse_sqrt(m)
-    assert np.max(np.abs(inv_root @ m @ inv_root - np.eye(2))) <= 1e-12
-
-
 def test_pd_rejects_indefinite_and_singular():
     with pytest.raises(ValueError):
-        pd_sqrt(SIGMA[3])
+        pd_inverse(SIGMA[3])
     with pytest.raises(ValueError):
         pd_inverse(np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
-        pd_inverse_sqrt(np.diag([1.0, 1e-13]).astype(complex))
+        pd_inverse(np.diag([1.0, 1e-13]).astype(complex))

@@ -5,6 +5,10 @@ import pytest
 
 from conftest import (
     apply_two_qubit_oracle,
+    choi,
+    identity_ptm,
+    is_cp,
+    is_trace_nonincreasing,
     ptm_to_superop,
     random_density,
     random_hermitian,
@@ -17,12 +21,8 @@ from qsink.linalg import kron
 from qsink.ptm import (
     apply,
     apply_two_qubit,
-    choi,
     compose,
     dual,
-    identity_ptm,
-    is_cp,
-    is_trace_nonincreasing,
     is_trace_preserving,
     is_unital,
     sandwich,
