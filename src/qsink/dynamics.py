@@ -23,9 +23,10 @@ E = exp(-(g + gh + gv) t / 2)):
 
 Every quantity of this package that depends on the line and the time goes
 through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
-mode ratio q = exp(-G t) with its log and 1 - q, the ratios g/G and
-(gh - gv)/G, and c.  ptm_at() reads absolute entries off it; the normal form
-in sinkhorn.py reads ratios, which stay finite where the modes underflow.
+mode ratio q = exp(-G t) with its log and 1 - q, and the ratios g/G and
+(gh - gv)/G.  ptm_over_slow() builds the transfer matrix in units of the slow
+mode, which stays finite where the modes underflow, and ptm_at() scales it
+back; the normal form in sinkhorn.py reads ratios alone.
 ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check.
 """
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ptm import SIGMA, apply
+from .ptm import SIGMA
 
 # Steps above this would make single calls unreasonably slow; the step size
 # is enlarged to keep the count below it.
@@ -69,17 +70,16 @@ class ChannelParams:
 
 def decay_modes(
     params: ChannelParams, t: float
-) -> tuple[float, float, float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float]:
     """The two decay modes of one line at time t, and the ratios built on them.
 
-    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta, c):
+    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta):
 
     * slow = exp(-(r - G) t / 2), r = g + gh + gv, the slower mode;
     * q = fast / slow = exp(-G t), its log -G t, and 1 - q from expm1, so
       every ratio of the modes stays exact where the modes underflow;
     * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken as
-      (1, 0) when G = 0, where it only ever multiplies 1 - q = 0;
-    * c = exp(-(2 g + gh + gv) t / 2), the coherence damping.
+      (1, 0) when G = 0, where it only ever multiplies 1 - q = 0.
 
     r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
     r + G first, so it neither cancels nor overflows.
@@ -109,26 +109,38 @@ def decay_modes(
         -math.expm1(log_q),
         r_gamma,
         r_delta,
-        math.exp(-0.5 * (2.0 * g + loss) * t),
     )
+
+
+def ptm_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarray]:
+    """The slow mode and the transfer matrix at time t divided by it.
+
+    Each entry of the quotient is a sum of non-negative terms in q, 1 - q
+    and the ratios, at most 1 and finite for every t; only the slow mode
+    underflows at times where the photon is surely lost.  Rescaling a map
+    leaves the conditional state alone, so the quotient is all that state
+    needs.
+    """
+    slow, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
+    m = np.zeros((4, 4))
+    m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)
+    m[0, 3] = m[3, 0] = -0.5 * r_delta * one_minus_q
+    # the coherence over the slow mode is exp(-(g + G) t / 2) = (exp(-g t) q)^(1/2)
+    m[1, 1] = m[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
+    # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
+    m[3, 3] = 0.5 * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
+    return slow, m
 
 
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     """Transfer matrix of the loss model at time t (closed form).
 
-    Each entry is the slow mode times a sum of non-negative terms, so both
-    the G -> 0 limit and large G t come out exact; entries may underflow
-    to 0 at times where the photon is surely lost.
+    The slow mode times ptm_over_slow(), so both the G -> 0 limit and large
+    G t come out exact; entries may underflow to 0 at times where the
+    photon is surely lost.
     """
-    slow, _, q, one_minus_q, r_gamma, r_delta, c = decay_modes(params, t)
-    half_slow = 0.5 * slow
-    m = np.zeros((4, 4))
-    m[0, 0] = half_slow * (1.0 + q + r_gamma * one_minus_q)
-    m[0, 3] = m[3, 0] = -half_slow * r_delta * one_minus_q
-    m[1, 1] = m[2, 2] = c
-    # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
-    m[3, 3] = half_slow * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
-    return m
+    slow, m = ptm_over_slow(params, t)
+    return slow * m
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +206,3 @@ def ptm_via_integration(
         state = step @ state
     return np.ascontiguousarray((0.5 * (basis.conj().T @ state)).real)
 
-
-def detection_probability(m: np.ndarray, rho: np.ndarray) -> float:
-    """Probability that a photon in state rho survives the map m."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError(f"state must have unit trace, got {np.trace(rho)!r}")
-    if float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]) < -1e-9:
-        raise ValueError("state must be positive semidefinite")
-    return float(np.trace(apply(m, rho)).real)

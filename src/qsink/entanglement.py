@@ -22,12 +22,10 @@ import numpy as np
 from .dynamics import ChannelParams
 from .linalg import hermitian_part, partial_transpose_second, trace_norm
 from .ptm import apply_two_qubit
-from .sinkhorn import fixed_point_diagonal, unital_lambdas
+from .sinkhorn import log_fixed_point_diagonal, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
-# Negativity above this counts as entangled.
-ENTANGLEMENT_TOL = 1e-10
 # Detection probabilities at or below this make the conditional state meaningless.
 MIN_DETECTION_PROB = 1e-14
 
@@ -35,51 +33,61 @@ _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_INTERVAL_TOL = 1e-12
 
 
+def _first_flagged(values: np.ndarray, flags: np.ndarray) -> float | None:
+    """The first entry of values where flags is set, None if it is set nowhere."""
+    hits = np.asarray(values)[flags]
+    return float(hits[0]) if hits.size else None
+
+
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
+    """rho, or each state of a stack, symmetrized and checked; errors name the first bad one."""
     rho = hermitian_part(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    low = float(np.linalg.eigvalsh(rho)[0])
-    if low < -1e-9:
-        raise ValueError(f"state is not positive semidefinite (min eigenvalue {low:.3e})")
-    tr = float(np.trace(rho).real)
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    bad = _first_flagged(low, low < -1e-9)
+    if bad is not None:
+        raise ValueError(f"state is not positive semidefinite (min eigenvalue {bad:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
     if normalized:
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state must have unit trace, got {tr!r}")
-    elif not MIN_DETECTION_PROB < tr <= 1.0 + 1e-12:
-        raise ValueError(f"state trace must lie in (0, 1], got {tr!r}")
+        bad = _first_flagged(tr, np.abs(tr - 1.0) > 1e-10)
+        if bad is not None:
+            raise ValueError(f"state must have unit trace, got {bad!r}")
+    else:
+        bad = _first_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)))
+        if bad is not None:
+            raise ValueError(f"state trace must lie in (0, 1], got {bad!r}")
     return rho
 
 
-def negativity(rho: np.ndarray) -> float:
+def negativity(rho: np.ndarray) -> np.ndarray:
     """Entanglement negativity (|PT(rho)|_1 - 1) / 2, clamped at zero.
 
-    Subnormalized inputs are normalized first.
+    Subnormalized inputs are normalized first.  A single state gives a
+    float, a stack (..., 4, 4) of states an array of one per state.
     """
     rho = _check_state(rho, normalized=False)
-    rho = rho / np.trace(rho).real
-    value = 0.5 * (trace_norm(partial_transpose_second(rho)) - 1.0)
-    return max(0.0, value)
-
-
-def is_entangled(rho: np.ndarray) -> bool:
-    return negativity(rho) > ENTANGLEMENT_TOL
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return np.maximum(0.0, 0.5 * (trace_norm(partial_transpose_second(rho)) - 1.0))
 
 
 def conditional_state(
     m1: np.ndarray, m2: np.ndarray, initial: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Postselected output state and the detection probability.
 
     Applies the product map (m1 on the first qubit, m2 on the second) to a
-    normalized initial state and renormalizes by the surviving trace.
+    normalized initial state and renormalizes by the surviving trace.  With
+    stacks of maps (..., 4, 4) the result is one state and one probability
+    per map pair.
     """
     initial = _check_state(initial, normalized=True)
     raw = apply_two_qubit(m1, m2, initial)
-    prob = float(np.trace(raw).real)
-    if prob <= MIN_DETECTION_PROB:
-        raise ValueError(f"detection probability vanished ({prob:.3e})")
-    return raw / prob, prob
+    prob = np.trace(raw, axis1=-2, axis2=-1).real
+    bad = _first_flagged(prob, prob <= MIN_DETECTION_PROB)
+    if bad is not None:
+        raise ValueError(f"detection probability vanished ({bad:.3e})")
+    return raw / prob[..., None, None], prob
 
 
 def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> float:
@@ -204,13 +212,15 @@ def optimal_state(
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be > 0, got {tau!r}")
-    s1_h, s1_v = fixed_point_diagonal(params1, tau)
-    s2_h, s2_v = fixed_point_diagonal(params2, tau)
-    amp_h = math.sqrt(s1_h * s2_h)
-    amp_v = math.sqrt(s1_v * s2_v)
+    log_h1, log_v1 = log_fixed_point_diagonal(params1, tau)
+    log_h2, log_v2 = log_fixed_point_diagonal(params2, tau)
+    # log of amp_h / amp_v = sqrt((1 + s1)(1 + s2) / ((1 - s1)(1 - s2))); the
+    # fixed points' diagonals may underflow where this ratio does not
+    log_ratio = 0.5 * ((log_h1 - log_v1) + (log_h2 - log_v2))
+    amp_h = math.exp(min(log_ratio, 0.0))
+    amp_v = math.exp(min(-log_ratio, 0.0))
     norm = math.hypot(amp_h, amp_v)
     psi = np.array([amp_h, 0.0, 0.0, amp_v], dtype=complex) / norm
     rho = np.outer(psi, psi.conj())
-    coeffs = sorted((abs(amp_h) / norm, abs(amp_v) / norm), reverse=True)
+    coeffs = sorted((amp_h / norm, amp_v / norm), reverse=True)
     return OptimalState(psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]))
-

@@ -48,15 +48,21 @@ def apply(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def apply_two_qubit(m1: np.ndarray, m2: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply the product map (first qubit m1, second m2) to a 4x4 operator."""
-    m1 = _check_ptm(m1)
-    m2 = _check_ptm(m2)
+    """Apply the product map (first qubit m1, second m2) to a 4x4 operator.
+
+    Any of the three may also be a stack (..., 4, 4); the stacks broadcast
+    against each other and the result is one operator per map pair.
+    """
+    m1 = np.asarray(m1, dtype=float)
+    m2 = np.asarray(m2, dtype=float)
+    if m1.shape[-2:] != (4, 4) or m2.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 transfer matrices, got shapes {m1.shape} and {m2.shape}")
     rho = hermitian_part(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    corr = np.einsum("kab,ba->k", _SIG2, rho).reshape(4, 4)
-    corr = m1 @ corr @ m2.T
-    return 0.25 * np.einsum("k,kab->ab", corr.reshape(-1), _SIG2)
+    corr = np.einsum("kab,...ba->...k", _SIG2, rho)
+    corr = m1 @ corr.reshape(corr.shape[:-1] + (4, 4)) @ np.swapaxes(m2, -1, -2)
+    return 0.25 * np.einsum("...k,kab->...ab", corr.reshape(corr.shape[:-2] + (16,)), _SIG2)
 
 
 def dual(m: np.ndarray) -> np.ndarray:

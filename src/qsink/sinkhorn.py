@@ -24,7 +24,10 @@ A = asinh((g/G) sinh(G t / 2)) the signal parameters are
 
 and A is formed from log q, so they stay finite and exact at times where
 the modes themselves underflow; the lifetime search probes such times on
-purpose.  Only the filter B carries the absolute scale of the map.
+purpose.  The fixed point's diagonal 1 +- s is kept in logs, since one of
+its entries underflows for a strongly filtering line while the ratio of
+the two lines' entries, which the optimal state needs, does not.  Only
+the filter B carries the absolute scale of the map.
 """
 
 from __future__ import annotations
@@ -138,42 +141,65 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
     pure polarization-dependent loss.
     """
-    _, log_q, _, one_minus_q, r_gamma, _, _ = decay_modes(params, t)
+    _, log_q, _, one_minus_q, r_gamma, _ = decay_modes(params, t)
     return _lambdas(log_q, one_minus_q, r_gamma)
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), for logs down to -inf."""
+    if a < b:
+        a, b = b, a
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+
+
 def _fixed_point(
-    q: float, one_minus_q: float, r_gamma: float, r_delta: float
+    log_q: float, q: float, one_minus_q: float, r_gamma: float, r_delta: float
 ) -> tuple[float, float, float, float, float]:
-    """(s, 1 + s, 1 - s, eig_h, eig_v) with eig the eigenvalues of L^dag[S] over the slow mode."""
+    """(s, log(1 + s), log(1 - s), log eig_h, log eig_v).
+
+    eig_h, eig_v are the eigenvalues of L^dag[S] over the slow mode.  1 -+ s
+    and eig are sums of non-negative terms, taken in logs: for a strongly
+    filtering line one of them underflows in a linear sum.
+    """
     half_gap = 0.5 * r_gamma * one_minus_q
     width = math.sqrt(q + half_gap * half_gap)
     denom = 1.0 + q + 2.0 * width
     s = r_delta * one_minus_q / denom
+    log_r_gamma = _log(r_gamma)
+    log_half_gap = log_r_gamma + _log(one_minus_q) - _LN2
+    log_width = 0.5 * _log_add(log_q, 2.0 * log_half_gap)
     # 1 +- (gh-gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
-    larger = 1.0 + abs(r_delta)
-    smaller = r_gamma * r_gamma / larger
-    plus_delta, minus_delta = (larger, smaller) if r_delta >= 0.0 else (smaller, larger)
-    # 1 +- s in cancellation-free all-positive form.
-    upper = 0.5 * (plus_delta + q * minus_delta)
-    lower = 0.5 * (minus_delta + q * plus_delta)
-    one_plus_s = 2.0 * (upper + width) / denom
-    one_minus_s = 2.0 * (lower + width) / denom
+    log_larger = math.log1p(abs(r_delta))
+    log_smaller = 2.0 * log_r_gamma - log_larger
+    log_plus_delta, log_minus_delta = (
+        (log_larger, log_smaller) if r_delta >= 0.0 else (log_smaller, log_larger)
+    )
+    # 1 +- s = 2 (upper or lower + width) / denom, all terms positive
+    log_upper = _log_add(log_plus_delta, log_q + log_minus_delta) - _LN2
+    log_lower = _log_add(log_minus_delta, log_q + log_plus_delta) - _LN2
+    log_denom = math.log(denom)
+    log_plus_s = _LN2 + _log_add(log_upper, log_width) - log_denom
+    log_minus_s = _LN2 + _log_add(log_lower, log_width) - log_denom
     # L^dag[S] = (a + b s) I + (b + d s) sigma_z on |H>, |V>.
-    eig_h = one_plus_s * lower + one_minus_s * half_gap
-    eig_v = one_minus_s * upper + one_plus_s * half_gap
-    return s, one_plus_s, one_minus_s, eig_h, eig_v
+    log_eig_h = _log_add(log_plus_s + log_lower, log_minus_s + log_half_gap)
+    log_eig_v = _log_add(log_minus_s + log_upper, log_plus_s + log_half_gap)
+    return s, log_plus_s, log_minus_s, log_eig_h, log_eig_v
 
 
-def fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, float]:
-    """(1 + s, 1 - s), the diagonal of the fixed point S = I + s sigma_z at time t.
+def log_fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, float]:
+    """Logs (log(1 + s), log(1 - s)) of the diagonal of the fixed point S = I + s sigma_z.
 
     The map is self-dual, so L^dag[S] is proportional to S^-1 and the output
     filter B = (L^dag[S])^(-1/2) to sqrt(S): this is the filter's shape,
     free of the absolute scale that makes B itself overflow at long times.
+    Either entry may be far below the double range, or -inf.
     """
-    _, _, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
-    return _fixed_point(q, one_minus_q, r_gamma, r_delta)[1:3]
+    _, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
+    return _fixed_point(log_q, q, one_minus_q, r_gamma, r_delta)[1:3]
 
 
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
@@ -182,10 +208,12 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     The composed transfer matrix F_A . L . F_B is verified against
     diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
-    s, one_plus_s, one_minus_s, eig_h, eig_v = _fixed_point(q, one_minus_q, r_gamma, r_delta)
-    eig_h *= slow
-    eig_v *= slow
+    slow, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
+    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(
+        log_q, q, one_minus_q, r_gamma, r_delta
+    )
+    eig_h = slow * math.exp(log_eig_h)
+    eig_v = slow * math.exp(log_eig_v)
     if eig_h <= PD_MIN_EIG or eig_v <= PD_MIN_EIG:
         raise ValueError(
             f"degenerate filter: image of the fixed point has eigenvalues "
@@ -193,7 +221,9 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         )
     lam_x, lam_y, lam_z = _lambdas(log_q, one_minus_q, r_gamma)
 
-    a_op = np.diag([math.sqrt(one_plus_s), math.sqrt(one_minus_s)]).astype(complex)
+    a_op = np.diag([math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))]).astype(
+        complex
+    )
     b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)
     upsilon = compose(sandwich(a_op), compose(ptm_at(params, t), sandwich(b_op)))
 

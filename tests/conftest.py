@@ -11,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qsink.entanglement import negativity
 from qsink.ptm import PSD_TOL, SIGMA
+
+# Negativity above this counts as entangled.
+ENTANGLEMENT_TOL = 1e-10
 
 
 @pytest.fixture
@@ -60,6 +64,22 @@ def is_trace_nonincreasing(m: np.ndarray) -> bool:
     eye = np.eye(2, dtype=complex)
     gap = eye - unvec(ptm_to_superop(np.transpose(m)) @ vec(eye))
     return float(np.linalg.eigvalsh(gap)[0]) >= -PSD_TOL
+
+
+def detection_probability(m: np.ndarray, rho: np.ndarray) -> float:
+    """Probability that a photon in state rho survives the map m."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
+    if abs(np.trace(rho) - 1.0) > 1e-10:
+        raise ValueError(f"state must have unit trace, got {np.trace(rho)!r}")
+    if float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]) < -1e-9:
+        raise ValueError("state must be positive semidefinite")
+    return float(np.trace(unvec(ptm_to_superop(m) @ vec(rho))).real)
+
+
+def is_entangled(rho: np.ndarray) -> bool:
+    return negativity(rho) > ENTANGLEMENT_TOL
 
 
 def two_qubit_superop(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:

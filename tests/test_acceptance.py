@@ -9,13 +9,18 @@ import time
 
 import numpy as np
 
-from conftest import random_density, random_pure_density, random_separable, read_csv_columns
+from conftest import (
+    is_entangled,
+    random_density,
+    random_pure_density,
+    random_separable,
+    read_csv_columns,
+)
 from qsink.cli import EXIT_OK, main
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import (
     PSI_PLUS,
     conditional_state,
-    is_entangled,
     max_lifetime,
     negativity,
     optimal_state,

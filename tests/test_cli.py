@@ -6,6 +6,7 @@ import math
 import pytest
 
 from conftest import read_csv_columns
+from qsink import cli
 from qsink.cli import EXIT_NO_LIFETIME, EXIT_OK, EXIT_USAGE, main
 
 REFERENCE_ARGS = [
@@ -13,6 +14,14 @@ REFERENCE_ARGS = [
     "--gh2", "1", "--gv2", "5", "--g2", "1",
 ]
 REFERENCE_TAU = 0.4947890675227557
+
+# a mixed state with every density-matrix entry populated (not an X-state)
+NON_X_STATE = [
+    [0.4, 0.0], [0.05, 0.02], [0.03, -0.01], [0.2, 0.1],
+    [0.05, -0.02], [0.15, 0.0], [0.02, 0.0], [0.01, 0.03],
+    [0.03, 0.01], [0.02, 0.0], [0.15, 0.0], [-0.02, 0.01],
+    [0.2, -0.1], [0.01, -0.03], [-0.02, -0.01], [0.3, 0.0],
+]
 
 EVOLVE_HEADER = (
     "t,negativity_psi_plus,negativity_optimal,"
@@ -123,6 +132,20 @@ def test_optimal_state_pure_loss_against_depolarization(capsys):
     assert record["b2_diag"] == [1.0, 1.0]
 
 
+def test_optimal_state_when_both_filters_underflow(capsys):
+    # 1 + s of line 1 and 1 - s of line 2 both underflow; the amplitude
+    # ratio is taken in logs (60-digit reference: psi_HH = 8.0e-95, and
+    # exactly 0 here since g/G = 3e-491 of line 1 is below double range)
+    code, out, _ = run(capsys, [
+        "optimal-state", "--gh1", "3e-169", "--gv1", "2e271", "--g1", "6e-220",
+        "--gh2", "6e250", "--gv2", "0", "--g2", "2e-52", "--format", "json",
+    ])
+    assert code == EXIT_OK
+    psi = json.loads(out)["psi"]
+    assert abs(psi[3][0] - 1.0) <= 1e-15 and psi[3][1] == 0.0
+    assert math.hypot(*psi[0]) <= 1e-94
+
+
 def test_optimal_state_pure_loss_exit_code(capsys):
     code, _, err = run(
         capsys, ["optimal-state", "--gh1", "1", "--gv1", "5", "--gh2", "1", "--gv2", "5"]
@@ -164,6 +187,65 @@ def test_evolve_past_coherence_underflow(capsys):
     assert cols["t"] == [0.0, 1000.0, 2000.0]
     assert cols["negativity_psi_plus"][1:] == [0.0, 0.0]
     assert all(abs(p - 1.0) <= 1e-12 for p in cols["detection_prob_psi_plus"])
+
+
+def test_evolve_past_detection_underflow(capsys):
+    # the detection probability falls to 6.4e-26 by t = 20; the conditional
+    # state comes from the maps over their slow modes and stays defined
+    code, out, _ = run(capsys, ["evolve", *REFERENCE_ARGS, "--t-max", "20", "--steps", "5"])
+    assert code == EXIT_OK
+    cols = read_csv_columns(out)
+    probs = cols["detection_prob_psi_plus"]
+    assert all(later < earlier for earlier, later in zip(probs, probs[1:]))
+    assert abs(probs[-1] - 6.381e-26) <= 1e-3 * 6.381e-26
+    # every row after t = 0 lies past the lifetime
+    for name in ("negativity_psi_plus", "negativity_optimal"):
+        assert max(cols[name][1:]) <= 1e-12
+
+
+def test_evolve_surely_lost_photons_keep_their_negativity(capsys):
+    # equal loss on H and V only rescales the maps: the conditional states
+    # are those of pure depolarization while both photons are surely lost
+    lossy = ["--gh1", "1000", "--gv1", "1000", "--g1", "0.001",
+             "--gh2", "1000", "--gv2", "1000", "--g2", "0.001"]
+    code, out, _ = run(capsys, ["evolve", *lossy, "--steps", "5"])
+    assert code == EXIT_OK
+    cols = read_csv_columns(out)
+    assert cols["detection_prob_psi_plus"][1:] == [0.0] * 4
+    assert cols["detection_prob_optimal"][1:] == [0.0] * 4
+    # the two roots differ in the last digits (the searches start from
+    # 1 / sum of rates), so the grid is pinned by --t-max
+    _, lossy_out, _ = run(capsys, ["evolve", *lossy, "--steps", "5", "--t-max", "1100"])
+    _, plain_out, _ = run(
+        capsys, ["evolve", "--g1", "0.001", "--g2", "0.001", "--steps", "5", "--t-max", "1100"]
+    )
+    lossy_cols, plain_cols = read_csv_columns(lossy_out), read_csv_columns(plain_out)
+    assert lossy_cols["t"] == plain_cols["t"]
+    for name in ("negativity_psi_plus", "negativity_optimal"):
+        assert max(abs(a - b) for a, b in zip(lossy_cols[name], plain_cols[name])) <= 1e-12
+    assert plain_cols["negativity_psi_plus"][1] > 0.1
+
+
+def test_evolve_output_does_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"initial_state": NON_X_STATE}))
+    for steps in ("7", "1000"):
+        argv = ["evolve", *REFERENCE_ARGS, "--steps", steps, "--config", str(path)]
+        _, default, _ = run(capsys, argv)
+        for block in (1, 3):
+            monkeypatch.setattr(cli, "EVOLVE_BLOCK", block)
+            _, out, _ = run(capsys, argv)
+            assert out == default
+        monkeypatch.undo()
+
+
+def test_evolve_json_and_csv_carry_the_same_values(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"initial_state": NON_X_STATE}))
+    argv = ["evolve", *REFERENCE_ARGS, "--steps", "60", "--config", str(path)]
+    _, csv_out, _ = run(capsys, argv)
+    _, json_out, _ = run(capsys, [*argv, "--format", "json"])
+    assert json.loads(json_out) == read_csv_columns(csv_out)
 
 
 def test_evolve_is_deterministic(capsys):

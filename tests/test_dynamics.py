@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import is_cp, is_trace_nonincreasing, random_density
-from qsink.dynamics import (
-    ChannelParams,
-    decay_modes,
-    detection_probability,
-    ptm_at,
-    ptm_via_integration,
-)
+from conftest import detection_probability, is_cp, is_trace_nonincreasing, random_density
+from qsink.dynamics import ChannelParams, decay_modes, ptm_at, ptm_via_integration
 from qsink.ptm import compose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)

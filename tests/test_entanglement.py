@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_two_qubit_oracle, identity_ptm, random_separable
+from conftest import (
+    apply_two_qubit_oracle,
+    identity_ptm,
+    is_entangled,
+    random_density,
+    random_pure_density,
+    random_separable,
+)
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import (
-    ENTANGLEMENT_TOL,
     PSI_PLUS,
     conditional_state,
-    is_entangled,
     lifetime_lhs,
     max_lifetime,
     negativity,
@@ -116,6 +121,47 @@ def test_conditional_state_vanishing_probability():
 def test_conditional_state_requires_normalized_input():
     with pytest.raises(ValueError):
         conditional_state(identity_ptm(), identity_ptm(), 0.5 * RHO_PSI_PLUS)
+
+
+# ---------------------------------------------------------------------------
+# stacks of maps and states
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_conditional_state_and_negativity_match_single_calls(rng):
+    lines = [ChannelParams(*rng.uniform(0.0, 5.0, size=3)) for _ in range(2)]
+    times = rng.uniform(0.0, 1.5, size=8)
+    m1 = np.stack([ptm_at(lines[0], float(t)) for t in times])
+    m2 = np.stack([ptm_at(lines[1], float(t)) for t in times])
+    # non-X states: every entry of the density matrix is populated
+    for initial in (RHO_PSI_PLUS, random_pure_density(rng, 4), random_density(rng, 4)):
+        states, probs = conditional_state(m1, m2, initial)
+        negs = negativity(states)
+        assert states.shape == (8, 4, 4) and probs.shape == (8,) and negs.shape == (8,)
+        for k in range(8):
+            state, prob = conditional_state(m1[k], m2[k], initial)
+            assert np.max(np.abs(states[k] - state)) <= 1e-14
+            assert abs(probs[k] - prob) <= 1e-14
+            assert abs(negs[k] - negativity(state)) <= 1e-14
+
+
+def test_stacks_with_one_bad_row_are_rejected():
+    good = np.stack([RHO_PSI_PLUS] * 4)
+    for bad_row, message in (
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([0.5, 0.6, -0.1, 0.0]), "positive semidefinite"),
+        (2.0 * RHO_PSI_PLUS, "trace"),
+    ):
+        stack = good.copy()
+        stack[2] = np.pad(bad_row, (0, 4 - len(bad_row)))
+        with pytest.raises(ValueError, match=message):
+            negativity(stack)
+    maps = np.stack([identity_ptm()] * 4)
+    maps[1] *= 1e-8
+    maps[3] = 0.0
+    # the error reports the first row whose probability vanished
+    with pytest.raises(ValueError, match=r"vanished \(1\.000e-16\)"):
+        conditional_state(maps, maps, RHO_PSI_PLUS)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_pd
+from conftest import random_density, random_hermitian, random_pd
 from qsink.linalg import (
     hermitian_part,
     kron,
@@ -97,6 +97,28 @@ def test_trace_norm_values():
 def test_trace_norm_matches_eigenvalue_sum(rng):
     h = random_hermitian(rng, 4)
     assert abs(trace_norm(h) - np.sum(np.abs(np.linalg.eigvalsh(h)))) <= 1e-10
+
+
+def test_stacked_partial_transpose_and_trace_norm_match_single_calls(rng):
+    stack = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    pt = partial_transpose_second(stack)
+    norms = trace_norm(pt)
+    assert pt.shape == (2, 3, 4, 4) and norms.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(pt[i, j], partial_transpose_second(stack[i, j]))
+            assert abs(norms[i, j] - trace_norm(pt[i, j])) <= 1e-14
+
+
+def test_hermitian_part_of_a_stack_rejects_one_drifting_matrix(rng):
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(4)])
+    sym = hermitian_part(stack)
+    assert np.max(np.abs(sym - np.swapaxes(sym, -1, -2).conj())) == 0.0
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError):
+        hermitian_part(stack)
+    with pytest.raises(ValueError):
+        hermitian_part(np.ones((3, 4, 2)))
 
 
 def test_pd_inverse_moderate_condition(rng):

@@ -12,8 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsink.dynamics import ChannelParams, ptm_at
-from qsink.entanglement import lifetime_lhs
-from qsink.sinkhorn import decompose, fixed_point_diagonal, fixed_point_iterate, unital_lambdas
+from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
+from qsink.sinkhorn import (
+    decompose,
+    fixed_point_iterate,
+    log_fixed_point_diagonal,
+    unital_lambdas,
+)
 
 
 def decades(low: float, high: float) -> st.SearchStrategy[float]:
@@ -70,10 +75,20 @@ def test_closed_form_matches_iteration_where_nothing_underflows(params, t):
     # converges (at about lambda^2 per step)
     assume(min(m[0, 0], m[1, 1], m[3, 3]) >= 1e-3)
     assume(max(unital_lambdas(params, t)) <= 0.9)
-    plus, minus = fixed_point_diagonal(params, t)
+    plus, minus = (math.exp(x) for x in log_fixed_point_diagonal(params, t))
     assume(min(plus, minus) >= 0.1)
     iterated = fixed_point_iterate(m)
     assert abs(iterated[0, 0].real - plus) <= 1e-9
     assert abs(iterated[1, 1].real - minus) <= 1e-9
     weight = 0.5 * (iterated[0, 0] - iterated[1, 1]).real
     assert abs(decompose(params, t).s - weight) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(LINES, LINES)
+def test_optimal_state_is_a_unit_vector_wherever_a_lifetime_exists(params1, params2):
+    tau = max_lifetime(params1, params2).tau
+    assume(tau is not None)
+    psi = optimal_state(params1, params2, tau).psi
+    assert np.all(np.isfinite(psi))
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15

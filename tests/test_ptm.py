@@ -86,6 +86,38 @@ def test_apply_two_qubit_random_maps_vs_oracle(rng):
         assert np.max(np.abs(apply_two_qubit(m1, m2, rho) - expected)) <= 1e-11
 
 
+def random_loss_maps(rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, 4, 4) stack of the loss model's maps at random rates and times."""
+    return np.stack([
+        ptm_at(ChannelParams(*rng.uniform(0.0, 5.0, size=3)), float(rng.uniform(0.0, 2.0)))
+        for _ in range(count)
+    ])
+
+
+def test_apply_two_qubit_stacked_matches_single_calls_and_oracle(rng):
+    m1, m2 = random_loss_maps(rng, 6), random_loss_maps(rng, 6)
+    states = np.stack([random_density(rng, 4) for _ in range(6)])
+    # one state per map pair, and one state shared by a stack of pairs
+    for rho_stack, rho_at in ((states, lambda k: states[k]), (states[0], lambda k: states[0])):
+        out = apply_two_qubit(m1, m2, rho_stack)
+        assert out.shape == (6, 4, 4)
+        for k in range(6):
+            single = apply_two_qubit(m1[k], m2[k], rho_at(k))
+            assert np.max(np.abs(out[k] - single)) <= 1e-14
+            expected = apply_two_qubit_oracle(m1[k], m2[k], rho_at(k))
+            assert np.max(np.abs(out[k] - expected)) <= 1e-12
+    nested = apply_two_qubit(m1.reshape(2, 3, 4, 4), m2.reshape(2, 3, 4, 4), states[0])
+    assert np.array_equal(nested.reshape(6, 4, 4), apply_two_qubit(m1, m2, states[0]))
+
+
+def test_apply_two_qubit_rejects_wrong_stack_shapes(rng):
+    rho = random_density(rng, 4)
+    with pytest.raises(ValueError):
+        apply_two_qubit(np.ones((3, 4, 3)), identity_ptm(), rho)
+    with pytest.raises(ValueError):
+        apply_two_qubit(identity_ptm(), identity_ptm(), np.stack([np.eye(2)] * 3))
+
+
 def test_apply_two_qubit_factorizes_products(rng):
     m1 = ptm_at(ChannelParams(1.0, 5.0, 1.0), 0.2)
     m2 = ptm_at(ChannelParams(0.0, 0.0, 3.0), 0.2)
