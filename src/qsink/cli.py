@@ -271,7 +271,7 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: JobConfig) -> int:
+def cmd_validate() -> int:
     results = run_all()
     for result in results:
         print(result.line())
@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "replay all closed forms against independent checks"),
     ):
         sub = subs.add_parser(name, help=helptext)
-        _add_common(sub)
+        # validate runs its one fixed grid: it takes no rates, config or output flags
+        if name != "validate":
+            _add_common(sub)
         if name == "sinkhorn":
             sub.add_argument("--t", type=float, required=True)
     return parser
@@ -333,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "validate":
+            return cmd_validate()
         cfg = _load_config(args)
         if args.command == "lifetime":
             return cmd_lifetime(cfg)
@@ -342,8 +346,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
-        if args.command == "validate":
-            return cmd_validate(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

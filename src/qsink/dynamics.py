@@ -34,6 +34,7 @@ integration of the master equation, as an independent cross-check.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,7 @@ def _generator_matrix(params: ChannelParams) -> np.ndarray:
 
 
 def ptm_via_integration(
-    params: ChannelParams, t: float, dt: float | None = None
+    params: ChannelParams | Sequence[ChannelParams], t: float, dt: float | None = None
 ) -> np.ndarray:
     """Transfer matrix at time t from RK4 integration of the master equation.
 
@@ -177,23 +178,34 @@ def ptm_via_integration(
     and the matrix entries are read off as m[i, j] = tr[sigma_i rho_j(t)]/2.
     The generator is constant in time, so the four classical RK4 stages
     collapse exactly into one degree-4 polynomial step operator, which is
-    precomputed and then applied n times.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    basis = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
-    if t == 0.0:
-        return np.eye(4)
-    if dt is None:
-        dt = 1e-4 / params.max_rate if params.max_rate > 0.0 else 1e-4
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
-    n = max(1, math.ceil(t / dt))
-    if n > MAX_RK4_STEPS:
-        n = MAX_RK4_STEPS
-    h = t / n
+    precomputed and then applied n = ceil(t / dt) times with h = t / n.
 
-    gen = _generator_matrix(params)
+    params may also be a sequence of lines; the result is then a stack
+    (N, 4, 4).  Each line keeps its own step count (with dt None, the
+    default step of its own rates) and gets exactly the products it would
+    get alone: the lines are stepped together, ordered by step count, and
+    each drops out once its count is reached.
+    """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    single = isinstance(params, ChannelParams)
+    cases = [params] if single else list(params)
+    if t == 0.0:
+        out = np.tile(np.eye(4), (len(cases), 1, 1))
+        return out[0] if single else out
+    if dt is not None and not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    counts = []
+    for case in cases:
+        case_dt = dt
+        if case_dt is None:
+            case_dt = 1e-4 / case.max_rate if case.max_rate > 0.0 else 1e-4
+        counts.append(min(max(1, math.ceil(t / case_dt)), MAX_RK4_STEPS))
+    order = np.argsort(counts, kind="stable")
+    n = np.array(counts)[order]
+    h = (t / n)[:, None, None]
+
+    gen = np.stack([_generator_matrix(cases[k]) for k in order])
     eye = np.eye(4, dtype=complex)
     k1 = gen
     k2 = gen @ (eye + 0.5 * h * k1)
@@ -201,8 +213,14 @@ def ptm_via_integration(
     k4 = gen @ (eye + h * k3)
     step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    state = basis.astype(complex)
-    for _ in range(n):
-        state = step @ state
-    return np.ascontiguousarray((0.5 * (basis.conj().T @ state)).real)
-
+    basis = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
+    state = np.broadcast_to(basis, step.shape).copy()
+    taken = 0
+    # n ascends: from each new count on, the suffix still has steps to take
+    for first in np.flatnonzero(np.diff(n, prepend=0)):
+        for _ in range(n[first] - taken):
+            state[first:] = step[first:] @ state[first:]
+        taken = n[first]
+    out = np.empty(step.shape)
+    out[order] = (0.5 * (basis.conj().T @ state)).real
+    return out[0] if single else out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelParams
-from .linalg import hermitian_part, partial_transpose_second, trace_norm
+from .linalg import _first_flagged, hermitian_part, partial_transpose_second, trace_norm
 from .ptm import apply_two_qubit
 from .sinkhorn import log_fixed_point_diagonal, unital_lambdas
 
@@ -31,12 +31,6 @@ MIN_DETECTION_PROB = 1e-14
 
 _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_INTERVAL_TOL = 1e-12
-
-
-def _first_flagged(values: np.ndarray, flags: np.ndarray) -> float | None:
-    """The first entry of values where flags is set, None if it is set nowhere."""
-    hits = np.asarray(values)[flags]
-    return float(hits[0]) if hits.size else None
 
 
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:

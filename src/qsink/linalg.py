@@ -2,10 +2,10 @@
 
 Everything here operates on plain complex numpy arrays and is sized for the
 2x2 and 4x4 problems the rest of the package deals in.  hermitian_part,
-partial_transpose_second and trace_norm also take a stack (..., n, n) of
-such matrices and work on each.  Inputs that are supposed to be Hermitian
-are symmetrized before use and rejected if they are further than
-HERMITICITY_TOL from their own adjoint.
+partial_transpose_second, trace_norm and pd_inverse also take a stack
+(..., n, n) of such matrices and work on each.  Inputs that are supposed to
+be Hermitian are symmetrized before use and rejected if they are further
+than HERMITICITY_TOL from their own adjoint.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 # Smallest eigenvalue still accepted as "positive definite".
 PD_MIN_EIG = 1e-12
+
+
+def _first_flagged(values: np.ndarray, flags: np.ndarray) -> float | None:
+    """The first entry of values where flags is set, None if it is set nowhere."""
+    hits = np.asarray(values)[flags]
+    return float(hits[0]) if hits.size else None
 
 
 def _as_matrices(m: np.ndarray) -> np.ndarray:
@@ -66,11 +72,13 @@ def trace_norm(m: np.ndarray) -> np.ndarray:
 
 
 def pd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a positive definite matrix via its spectrum."""
+    """Inverse of a positive definite matrix (or of each in a stack) via its spectrum."""
     vals, vecs = np.linalg.eigh(hermitian_part(m))
-    if vals[0] <= PD_MIN_EIG:
+    # fails closed: a NaN eigenvalue is not positive either
+    low = vals[..., 0]
+    bad = _first_flagged(low, ~(low > PD_MIN_EIG))
+    if bad is not None:
         raise ValueError(
-            f"pd_inverse needs a positive definite matrix; "
-            f"smallest eigenvalue is {vals[0]:.3e}"
+            f"pd_inverse needs a positive definite matrix; smallest eigenvalue is {bad:.3e}"
         )
-    return (vecs * (1.0 / vals)) @ vecs.conj().T
+    return (vecs * (1.0 / vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

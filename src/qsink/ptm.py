@@ -41,10 +41,20 @@ def _check_ptm(m: np.ndarray) -> np.ndarray:
 
 
 def apply(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply the map with transfer matrix m to a Hermitian 2x2 operator."""
-    m = _check_ptm(m)
-    coeffs = np.einsum("kab,ba->k", _SIG, hermitian_part(rho))
-    return 0.5 * np.einsum("k,kab->ab", m @ coeffs, _SIG)
+    """Apply the map with transfer matrix m to a Hermitian 2x2 operator.
+
+    Either may also be a stack, (..., 4, 4) maps or (..., 2, 2) operators;
+    the stacks broadcast against each other and the result is one operator
+    per pair.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 transfer matrix, got shape {m.shape}")
+    rho = hermitian_part(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {rho.shape}")
+    coeffs = np.einsum("kab,...ba->...k", _SIG, rho)
+    return 0.5 * np.einsum("...k,kab->...ab", (m @ coeffs[..., None])[..., 0], _SIG)
 
 
 def apply_two_qubit(m1: np.ndarray, m2: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelParams, decay_modes, ptm_at
-from .linalg import PD_MIN_EIG, pd_inverse
+from .linalg import PD_MIN_EIG, _first_flagged, pd_inverse
 from .ptm import PSD_TOL, SIGMA, apply, compose, sandwich
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
@@ -69,22 +69,25 @@ def _probe_positivity(m: np.ndarray) -> None:
     # requirement for the iteration (it only ever inverts images of PD
     # operators).  Rank-preserving pure loss maps pure states to singular
     # outputs and is still fine to iterate; genuinely non-positive maps are
-    # rejected on the pure-state probes.
+    # rejected on the pure-state probes.  m is a stack (N, 4, 4); each probe
+    # fails closed, so a NaN eigenvalue counts as a violation.
     half_eye = 0.5 * np.eye(2, dtype=complex)
-    for mm in (m, m.T):
-        low = float(np.linalg.eigvalsh(apply(mm, half_eye))[0])
-        if low <= PD_MIN_EIG:
+    for mm in (m, m.swapaxes(-1, -2)):
+        low = np.linalg.eigvalsh(apply(mm, half_eye))[:, 0]
+        bad = _first_flagged(low, ~(low > PD_MIN_EIG))
+        if bad is not None:
             raise ValueError(
-                f"map is not strictly positive: identity maps to min eigenvalue {low:.3e}"
+                f"map is not strictly positive: identity maps to min eigenvalue {bad:.3e}"
             )
     for pauli in SIGMA[1:]:
         for sign in (1.0, -1.0):
             probe = 0.5 * (np.eye(2, dtype=complex) + sign * pauli)
-            low = float(np.linalg.eigvalsh(apply(m, probe))[0])
-            if low < -PSD_TOL:
+            low = np.linalg.eigvalsh(apply(m, probe))[:, 0]
+            bad = _first_flagged(low, ~(low >= -PSD_TOL))
+            if bad is not None:
                 raise ValueError(
                     f"map is not positive on a Pauli eigenstate probe "
-                    f"(min eigenvalue {low:.3e})"
+                    f"(min eigenvalue {bad:.3e})"
                 )
 
 
@@ -94,18 +97,33 @@ def fixed_point_iterate(
     """Iterate F[S] = (L[(L^dag[S])^-1])^-1 from S = I until it stops moving.
 
     Returns S in the tr[S] = 2 gauge (F is scale covariant, so the trace is
-    renormalized after every step).  Raises ValueError for maps the iteration
-    cannot handle and RuntimeError if max_iter steps are not enough.
+    renormalized after every step).  m may be one transfer matrix or a stack
+    (..., 4, 4); a stack gives one S per map, each iterated until it alone
+    stops moving, exactly as if it were iterated by itself.  Raises
+    ValueError for maps the iteration cannot handle and RuntimeError if
+    max_iter steps are not enough for some map.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 transfer matrices, got shape {m.shape}")
+    lead = m.shape[:-2]
+    m = m.reshape((-1, 4, 4))
+    bad = _first_flagged(m, ~np.isfinite(m))
+    if bad is not None:
+        raise ValueError(f"map entries must be finite, got {bad!r}")
     _probe_positivity(m)
-    m_dual = m.T
-    s_op = np.eye(2, dtype=complex)
+    fixed = np.empty((len(m), 2, 2), dtype=complex)
+    # the rows still moving, with their maps and their current S
+    active = np.arange(len(m))
+    s_op = np.broadcast_to(np.eye(2, dtype=complex), fixed.shape)
     for _ in range(max_iter):
-        image = pd_inverse(apply(m, pd_inverse(apply(m_dual, s_op))))
-        if float(np.max(np.abs(image - s_op))) <= tol:
-            return 2.0 * image / np.trace(image).real
-        s_op = 2.0 * image / np.trace(image).real
+        image = pd_inverse(apply(m, pd_inverse(apply(m.swapaxes(-1, -2), s_op))))
+        done = np.abs(image - s_op).max(axis=(-2, -1)) <= tol
+        s_op = 2.0 * image / np.trace(image, axis1=-2, axis2=-1).real[:, None, None]
+        fixed[active[done]] = s_op[done]
+        active, m, s_op = active[~done], m[~done], s_op[~done]
+        if not active.size:
+            return fixed.reshape(lead + (2, 2))
     raise RuntimeError(
         f"fixed-point iteration did not converge within {max_iter} steps"
     )

@@ -367,6 +367,9 @@ def test_bad_usage_raises_exit_code_one():
     for argv in (
         [], ["lifetime", "--bogus"], ["evolve", "--steps", "abc"], ["sinkhorn"],
         ["evolve", "--g1", "1", "--g2", "1", "--state", "optimal"],
+        # validate runs its fixed grid and takes none of the common flags
+        ["validate", "--format", "json"], ["validate", "--out", "v.json"],
+        ["validate", "--gh1", "5"], ["validate", "--config", "c.json"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -138,6 +138,41 @@ def test_integration_rejects_bad_step():
         ptm_via_integration(REFERENCE, 1.0, -1e-3)
 
 
+def test_integration_rejects_non_finite_time():
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ptm_via_integration(REFERENCE, t, 1e-3)
+        with pytest.raises(ValueError):
+            ptm_via_integration([REFERENCE, REFERENCE], t)
+
+
+# a subset of the validate grid: pure loss, pure depolarization, both, and
+# max rates 0.5, 1 and 5, so that the default step counts differ
+STACK_PARAMS = [
+    ChannelParams(gh, gv, g)
+    for gh, gv, g in (
+        (0.0, 0.5, 0.0), (5.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 5.0),
+        (1.0, 1.0, 1.0), (0.5, 5.0, 0.5), (5.0, 1.0, 0.5), (0.0, 5.0, 0.5),
+        (1.0, 0.5, 0.0), (0.5, 0.0, 1.0), (5.0, 5.0, 5.0), (0.5, 0.5, 0.5),
+    )
+]
+
+
+def test_integration_stack_matches_single_calls():
+    for dt in (5e-4, None):
+        for t in (0.1, 0.25):
+            stacked = ptm_via_integration(STACK_PARAMS, t, dt)
+            single = [ptm_via_integration(p, t, dt) for p in STACK_PARAMS]
+            assert stacked.shape == (len(STACK_PARAMS), 4, 4)
+            assert single[0].shape == (4, 4)
+            assert np.array_equal(stacked, np.stack(single))
+
+
+def test_integration_stack_at_zero_is_identity():
+    stacked = ptm_via_integration(STACK_PARAMS, 0.0)
+    assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
+
+
 def test_pure_depolarization_both_paths():
     g, t = 2.0, 0.7
     params = ChannelParams(0.0, 0.0, g)

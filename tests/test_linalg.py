@@ -142,3 +142,22 @@ def test_pd_rejects_indefinite_and_singular():
         pd_inverse(np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         pd_inverse(np.diag([1.0, 1e-13]).astype(complex))
+
+
+def test_pd_inverse_stack_matches_single_calls(rng):
+    stack = np.stack([random_pd(rng, 2, log_condition=3.0) for _ in range(6)])
+    single = np.stack([pd_inverse(m) for m in stack])
+    assert np.array_equal(pd_inverse(stack), single)
+    assert np.array_equal(pd_inverse(stack.reshape(2, 3, 2, 2)), single.reshape(2, 3, 2, 2))
+
+
+def test_pd_inverse_stack_names_the_bad_matrix(rng):
+    stack = np.stack([random_pd(rng, 2), np.diag([1.0, -0.5]).astype(complex), random_pd(rng, 2)])
+    with pytest.raises(ValueError, match="-5.000e-01"):
+        pd_inverse(stack)
+
+
+def test_pd_inverse_rejects_nan():
+    # fails closed: a NaN eigenvalue is not positive
+    with pytest.raises(ValueError, match="nan"):
+        pd_inverse(np.full((2, 2), np.nan, dtype=complex))

@@ -53,6 +53,15 @@ def test_apply_matches_superoperator_oracle(rng):
         assert np.max(np.abs(apply(m, rho) - expected)) <= 1e-12
 
 
+def test_apply_stack_matches_single_calls(rng):
+    maps = rng.normal(size=(5, 4, 4))
+    ops = np.stack([random_hermitian(rng, 2) for _ in range(5)])
+    pairs = np.stack([apply(m, rho) for m, rho in zip(maps, ops)])
+    assert np.array_equal(apply(maps, ops), pairs)
+    assert np.array_equal(apply(maps, ops[0]), np.stack([apply(m, ops[0]) for m in maps]))
+    assert np.array_equal(apply(maps[0], ops), np.stack([apply(maps[0], rho) for rho in ops]))
+
+
 def test_apply_rejects_wrong_shape():
     with pytest.raises(ValueError):
         apply(np.eye(3), KET0)

@@ -85,6 +85,49 @@ def test_iterate_rejects_identity_annihilating_map():
 def test_iterate_respects_max_iter():
     with pytest.raises(RuntimeError):
         fixed_point_iterate(ptm_at(REFERENCE, 0.3), max_iter=5)
+    with pytest.raises(RuntimeError):
+        # the depolarizing map converges at once; the other still holds the stack
+        maps = np.stack([np.diag([1.0, 0.7, 0.7, 0.7]), ptm_at(REFERENCE, 0.3)])
+        fixed_point_iterate(maps, max_iter=5)
+
+
+def test_iterate_rejects_non_finite_maps():
+    # fails up front, not after max_iter steps of NaN
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fixed_point_iterate(np.full((4, 4), value))
+        stack = np.stack([np.eye(4), np.eye(4)])
+        stack[1, 2, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            fixed_point_iterate(stack)
+
+
+# a subset of the validate grid: (0, 0, 0.5) converges in 1 step at every
+# time, (0, 5, 0.5) and (5, 0.5, 0.5) at t = 0.1 take 232 steps, the most
+STACK_PARAMS = [
+    ChannelParams(gh, gv, g)
+    for gh, gv, g in (
+        (0.0, 0.0, 0.5), (0.0, 5.0, 0.5), (5.0, 0.5, 0.5), (1.0, 1.0, 1.0),
+        (0.5, 5.0, 0.5), (5.0, 1.0, 0.5), (0.0, 0.0, 5.0), (1.0, 0.5, 1.0),
+        (0.5, 0.0, 1.0), (5.0, 5.0, 5.0), (0.0, 1.0, 5.0), (1.0, 5.0, 1.0),
+    )
+]
+
+
+def test_iterate_stack_matches_single_calls():
+    maps = np.stack([ptm_at(p, t) for p in STACK_PARAMS for t in (0.1, 1.0)])
+    single = np.stack([fixed_point_iterate(m) for m in maps])
+    assert single.shape == (len(maps), 2, 2)
+    assert np.array_equal(fixed_point_iterate(maps), single)
+    # any leading shape
+    nested = fixed_point_iterate(maps.reshape(2, -1, 4, 4))
+    assert np.array_equal(nested, single.reshape(2, -1, 2, 2))
+
+
+def test_iterate_stack_rejects_one_bad_map():
+    maps = np.stack([ptm_at(REFERENCE, 0.3), np.diag([1.0, 1.2, 1.2, 1.2])])
+    with pytest.raises(ValueError, match="Pauli eigenstate probe"):
+        fixed_point_iterate(maps)
 
 
 # ---------------------------------------------------------------------------
