@@ -53,8 +53,8 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
-        if self.t_max is not None and self.t_max <= 0.0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max!r}")
+        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
 
@@ -68,8 +68,8 @@ def _parse_custom_state(entries) -> np.ndarray:
         values = np.asarray(entries, dtype=float)
     except (TypeError, ValueError):
         values = None
-    if values is None or values.shape != (16, 2):
-        raise ValueError("a custom state needs 16 [re, im] entries (row-major 4x4)")
+    if values is None or values.shape != (16, 2) or not np.isfinite(values).all():
+        raise ValueError("a custom state needs 16 finite [re, im] entries (row-major 4x4)")
     return (values[:, 0] + 1j * values[:, 1]).reshape(4, 4)
 
 
@@ -120,9 +120,14 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+def _emit_json(record: dict, path: str | None) -> None:
+    # NaN and Infinity are not JSON: refuse them instead of printing them
+    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", path)
+
+
 def _record_out(record: dict, columns: list[str], cfg: JobConfig) -> None:
     if cfg.format == "json":
-        _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
+        _emit_json(record, cfg.output_path)
     else:
         header = ",".join(columns)
         row = ",".join(
@@ -155,10 +160,9 @@ def cmd_lifetime(cfg: JobConfig) -> int:
             "bracket": list(result.bracket),
             "residual": result.residual,
             "iterations": result.iterations,
-            "post_root_sign_changes": result.post_root_sign_changes,
             "lambdas": {"line1": list(lam1), "line2": list(lam2)},
         }
-        _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
+        _emit_json(record, cfg.output_path)
         return EXIT_OK
     record = {
         "tau": result.tau,
@@ -192,7 +196,7 @@ def cmd_optimal_state(cfg: JobConfig) -> int:
             "b1_diag": b1,
             "b2_diag": b2,
         }
-        _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
+        _emit_json(record, cfg.output_path)
         return EXIT_OK
     record = {"tau": result.tau}
     for k, z in enumerate(state.psi):
@@ -246,7 +250,7 @@ def cmd_evolve(cfg: JobConfig) -> int:
             table[f"negativity_{name}"].extend(negativity(conditional).tolist())
             table[f"detection_prob_{name}"].extend((slow1 * slow2 * prob).tolist())
     if cfg.format == "json":
-        _emit(json.dumps({c: table[c] for c in ordered}, indent=2) + "\n", cfg.output_path)
+        _emit_json({c: table[c] for c in ordered}, cfg.output_path)
         return EXIT_OK
     lines = [",".join(ordered)]
     for k in range(cfg.steps):
@@ -267,7 +271,7 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
         "lambda_z": dec.lambda_z,
         "residuals": normal_form_residuals(dec, ptm_at(cfg.line1, t)),
     }
-    _emit(json.dumps(record, indent=2) + "\n", cfg.output_path)
+    _emit_json(record, cfg.output_path)
     return EXIT_OK
 
 
@@ -346,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

@@ -85,8 +85,8 @@ def decay_modes(
     r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
     r + G first, so it neither cancels nor overflows.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     gh, gv, g = params.gamma_h, params.gamma_v, params.gamma
     delta = gh - gv
     big_g = math.hypot(g, delta)

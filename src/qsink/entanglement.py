@@ -98,15 +98,13 @@ class LifetimeResult:
     tau is None when g never crosses zero: at once when neither line
     depolarizes (bracket (0, inf), residual 2, no g evaluation), else only
     below an explicit t_max (bracket ends at t_max, residual is g there).
-    iterations counts g evaluations; post_root_sign_changes reports sign
-    reversals of g found on a scan of [tau, 4 tau] and should be 0.
+    iterations counts g evaluations.
     """
 
     tau: float | None
     bracket: tuple[float, float]
     residual: float
     iterations: int
-    post_root_sign_changes: int = 0
 
 
 def max_lifetime(
@@ -116,8 +114,24 @@ def max_lifetime(
 
     With a depolarizing line g(t) tends to -1, so doubling brackets the
     root before t overflows; t_max, if given, caps the search.
+
+    The first root is the only one: g never increases.  For one line with
+    depolarization rate gamma and G = sqrt(gamma^2 + (gh - gv)^2) >= gamma,
+    the signal parameters are lx = ly = exp(-gamma t / 2 - A) and
+    lz = exp(-2 A), with
+
+        A  = asinh((gamma / G) sinh(G t / 2)),
+        A' = (gamma / 2) cosh(G t / 2) / sqrt(1 + (gamma / G)^2 sinh^2(G t / 2)).
+
+    As gamma / G <= 1, the square root is at most cosh(G t / 2), so
+    A' >= gamma / 2 >= 0.  Every l is therefore positive and non-increasing
+    (identically 1 without depolarization), and strictly decreasing when
+    gamma > 0.  g = 2 lx1 lx2 + lz1 lz2 - 1 is a sum of products of such
+    factors: it never increases, and it strictly decreases as soon as
+    either line depolarizes.  Past its root g stays negative, so nothing
+    after the root is searched.
     """
-    if t_max is not None and t_max <= 0.0:
+    if t_max is not None and not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if params1.gamma == 0.0 and params2.gamma == 0.0:
         # both unital parts are the identity: g(t) = 2 for every t
@@ -166,23 +180,7 @@ def max_lifetime(
         residual = g(tau)
         evals += 1
 
-    # The first root is reported; check there is no re-entry right after it.
-    changes = 0
-    state = None
-    for probe in np.linspace(tau, 4.0 * tau, 64)[1:]:
-        value = g(float(probe))
-        sign = 1 if value > 1e-9 else (-1 if value < -1e-9 else 0)
-        if sign != 0:
-            if state is not None and sign != state:
-                changes += 1
-            state = sign
-    return LifetimeResult(
-        tau=tau,
-        bracket=(low, high),
-        residual=residual,
-        iterations=evals,
-        post_root_sign_changes=changes,
-    )
+    return LifetimeResult(tau=tau, bracket=(low, high), residual=residual, iterations=evals)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     # iteration calls this tens of thousands of times on 2x2 inputs
     adjoint = m.swapaxes(-1, -2).conj()
     drift = float(np.abs(m - adjoint).max())
-    if drift > HERMITICITY_TOL:
+    # fails closed: a NaN entry gives a NaN drift
+    if not drift <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {drift:.3e}")
     return 0.5 * (m + adjoint)
 

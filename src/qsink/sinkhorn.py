@@ -232,7 +232,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     )
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
-    if eig_h <= PD_MIN_EIG or eig_v <= PD_MIN_EIG:
+    if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
         raise ValueError(
             f"degenerate filter: image of the fixed point has eigenvalues "
             f"({eig_h:.3e}, {eig_v:.3e})"
@@ -247,7 +247,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
     residual = float(np.max(np.abs(upsilon - target)))
-    if residual > NORMAL_FORM_TOL:
+    if not residual <= NORMAL_FORM_TOL:
         raise RuntimeError(
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )

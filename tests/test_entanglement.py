@@ -149,6 +149,8 @@ def test_stacks_with_one_bad_row_are_rejected():
     good = np.stack([RHO_PSI_PLUS] * 4)
     for bad_row, message in (
         (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+        # a named check, not a LinAlgError from the eigensolver
+        (np.full((4, 4), np.nan), "not Hermitian"),
         (np.diag([0.5, 0.6, -0.1, 0.0]), "positive semidefinite"),
         (2.0 * RHO_PSI_PLUS, "trace"),
     ):
@@ -162,6 +164,8 @@ def test_stacks_with_one_bad_row_are_rejected():
     # the error reports the first row whose probability vanished
     with pytest.raises(ValueError, match=r"vanished \(1\.000e-16\)"):
         conditional_state(maps, maps, RHO_PSI_PLUS)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        conditional_state(maps[0], maps[0], np.full((4, 4), np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +199,6 @@ def test_max_lifetime_symmetric_depolarization():
         assert result.tau is not None
         assert abs(result.tau - expected) / expected <= 1e-9
         assert abs(result.residual) <= 1e-10
-        assert result.post_root_sign_changes == 0
         assert result.bracket[0] <= result.tau <= result.bracket[1]
 
 
@@ -237,8 +240,9 @@ def test_max_lifetime_t_max_clamps_final_probe():
 
 
 def test_max_lifetime_rejects_bad_t_max():
-    with pytest.raises(ValueError):
-        max_lifetime(depolarizing(1.0), depolarizing(1.0), t_max=-1.0)
+    for t_max in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="t_max"):
+            max_lifetime(depolarizing(1.0), depolarizing(1.0), t_max=t_max)
 
 
 def test_max_lifetime_reference_pair_regression():
@@ -246,7 +250,6 @@ def test_max_lifetime_reference_pair_regression():
     assert result.tau is not None
     assert abs(result.tau - 0.4947890675227557) <= 1e-9
     assert abs(result.residual) <= 1e-10
-    assert result.post_root_sign_changes == 0
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ def test_partial_transpose_rejects_wrong_size():
 def test_hermitian_eigen_rejects_drift():
     with pytest.raises(ValueError):
         hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    # a NaN drift compares false against any tolerance; the check fails closed
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_part(np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_hermitian_part_symmetrizes_small_drift():

@@ -60,6 +60,17 @@ def test_lifetime_lhs_is_finite(params1, params2, t):
     assert -1.0 <= value <= 2.0
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, LINES, TIMES, TIMES)
+def test_lifetime_lhs_never_increases(params1, params2, t1, t2):
+    # every signal parameter is non-increasing in t (see max_lifetime), so
+    # g is too, and its first root is its only one; rounding may add ulps
+    t1, t2 = sorted((t1, t2))
+    before = lifetime_lhs(params1, params2, t1)
+    after = lifetime_lhs(params1, params2, t2)
+    assert after <= before + 4.0 * math.ulp(1.0)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     # a depolarizing line: for pure loss every diagonal S is a fixed point
