@@ -24,9 +24,12 @@ E = exp(-(g + gh + gv) t / 2)):
 Every quantity of this package that depends on the line and the time goes
 through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
 mode ratio q = exp(-G t) with its log and 1 - q, and the ratios g/G and
-(gh - gv)/G.  ptm_over_slow() builds the transfer matrix in units of the slow
-mode, which stays finite where the modes underflow, and ptm_at() scales it
-back; the normal form in sinkhorn.py reads ratios alone.
+(gh - gv)/G with log(g/G).  The ratios and the two rates in the exponents
+depend on the line alone; ChannelParams.decay_rates forms them once per
+line, and decay_modes() adds the three exponentials of each time.
+ptm_over_slow() builds the transfer matrix in units of the slow mode, which
+stays finite where the modes underflow, and ptm_at() scales it back; the
+normal form in sinkhorn.py reads ratios alone.
 ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check.
 """
@@ -34,8 +37,10 @@ integration of the master equation, as an independent cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +53,11 @@ MAX_RK4_STEPS = 10**7
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Rates of one transmission line: attenuation of H and V, depolarization."""
+    """Rates of one transmission line: attenuation of H and V, depolarization.
+
+    The three rates are the fields; decay_rates, derived from them on first
+    use and kept on the instance, takes no part in repr, == or hash.
+    """
 
     gamma_h: float
     gamma_v: float
@@ -68,48 +77,73 @@ class ChannelParams:
     def max_rate(self) -> float:
         return max(self.gamma_h, self.gamma_v, self.gamma)
 
+    @cached_property
+    def decay_rates(self) -> tuple[float, float, float, float, float]:
+        """The time-independent part of decay_modes(), formed once per line.
+
+        Returns (-G, -(r - G) / 2, r_gamma, r_delta, log_r_gamma), with
+        G = sqrt(g^2 + (gh - gv)^2) and r = g + gh + gv:
+
+        * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
+          as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0;
+        * log_r_gamma = log(g / G), -inf exactly when g = 0.  It is taken as
+          log g - log G where g / G is below the normal doubles, so a line
+          whose depolarization is tiny against its loss asymmetry keeps it.
+
+        r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
+        r + G first, so it neither cancels nor overflows.
+        """
+        gh, gv, g = self.gamma_h, self.gamma_v, self.gamma
+        delta = gh - gv
+        big_g = math.hypot(g, delta)
+        rate = g + gh + gv
+        loss = gh + gv
+        total = rate + big_g
+        slow_rate = (
+            4.0 * (max(gh, gv) / total) * min(gh, gv) + 2.0 * (max(g, loss) / total) * min(g, loss)
+            if total > 0.0
+            else 0.0
+        )
+        if big_g > 0.0:
+            r_gamma, r_delta = g / big_g, delta / big_g
+        else:
+            r_gamma, r_delta = 1.0, 0.0
+        if r_gamma >= sys.float_info.min:
+            log_r_gamma = math.log(r_gamma)
+        elif g > 0.0:
+            log_r_gamma = math.log(g) - math.log(big_g)
+        else:
+            log_r_gamma = -math.inf
+        return -big_g, -0.5 * slow_rate, r_gamma, r_delta, log_r_gamma
+
 
 def decay_modes(
     params: ChannelParams, t: float
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float, float]:
     """The two decay modes of one line at time t, and the ratios built on them.
 
-    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta):
+    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma):
 
     * slow = exp(-(r - G) t / 2), r = g + gh + gv, the slower mode;
     * q = fast / slow = exp(-G t), its log -G t, and 1 - q from expm1, so
       every ratio of the modes stays exact where the modes underflow;
-    * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken as
-      (1, 0) when G = 0, where it only ever multiplies 1 - q = 0.
+    * r_gamma = g / G, r_delta = (gh - gv) / G and log_r_gamma = log(g / G),
+      read from params.decay_rates: they depend on the line, not on t.
 
-    r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
-    r + G first, so it neither cancels nor overflows.
+    Per call, only the three exponentials of t are evaluated.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    gh, gv, g = params.gamma_h, params.gamma_v, params.gamma
-    delta = gh - gv
-    big_g = math.hypot(g, delta)
-    rate = g + gh + gv
-    loss = gh + gv
-    total = rate + big_g
-    slow_rate = (
-        4.0 * (max(gh, gv) / total) * min(gh, gv) + 2.0 * (max(g, loss) / total) * min(g, loss)
-        if total > 0.0
-        else 0.0
-    )
-    log_q = -big_g * t
-    if big_g > 0.0:
-        r_gamma, r_delta = g / big_g, delta / big_g
-    else:
-        r_gamma, r_delta = 1.0, 0.0
+    neg_big_g, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
+    log_q = neg_big_g * t
     return (
-        math.exp(-0.5 * slow_rate * t),
+        math.exp(neg_half_slow_rate * t),
         log_q,
         math.exp(log_q),
         -math.expm1(log_q),
         r_gamma,
         r_delta,
+        log_r_gamma,
     )
 
 
@@ -122,7 +156,7 @@ def ptm_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarray]:
     leaves the conditional state alone, so the quotient is all that state
     needs.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
+    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
     m = np.zeros((4, 4))
     m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)
     m[0, 3] = m[3, 0] = -0.5 * r_delta * one_minus_q

@@ -17,7 +17,10 @@ serves as the independent cross-check.
 Numerical note: everything below is a view of dynamics.decay_modes().
 Divided by the slow mode, s, the shape of the filters and the signal
 parameters depend on the line only through the mode ratio q = exp(-G t),
-1 - q and g/G, and each is written as a sum of terms of one sign.  With
+1 - q and g/G, and each is written as a sum of terms of one sign.  g/G,
+(gh - gv)/G and log(g/G) are per line (ChannelParams.decay_rates, formed
+once); only q, its log and 1 - q are per time.  g/G enters through its log
+wherever it multiplies, so it keeps its digits where g/G underflows.  With
 A = asinh((g/G) sinh(G t / 2)) the signal parameters are
 
     lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
@@ -137,18 +140,21 @@ _LN2 = math.log(2.0)
 
 
 def _lambdas(
-    log_q: float, one_minus_q: float, r_gamma: float
+    log_q: float, one_minus_q: float, r_gamma: float, log_r_gamma: float
 ) -> tuple[float, float, float]:
-    if r_gamma == 0.0 or one_minus_q == 0.0:
+    if log_r_gamma == -math.inf or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
         return 1.0, 1.0, 1.0
     # log of (g/G) sinh(G t / 2) = (g/G) (1 - q) / (2 sqrt(q))
-    log_sinh = math.log(r_gamma) + math.log(one_minus_q) - _LN2 - 0.5 * log_q
+    log_sinh = log_r_gamma + math.log(one_minus_q) - _LN2 - 0.5 * log_q
     # asinh(y) = log(2 y) to double precision once y > e^20
     big_a = math.asinh(math.exp(log_sinh)) if log_sinh < 20.0 else log_sinh + _LN2
     # g t / 2 = -(g/G) log(q) / 2, halved before the product so that a
-    # subnormal g/G cannot round to 0 against log q = -inf
-    lam_x = math.exp(r_gamma * (0.5 * log_q) - big_a)
+    # subnormal g/G cannot round to 0 against log q = -inf.  Where g/G
+    # rounded to 0, g t / 2 is below 1e-323 G t / 2 and is dropped, as
+    # 0 times log q = -inf would be NaN.
+    half_g_t = r_gamma * (0.5 * log_q) if r_gamma > 0.0 else 0.0
+    lam_x = math.exp(half_g_t - big_a)
     return lam_x, lam_x, math.exp(-2.0 * big_a)
 
 
@@ -159,8 +165,8 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
     pure polarization-dependent loss.
     """
-    _, log_q, _, one_minus_q, r_gamma, _ = decay_modes(params, t)
-    return _lambdas(log_q, one_minus_q, r_gamma)
+    _, log_q, _, one_minus_q, r_gamma, _, log_r_gamma = decay_modes(params, t)
+    return _lambdas(log_q, one_minus_q, r_gamma, log_r_gamma)
 
 
 def _log(x: float) -> float:
@@ -175,7 +181,12 @@ def _log_add(a: float, b: float) -> float:
 
 
 def _fixed_point(
-    log_q: float, q: float, one_minus_q: float, r_gamma: float, r_delta: float
+    log_q: float,
+    q: float,
+    one_minus_q: float,
+    r_gamma: float,
+    r_delta: float,
+    log_r_gamma: float,
 ) -> tuple[float, float, float, float, float]:
     """(s, log(1 + s), log(1 - s), log eig_h, log eig_v).
 
@@ -187,7 +198,6 @@ def _fixed_point(
     width = math.sqrt(q + half_gap * half_gap)
     denom = 1.0 + q + 2.0 * width
     s = r_delta * one_minus_q / denom
-    log_r_gamma = _log(r_gamma)
     log_half_gap = log_r_gamma + _log(one_minus_q) - _LN2
     log_width = 0.5 * _log_add(log_q, 2.0 * log_half_gap)
     # 1 +- (gh-gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
@@ -216,8 +226,8 @@ def log_fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, fl
     free of the absolute scale that makes B itself overflow at long times.
     Either entry may be far below the double range, or -inf.
     """
-    _, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
-    return _fixed_point(log_q, q, one_minus_q, r_gamma, r_delta)[1:3]
+    _, *modes = decay_modes(params, t)
+    return _fixed_point(*modes)[1:3]
 
 
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
@@ -226,9 +236,9 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     The composed transfer matrix F_A . L . F_B is verified against
     diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta = decay_modes(params, t)
+    slow, log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma = decay_modes(params, t)
     s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(
-        log_q, q, one_minus_q, r_gamma, r_delta
+        log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma
     )
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
@@ -237,7 +247,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             f"degenerate filter: image of the fixed point has eigenvalues "
             f"({eig_h:.3e}, {eig_v:.3e})"
         )
-    lam_x, lam_y, lam_z = _lambdas(log_q, one_minus_q, r_gamma)
+    lam_x, lam_y, lam_z = _lambdas(log_q, one_minus_q, r_gamma, log_r_gamma)
 
     a_op = np.diag([math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))]).astype(
         complex

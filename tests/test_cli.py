@@ -97,6 +97,24 @@ def test_lifetime_weak_depolarization_has_no_search_horizon(capsys):
     assert abs((taus[0] - taus[1]) - expected) / expected <= 1e-9
 
 
+def test_lifetime_depolarization_below_the_double_range_of_g_over_big_g(capsys):
+    # g/G = 1e-324 underflows, but log(g/G) does not: the line still
+    # depolarizes, and its strong filtering puts tau far below ln 3 / g
+    # (80-digit bisection of the closed form: 1.49346143462126e-167)
+    line = ["--gv2", "1e170", "--g2", "1e-154"]
+    code, out, _ = run(capsys, ["lifetime", *line, "--format", "json"])
+    assert code == EXIT_OK
+    tau = json.loads(out)["tau"]
+    expected = 1.49346143462126e-167
+    assert abs(tau - expected) / expected <= 1e-9
+    code, out, _ = run(capsys, ["optimal-state", *line, "--format", "json"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["tau"] == tau
+    norm = math.sqrt(sum(re * re + im * im for re, im in record["psi"]))
+    assert abs(norm - 1.0) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # optimal-state
 # ---------------------------------------------------------------------------

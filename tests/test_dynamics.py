@@ -30,6 +30,17 @@ def test_params_validation():
     assert p.max_rate == 5.0
 
 
+def test_params_identity_ignores_the_derived_rates():
+    # validate prints lines by repr, and lines are compared and hashed by
+    # their three rates alone, whether or not decay_rates was formed
+    used, fresh = ChannelParams(1.0, 5.0, 2.0), ChannelParams(1.0, 5.0, 2.0)
+    decay_modes(used, 0.3)
+    assert "decay_rates" in vars(used) and "decay_rates" not in vars(fresh)
+    assert repr(used) == repr(fresh) == "ChannelParams(gamma_h=1.0, gamma_v=5.0, gamma=2.0)"
+    assert used == fresh
+    assert hash(used) == hash(fresh) == hash((1.0, 5.0, 2.0))
+
+
 def test_abcd_at_zero_is_exact():
     for params in (REFERENCE, ChannelParams(0.0, 0.0, 3.0), ChannelParams(2.0, 2.0, 0.0)):
         assert entries(params, 0.0) == (1.0, 0.0, 1.0, 1.0)

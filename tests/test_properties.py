@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsink.dynamics import ChannelParams, ptm_at
+from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
 from qsink.sinkhorn import (
     decompose,
@@ -39,6 +39,19 @@ def test_ptm_entries_finite_bounded_and_positive(params, t):
     for value in (a, c, d):
         assert 0.0 <= value <= 1.0 + 1e-12
     assert a + d >= 2.0 * abs(b) - 1e-12
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, st.lists(TIMES, max_size=3), TIMES)
+def test_decay_modes_do_not_depend_on_earlier_calls(params, earlier, t):
+    # the per-line rates are formed on first use and kept on the instance;
+    # what a line gives at t must not depend on what it was asked before
+    for s in earlier:
+        decay_modes(params, s)
+    fresh = ChannelParams(params.gamma_h, params.gamma_v, params.gamma)
+    used, new = decay_modes(params, t), decay_modes(fresh, t)
+    # bit for bit: compare the doubles' bytes, which also tells -0.0 from 0.0
+    assert [x.hex() for x in used] == [x.hex() for x in new]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
