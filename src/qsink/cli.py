@@ -3,6 +3,9 @@
 Subcommands: lifetime, optimal-state, evolve, sinkhorn, validate.  Channel
 rates come from flags (--gh1/--gv1/--g1 for line 1 and --gh2/--gv2/--g2 for
 line 2) or from a JSON config file (--config); flags override the file.
+Each subcommand accepts only the flags it reads: sinkhorn reads line 1 and
+--t and always prints JSON, only evolve reads --steps, and validate takes
+no flags at all.
 
 Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime below
 t_max, 3 validation failure.
@@ -27,7 +30,7 @@ from .entanglement import (
     negativity,
     optimal_state,
 )
-from .sinkhorn import decompose, log_fixed_point_diagonal
+from .sinkhorn import decompose, unital_lambdas
 from .validate import normal_form_residuals, run_all
 
 EXIT_OK = 0
@@ -77,12 +80,14 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
     raw: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
+    # a flag the subcommand does not take is absent from args
+    flags = vars(args)
 
-    def line(key: str, flags: tuple) -> ChannelParams:
+    def line(key: str, suffix: str) -> ChannelParams:
         entry = dict(raw.get(key, {}))
-        for name, value in zip(("gamma_h", "gamma_v", "gamma"), flags):
-            if value is not None:
-                entry[name] = value
+        for name, flag in (("gamma_h", "gh"), ("gamma_v", "gv"), ("gamma", "g")):
+            if flags.get(flag + suffix) is not None:
+                entry[name] = flags[flag + suffix]
         return ChannelParams(
             gamma_h=float(entry.get("gamma_h", 0.0)),
             gamma_v=float(entry.get("gamma_v", 0.0)),
@@ -94,47 +99,41 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         initial_state = _parse_custom_state(initial_state)
 
     cfg = JobConfig(
-        line1=line("line1", (args.gh1, args.gv1, args.g1)),
-        line2=line("line2", (args.gh2, args.gv2, args.g2)),
+        line1=line("line1", "1"),
+        line2=line("line2", "2"),
         t_max=raw.get("t_max"),
         steps=int(raw.get("steps", 200)),
         initial_state=initial_state,
         output_path=raw.get("output_path"),
         format=raw.get("format", "csv"),
     )
-    if getattr(args, "t_max", None) is not None:
-        cfg = replace(cfg, t_max=args.t_max)
-    if getattr(args, "steps", None) is not None:
-        cfg = replace(cfg, steps=args.steps)
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, output_path=args.out)
-    if getattr(args, "format", None) is not None:
-        cfg = replace(cfg, format=args.format)
+    for flag, field in (("t_max", "t_max"), ("steps", "steps"),
+                        ("out", "output_path"), ("format", "format")):
+        if flags.get(flag) is not None:
+            cfg = replace(cfg, **{field: flags[flag]})
     return cfg
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
+def _write(cfg: JobConfig, record: dict, columns: dict[str, list] | None = None) -> None:
+    """Write one result to cfg.output_path, or to stdout without one.
+
+    As JSON, record is written whole.  As CSV, columns (an ordered mapping
+    of equal-length lists) becomes a header and one row per index, floats
+    with 17 significant digits and ints as they are.  A result without
+    columns has no CSV form and is always written as JSON.
+    """
+    if columns is None or cfg.format == "json":
+        # NaN and Infinity are not JSON: refuse them instead of printing them
+        text = json.dumps(record, indent=2, allow_nan=False) + "\n"
+    else:
+        lines = [",".join(columns)]
+        for row in zip(*columns.values()):
+            lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+        text = "\n".join(lines) + "\n"
+    if cfg.output_path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
-
-
-def _emit_json(record: dict, path: str | None) -> None:
-    # NaN and Infinity are not JSON: refuse them instead of printing them
-    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", path)
-
-
-def _record_out(record: dict, columns: list[str], cfg: JobConfig) -> None:
-    if cfg.format == "json":
-        _emit_json(record, cfg.output_path)
-    else:
-        header = ",".join(columns)
-        row = ",".join(
-            _fmt(record[c]) if isinstance(record[c], float) else str(record[c])
-            for c in columns
-        )
-        _emit(header + "\n" + row + "\n", cfg.output_path)
+        Path(cfg.output_path).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -150,32 +149,20 @@ def cmd_lifetime(cfg: JobConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_LIFETIME
-    from .sinkhorn import unital_lambdas
-
     lam1 = unital_lambdas(cfg.line1, result.tau)
     lam2 = unital_lambdas(cfg.line2, result.tau)
-    if cfg.format == "json":
-        record = {
-            "tau": result.tau,
-            "bracket": list(result.bracket),
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "lambdas": {"line1": list(lam1), "line2": list(lam2)},
-        }
-        _emit_json(record, cfg.output_path)
-        return EXIT_OK
     record = {
         "tau": result.tau,
+        "bracket": list(result.bracket),
         "residual": result.residual,
         "iterations": result.iterations,
-        "lambda1_x": lam1[0],
-        "lambda1_y": lam1[1],
-        "lambda1_z": lam1[2],
-        "lambda2_x": lam2[0],
-        "lambda2_y": lam2[1],
-        "lambda2_z": lam2[2],
+        "lambdas": {"line1": list(lam1), "line2": list(lam2)},
     }
-    _record_out(record, list(record), cfg)
+    row = {"tau": result.tau, "residual": result.residual, "iterations": result.iterations}
+    for line, lam in (("1", lam1), ("2", lam2)):
+        for axis, value in zip("xyz", lam):
+            row[f"lambda{line}_{axis}"] = value
+    _write(cfg, record, {c: [v] for c, v in row.items()})
     return EXIT_OK
 
 
@@ -185,28 +172,22 @@ def cmd_optimal_state(cfg: JobConfig) -> int:
         print("no finite lifetime, optimal state undefined", file=sys.stderr)
         return EXIT_NO_LIFETIME
     state = optimal_state(cfg.line1, cfg.line2, result.tau)
-    # B is proportional to sqrt(S), S = diag(1 + s, 1 - s): print that shape
-    b1 = [math.sqrt(math.exp(x)) for x in log_fixed_point_diagonal(cfg.line1, result.tau)]
-    b2 = [math.sqrt(math.exp(x)) for x in log_fixed_point_diagonal(cfg.line2, result.tau)]
-    if cfg.format == "json":
-        record = {
-            "tau": result.tau,
-            "psi": [[z.real, z.imag] for z in state.psi],
-            "schmidt_coefficients": list(state.schmidt_coefficients),
-            "b1_diag": b1,
-            "b2_diag": b2,
-        }
-        _emit_json(record, cfg.output_path)
-        return EXIT_OK
-    record = {"tau": result.tau}
+    b1, b2 = state.filter_shapes
+    record = {
+        "tau": result.tau,
+        "psi": [[z.real, z.imag] for z in state.psi],
+        "schmidt_coefficients": list(state.schmidt_coefficients),
+        "b1_diag": list(b1),
+        "b2_diag": list(b2),
+    }
+    row = {"tau": result.tau}
     for k, z in enumerate(state.psi):
-        record[f"psi{k}_re"] = z.real
-        record[f"psi{k}_im"] = z.imag
-    record["schmidt_1"] = state.schmidt_coefficients[0]
-    record["schmidt_2"] = state.schmidt_coefficients[1]
-    record["b1_h"], record["b1_v"] = b1
-    record["b2_h"], record["b2_v"] = b2
-    _record_out(record, list(record), cfg)
+        row[f"psi{k}_re"] = z.real
+        row[f"psi{k}_im"] = z.imag
+    row["schmidt_1"], row["schmidt_2"] = state.schmidt_coefficients
+    row["b1_h"], row["b1_v"] = b1
+    row["b2_h"], row["b2_v"] = b2
+    _write(cfg, record, {c: [v] for c, v in row.items()})
     return EXIT_OK
 
 
@@ -249,13 +230,7 @@ def cmd_evolve(cfg: JobConfig) -> int:
             conditional, prob = conditional_state(m1, m2, rho)
             table[f"negativity_{name}"].extend(negativity(conditional).tolist())
             table[f"detection_prob_{name}"].extend((slow1 * slow2 * prob).tolist())
-    if cfg.format == "json":
-        _emit_json({c: table[c] for c in ordered}, cfg.output_path)
-        return EXIT_OK
-    lines = [",".join(ordered)]
-    for k in range(cfg.steps):
-        lines.append(",".join(_fmt(table[c][k]) for c in ordered))
-    _emit("\n".join(lines) + "\n", cfg.output_path)
+    _write(cfg, table, table)
     return EXIT_OK
 
 
@@ -271,7 +246,7 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
         "lambda_z": dec.lambda_z,
         "residuals": normal_form_residuals(dec, ptm_at(cfg.line1, t)),
     }
-    _emit_json(record, cfg.output_path)
+    _write(cfg, record)
     return EXIT_OK
 
 
@@ -300,17 +275,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    for flag, dest in (
-        ("--gh1", "gh1"), ("--gv1", "gv1"), ("--g1", "g1"),
-        ("--gh2", "gh2"), ("--gv2", "gv2"), ("--g2", "g2"),
-    ):
-        sub.add_argument(flag, dest=dest, type=float, default=None)
-    sub.add_argument("--t-max", dest="t_max", type=float, default=None)
-    sub.add_argument("--steps", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--config", default=None)
+def _add_rates(sub: argparse.ArgumentParser, suffix: str) -> None:
+    for flag in ("--gh", "--gv", "--g"):
+        sub.add_argument(flag + suffix, type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,11 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "replay all closed forms against independent checks"),
     ):
         sub = subs.add_parser(name, help=helptext)
-        # validate runs its one fixed grid: it takes no rates, config or output flags
-        if name != "validate":
-            _add_common(sub)
+        # each subcommand takes only the flags it reads; validate runs its
+        # one fixed grid and takes none
+        if name == "validate":
+            continue
+        _add_rates(sub, "1")
+        sub.add_argument("--out", default=None)
+        sub.add_argument("--config", default=None)
         if name == "sinkhorn":
+            # line 1 at one time, always printed as JSON
             sub.add_argument("--t", type=float, required=True)
+            continue
+        _add_rates(sub, "2")
+        sub.add_argument("--t-max", type=float, default=None)
+        sub.add_argument("--format", choices=("csv", "json"), default=None)
+        if name == "evolve":
+            sub.add_argument("--steps", type=int, default=None)
     return parser
 
 

@@ -50,6 +50,10 @@ from .ptm import SIGMA
 # is enlarged to keep the count below it.
 MAX_RK4_STEPS = 10**7
 
+# r + G is at most 4.5 times a line's largest rate, so it stays finite up to
+# this rate; a line with a larger one is formed at an eighth of its rates.
+_UNSCALED_RATE_MAX = 2.0**1020
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -81,7 +85,7 @@ class ChannelParams:
     def decay_rates(self) -> tuple[float, float, float, float, float]:
         """The time-independent part of decay_modes(), formed once per line.
 
-        Returns (-G, -(r - G) / 2, r_gamma, r_delta, log_r_gamma), with
+        Returns (-G / 2, -(r - G) / 2, r_gamma, r_delta, log_r_gamma), with
         G = sqrt(g^2 + (gh - gv)^2) and r = g + gh + gv:
 
         * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
@@ -91,9 +95,15 @@ class ChannelParams:
           whose depolarization is tiny against its loss asymmetry keeps it.
 
         r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
-        r + G first, so it neither cancels nor overflows.
+        r + G first, so it neither cancels nor overflows.  G / 2 and
+        (r - G) / 2 are at most the largest rate, so both halves are finite
+        even where G is not.  A line with a rate above _UNSCALED_RATE_MAX is
+        formed at an eighth of its rates, where G and r + G stay finite: the
+        ratios do not see a power-of-two scale, and the halves are scaled
+        back exactly.  Every other line is formed unscaled.
         """
-        gh, gv, g = self.gamma_h, self.gamma_v, self.gamma
+        scale = 8.0 if self.max_rate > _UNSCALED_RATE_MAX else 1.0
+        gh, gv, g = self.gamma_h / scale, self.gamma_v / scale, self.gamma / scale
         delta = gh - gv
         big_g = math.hypot(g, delta)
         rate = g + gh + gv
@@ -114,7 +124,7 @@ class ChannelParams:
             log_r_gamma = math.log(g) - math.log(big_g)
         else:
             log_r_gamma = -math.inf
-        return -big_g, -0.5 * slow_rate, r_gamma, r_delta, log_r_gamma
+        return -0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma
 
 
 def decay_modes(
@@ -134,8 +144,9 @@ def decay_modes(
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    neg_big_g, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
-    log_q = neg_big_g * t
+    neg_half_big_g, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
+    # doubled after the product: G itself may lie past the double range
+    log_q = 2.0 * (neg_half_big_g * t)
     return (
         math.exp(neg_half_slow_rate * t),
         log_q,

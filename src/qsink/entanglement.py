@@ -15,6 +15,7 @@ forms on a maximally entangled pair.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ class LifetimeResult:
 
     tau is None when g never crosses zero: at once when neither line
     depolarizes (bracket (0, inf), residual 2, no g evaluation), else only
-    below an explicit t_max (bracket ends at t_max, residual is g there).
+    below t_max, the largest double unless given (bracket ends at t_max,
+    residual is g there).
     iterations counts g evaluations.
     """
 
@@ -113,7 +115,8 @@ def max_lifetime(
     """First root of the lifetime equation via bracket doubling and bisection.
 
     With a depolarizing line g(t) tends to -1, so doubling brackets the
-    root before t overflows; t_max, if given, caps the search.
+    root unless the depolarization is too weak to act within the double
+    range; t_max, by default the largest double, caps the search.
 
     The first root is the only one: g never increases.  For one line with
     depolarization rate gamma and G = sqrt(gamma^2 + (gh - gv)^2) >= gamma,
@@ -137,7 +140,8 @@ def max_lifetime(
         # both unital parts are the identity: g(t) = 2 for every t
         return LifetimeResult(tau=None, bracket=(0.0, math.inf), residual=2.0, iterations=0)
     if t_max is None:
-        t_max = math.inf
+        # the largest double: a start at 1 / (tiny rates) = inf is capped there
+        t_max = sys.float_info.max
     total = params1.total_rate + params2.total_rate
     if total == math.inf:
         # rates near the double limit: a start at 1/inf = 0 would never double
@@ -151,7 +155,7 @@ def max_lifetime(
     g_high = g(high)
     evals = 1
     while g_high >= 0.0:
-        if high >= t_max or 2.0 * high == math.inf:
+        if high >= t_max:
             return LifetimeResult(
                 tau=None, bracket=(low, high), residual=g_high, iterations=evals
             )
@@ -185,11 +189,16 @@ def max_lifetime(
 
 @dataclass(frozen=True)
 class OptimalState:
-    """The entanglement-maximizing initial state at the lifetime."""
+    """The entanglement-maximizing initial state at the lifetime.
+
+    filter_shapes holds each line's (sqrt(1 + s), sqrt(1 - s)): the shape of
+    its output filter B, which is proportional to sqrt(S).
+    """
 
     psi: np.ndarray
     rho: np.ndarray
     schmidt_coefficients: tuple[float, float]
+    filter_shapes: tuple[tuple[float, float], tuple[float, float]]
 
 
 def optimal_state(
@@ -215,4 +224,10 @@ def optimal_state(
     psi = np.array([amp_h, 0.0, 0.0, amp_v], dtype=complex) / norm
     rho = np.outer(psi, psi.conj())
     coeffs = sorted((amp_h / norm, amp_v / norm), reverse=True)
-    return OptimalState(psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]))
+    shapes = tuple(
+        (math.sqrt(math.exp(log_h)), math.sqrt(math.exp(log_v)))
+        for log_h, log_v in ((log_h1, log_v1), (log_h2, log_v2))
+    )
+    return OptimalState(
+        psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]), filter_shapes=shapes
+    )

@@ -32,13 +32,6 @@ def _as_matrices(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
-    m = _as_matrices(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are not Hermitian to tolerance."""
     m = _as_matrices(m)
@@ -50,11 +43,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     if not drift <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {drift:.3e}")
     return 0.5 * (m + adjoint)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(_as_square(a), _as_square(b))
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:

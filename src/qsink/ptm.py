@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitian_part, kron
+from .linalg import hermitian_part
 
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -25,12 +25,11 @@ SIGMA = (
 )
 _SIG = np.stack(SIGMA)
 # Two-qubit Pauli products, index 4*i + j  <->  sigma_i (x) sigma_j.
-SIGMA2 = tuple(kron(a, b) for a in SIGMA for b in SIGMA)
+SIGMA2 = tuple(np.kron(a, b) for a in SIGMA for b in SIGMA)
 _SIG2 = np.stack(SIGMA2)
 
 # How negative an eigenvalue may get before a "positive semidefinite" claim fails.
 PSD_TOL = 1e-9
-_FLAT_TOL = 1e-9  # tolerance for the trace-preserving / unital row and column
 
 
 def _check_ptm(m: np.ndarray) -> np.ndarray:
@@ -75,11 +74,6 @@ def apply_two_qubit(m1: np.ndarray, m2: np.ndarray, rho: np.ndarray) -> np.ndarr
     return 0.25 * np.einsum("...k,kab->...ab", corr.reshape(corr.shape[:-2] + (16,)), _SIG2)
 
 
-def dual(m: np.ndarray) -> np.ndarray:
-    """Transfer matrix of the adjoint map (transpose in the Pauli basis)."""
-    return _check_ptm(m).T.copy()
-
-
 def compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Transfer matrix of outer . inner (inner acts first)."""
     return _check_ptm(outer) @ _check_ptm(inner)
@@ -92,13 +86,3 @@ def sandwich(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
     m = 0.5 * np.einsum("iab,bc,jcd,ad->ij", _SIG, x, _SIG, x.conj())
     return np.ascontiguousarray(m.real)
-
-
-def is_trace_preserving(m: np.ndarray) -> bool:
-    m = _check_ptm(m)
-    return float(np.max(np.abs(m[0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL
-
-
-def is_unital(m: np.ndarray) -> bool:
-    m = _check_ptm(m)
-    return float(np.max(np.abs(m[:, 0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL

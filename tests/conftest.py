@@ -16,6 +16,7 @@ from qsink.ptm import PSD_TOL, SIGMA
 
 # Negativity above this counts as entangled.
 ENTANGLEMENT_TOL = 1e-10
+_FLAT_TOL = 1e-9  # tolerance for the trace-preserving / unital row and column
 
 
 @pytest.fixture
@@ -57,6 +58,21 @@ def choi(m: np.ndarray) -> np.ndarray:
 def is_cp(m: np.ndarray) -> bool:
     """Complete positivity: the Choi operator is PSD up to PSD_TOL."""
     return float(np.linalg.eigvalsh(choi(m))[0]) >= -PSD_TOL
+
+
+def dual(m: np.ndarray) -> np.ndarray:
+    """Transfer matrix of the adjoint map (transpose in the Pauli basis)."""
+    return np.asarray(m, dtype=float).T.copy()
+
+
+def is_trace_preserving(m: np.ndarray) -> bool:
+    m = np.asarray(m, dtype=float)
+    return float(np.max(np.abs(m[0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL
+
+
+def is_unital(m: np.ndarray) -> bool:
+    m = np.asarray(m, dtype=float)
+    return float(np.max(np.abs(m[:, 0] - np.array([1.0, 0, 0, 0])))) <= _FLAT_TOL
 
 
 def is_trace_nonincreasing(m: np.ndarray) -> bool:

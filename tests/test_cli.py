@@ -9,6 +9,7 @@ import pytest
 from conftest import read_csv_columns
 from qsink import cli
 from qsink.cli import EXIT_NO_LIFETIME, EXIT_OK, EXIT_USAGE, main
+from qsink.dynamics import ChannelParams
 
 REFERENCE_ARGS = [
     "--gh1", "1", "--gv1", "5", "--g1", "1",
@@ -24,6 +25,9 @@ NON_X_STATE = [
     [0.2, -0.1], [0.01, -0.03], [-0.02, -0.01], [0.3, 0.0],
 ]
 
+# sinkhorn reads line 1 at one --t: these are no flags of it
+SINKHORN_UNREAD = ("--gh2", "--gv2", "--g2", "--t-max")
+
 EVOLVE_HEADER = (
     "t,negativity_psi_plus,negativity_optimal,"
     "detection_prob_psi_plus,detection_prob_optimal"
@@ -31,7 +35,11 @@ EVOLVE_HEADER = (
 
 
 def run(capsys, argv):
-    code = main(argv)
+    # a usage error leaves main through argparse's SystemExit
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -113,6 +121,31 @@ def test_lifetime_depolarization_below_the_double_range_of_g_over_big_g(capsys):
     assert record["tau"] == tau
     norm = math.sqrt(sum(re * re + im * im for re, im in record["psi"]))
     assert abs(norm - 1.0) <= 1e-15
+
+
+def test_lifetime_near_the_double_maximum(capsys):
+    # G of line 1 overflows a double; the same problem with every rate
+    # scaled by 2^-1000 has tau = 6.731797762151053e-08, that is
+    # 6.282541938536965e-309 scaled back
+    code, out, _ = run(capsys, ["lifetime", "--gh1", "1.7e308", "--g1", "1.7e308", "--g2", "1",
+                                "--format", "json"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    expected = 6.282541938536965e-309
+    assert abs(record["tau"] - expected) <= 1e-9 * expected
+    assert record["lambdas"]["line1"][2] < 0.5
+
+
+@pytest.mark.parametrize("rates", [["--g1", "1e-320"], ["--g1", "1e-310", "--g2", "1e-310"]])
+def test_lifetime_search_ends_at_the_double_maximum(capsys, rates):
+    # 1 / (sum of rates) overflows; the doubling starts and ends at the
+    # largest double, where g is still positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, ["lifetime", *rates])
+    assert code == EXIT_NO_LIFETIME
+    assert out == ""
+    assert "no finite lifetime up to t = 1.79769e+308" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +372,125 @@ def test_sinkhorn_subcommand(capsys):
 
 
 # ---------------------------------------------------------------------------
+# byte layout of the one-record outputs on the reference line (1, 5, 1)
+# ---------------------------------------------------------------------------
+
+PINNED_OUTPUTS = {
+    "lifetime-csv": (
+        ["lifetime", *REFERENCE_ARGS],
+        """\
+tau,residual,iterations,lambda1_x,lambda1_y,lambda1_z,lambda2_x,lambda2_y,lambda2_z
+0.4947890675227557,-8.8332452463646405e-11,35,0.58510924726401303,0.58510924726401303,0.56151076342662176,0.58510924726401303,0.58510924726401303,0.56151076342662176
+""",
+    ),
+    "lifetime-json": (
+        ["lifetime", *REFERENCE_ARGS, "--format", "json"],
+        """\
+{
+  "tau": 0.4947890675227557,
+  "bracket": [
+    0.4947890673897096,
+    0.4947890676558018
+  ],
+  "residual": -8.83324524636464e-11,
+  "iterations": 35,
+  "lambdas": {
+    "line1": [
+      0.585109247264013,
+      0.585109247264013,
+      0.5615107634266218
+    ],
+    "line2": [
+      0.585109247264013,
+      0.585109247264013,
+      0.5615107634266218
+    ]
+  }
+}
+""",
+    ),
+    "optimal-state-csv": (
+        ["optimal-state", *REFERENCE_ARGS],
+        """\
+tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,schmidt_2,b1_h,b1_v,b2_h,b2_v
+0.4947890675227557,0.35574316645087795,0,0,0,0,0,0.93458375736126675,0,0.93458375736126675,0.35574316645087795,0.7425631636510277,1.2035779775272466,0.7425631636510277,1.2035779775272466
+""",
+    ),
+    "optimal-state-json": (
+        ["optimal-state", *REFERENCE_ARGS, "--format", "json"],
+        """\
+{
+  "tau": 0.4947890675227557,
+  "psi": [
+    [
+      0.35574316645087795,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.9345837573612668,
+      0.0
+    ]
+  ],
+  "schmidt_coefficients": [
+    0.9345837573612668,
+    0.35574316645087795
+  ],
+  "b1_diag": [
+    0.7425631636510277,
+    1.2035779775272466
+  ],
+  "b2_diag": [
+    0.7425631636510277,
+    1.2035779775272466
+  ]
+}
+""",
+    ),
+    "sinkhorn": (
+        ["sinkhorn", "--gh1", "1", "--gv1", "5", "--g1", "1", "--t", "0.3"],
+        """\
+{
+  "t": 0.3,
+  "s": -0.28912140067055025,
+  "a_diag": [
+    0.8431361689130942,
+    1.1353948214918679
+  ],
+  "b_diag": [
+    1.3750387255035277,
+    1.8516722515890602
+  ],
+  "lambda_x": 0.7341254817087135,
+  "lambda_y": 0.7341254817087135,
+  "lambda_z": 0.7274932066305086,
+  "residuals": {
+    "trace_preserving": 2.3600648352454026e-16,
+    "unital": 2.7755575615628914e-16,
+    "round_trip": 1.1102230246251565e-16
+  }
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_OUTPUTS))
+def test_output_bytes_are_pinned(capsys, case):
+    argv, expected = PINNED_OUTPUTS[case]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert out == expected
+
+
+# ---------------------------------------------------------------------------
 # config handling and failure modes
 # ---------------------------------------------------------------------------
 
@@ -388,6 +540,10 @@ def test_bad_usage_raises_exit_code_one():
         # validate runs its fixed grid and takes none of the common flags
         ["validate", "--format", "json"], ["validate", "--out", "v.json"],
         ["validate", "--gh1", "5"], ["validate", "--config", "c.json"],
+        # nor does any subcommand take a flag it would ignore
+        ["lifetime", "--steps", "5"], ["optimal-state", "--steps", "5"],
+        *(["sinkhorn", "--t", "0.3", flag, "1"] for flag in SINKHORN_UNREAD),
+        ["sinkhorn", "--t", "0.3", "--steps", "5"], ["sinkhorn", "--t", "0.3", "--format", "json"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -423,15 +579,21 @@ BAD_INPUT_CASES = [
 def test_non_finite_or_negative_input_fails_closed(capsys, command, flag, value):
     # --t-max nan used to be ignored, --t-max inf to reach the time grid and
     # --t nan to print NaN, which is not JSON
-    argv = [command, "--gh1", "1", "--gv1", "5", "--g1", "1", "--g2", "1", f"{flag}={value}"]
-    if command == "sinkhorn" and flag != "--t":
+    argv = [command, "--gh1", "1", "--gv1", "5", "--g1", "1"]
+    if command != "sinkhorn":
+        argv += ["--g2", "1"]
+    elif flag != "--t":
         argv.append("--t=0.3")
+    argv.append(f"{flag}={value}")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(capsys, argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"{BAD_INPUT_FLAGS[flag]} must be finite" in err
+    if command == "sinkhorn" and flag in SINKHORN_UNREAD:
+        assert "unrecognized arguments" in err
+    else:
+        assert f"{BAD_INPUT_FLAGS[flag]} must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -455,9 +617,10 @@ def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message)
 
 
 def test_json_output_refuses_non_finite_values(tmp_path):
-    record = {"value": math.nan}
+    line = ChannelParams(0.0, 0.0, 1.0)
+    cfg = cli.JobConfig(line, line, output_path=str(tmp_path / "out.json"), format="json")
     with pytest.raises(ValueError):
-        cli._emit_json(record, str(tmp_path / "out.json"))
+        cli._write(cfg, {"value": math.nan}, {"value": [math.nan]})
     assert not (tmp_path / "out.json").exists()
 
 

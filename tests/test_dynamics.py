@@ -1,6 +1,7 @@
 """Loss-model dynamics: closed form against the integration oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_params_identity_ignores_the_derived_rates():
 def test_abcd_at_zero_is_exact():
     for params in (REFERENCE, ChannelParams(0.0, 0.0, 3.0), ChannelParams(2.0, 2.0, 0.0)):
         assert entries(params, 0.0) == (1.0, 0.0, 1.0, 1.0)
+
+
+def test_ptm_near_the_double_maximum():
+    # G = hypot(g, gh - gv) = 2.4e308 lies past the double range; the line
+    # is formed at a power-of-two scale, so it is neither NaN nor pure loss
+    params = ChannelParams(1.7e308, 0.0, 1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(ptm_at(params, 0.0), np.eye(4))
+        _, log_q, _, _, r_gamma, r_delta, _ = decay_modes(params, 1e-308)
+    assert abs(log_q + 2.4041630560342615) <= 1e-15
+    assert r_gamma == r_delta == math.sqrt(0.5)
 
 
 def test_abcd_uniform_attenuation():

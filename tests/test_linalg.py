@@ -6,7 +6,6 @@ import pytest
 from conftest import random_density, random_hermitian, random_pd
 from qsink.linalg import (
     hermitian_part,
-    kron,
     partial_transpose_second,
     pd_inverse,
     trace_norm,
@@ -16,35 +15,6 @@ from qsink.ptm import SIGMA
 PSI_PLUS_RHO = 0.5 * np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
 )
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4, dtype=complex))
-    assert np.array_equal(
-        kron(SIGMA[3], SIGMA[3]), np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-    )
-
-
-def test_kron_flips_both_qubits():
-    ket00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    ket11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-    assert np.array_equal(kron(SIGMA[1], SIGMA[1]) @ ket00, ket11)
-
-
-def test_kron_mixed_product_and_trace(rng):
-    a, b, c, d = (random_hermitian(rng, 2) for _ in range(4))
-    assert np.max(np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d))) < 1e-12
-    assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_kron_associative(rng):
-    a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-12
-
-
-def test_kron_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        kron(np.ones((2, 3)), np.eye(2))
 
 
 def test_partial_transpose_fixes_maximally_mixed():

@@ -6,9 +6,12 @@ import pytest
 from conftest import (
     apply_two_qubit_oracle,
     choi,
+    dual,
     identity_ptm,
     is_cp,
     is_trace_nonincreasing,
+    is_trace_preserving,
+    is_unital,
     ptm_to_superop,
     random_density,
     random_hermitian,
@@ -17,16 +20,7 @@ from conftest import (
 )
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import PSI_PLUS, negativity
-from qsink.linalg import kron
-from qsink.ptm import (
-    apply,
-    apply_two_qubit,
-    compose,
-    dual,
-    is_trace_preserving,
-    is_unital,
-    sandwich,
-)
+from qsink.ptm import apply, apply_two_qubit, compose, sandwich
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -131,15 +125,15 @@ def test_apply_two_qubit_factorizes_products(rng):
     m1 = ptm_at(ChannelParams(1.0, 5.0, 1.0), 0.2)
     m2 = ptm_at(ChannelParams(0.0, 0.0, 3.0), 0.2)
     r1, r2 = random_density(rng, 2), random_density(rng, 2)
-    joint = apply_two_qubit(m1, m2, kron(r1, r2))
-    assert np.max(np.abs(joint - kron(apply(m1, r1), apply(m2, r2)))) <= 1e-12
+    joint = apply_two_qubit(m1, m2, np.kron(r1, r2))
+    assert np.max(np.abs(joint - np.kron(apply(m1, r1), apply(m2, r2)))) <= 1e-12
 
 
 def test_apply_two_qubit_identity_on_second_factor(rng):
     m1 = ptm_at(ChannelParams(1.0, 5.0, 1.0), 0.3)
     r1, r2 = random_density(rng, 2), random_density(rng, 2)
-    out = apply_two_qubit(m1, identity_ptm(), kron(r1, r2))
-    assert np.max(np.abs(out - kron(apply(m1, r1), r2))) <= 1e-12
+    out = apply_two_qubit(m1, identity_ptm(), np.kron(r1, r2))
+    assert np.max(np.abs(out - np.kron(apply(m1, r1), r2))) <= 1e-12
 
 
 def test_werner_negativity_from_depolarized_pair():

@@ -1,16 +1,40 @@
-"""The README's documented library usage runs as written."""
+"""The README's documented library usage and command lines run as written."""
 
 import math
 import re
+import shlex
 from pathlib import Path
+
+from qsink.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_example_runs(capsys):
-    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", library, flags=re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", section("Library"), flags=re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 6 and all(math.isfinite(float(x)) for x in printed)
+
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    # the last sh block of the section holds the examples; the first is the synopsis
+    block = re.findall(r"```sh\n(.*?)```", section("Command line"), flags=re.DOTALL)[-1]
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("qsink ")
+    ]
+    assert [argv[0] for argv in commands] == ["lifetime", "evolve", "optimal-state", "sinkhorn"]
+    for argv in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
+    assert (tmp_path / "trace.csv").exists()

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identity_ptm, is_cp
+from conftest import identity_ptm, is_cp, is_trace_preserving, is_unital
 from qsink.dynamics import ChannelParams, ptm_at
-from qsink.ptm import is_trace_preserving, is_unital
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
     decompose,
