@@ -3,9 +3,9 @@
 Subcommands: lifetime, optimal-state, evolve, sinkhorn, validate.  Channel
 rates come from flags (--gh1/--gv1/--g1 for line 1 and --gh2/--gv2/--g2 for
 line 2) or from a JSON config file (--config); flags override the file.
-Each subcommand accepts only the flags it reads: sinkhorn reads line 1 and
---t and always prints JSON, only evolve reads --steps, and validate takes
-no flags at all.
+Each subcommand accepts only the flags and config keys it reads (no
+abbreviated flags): sinkhorn reads line 1 and --t and always prints JSON,
+only evolve reads --steps, and validate takes no flags at all.
 
 Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime below
 t_max, 3 validation failure.
@@ -42,6 +42,12 @@ EXIT_VALIDATION = 3
 # the stacked numpy calls to amortize, few enough to keep the stacks small
 EVOLVE_BLOCK = 256
 
+# the config keys each subcommand reads; any other key in the file is refused
+_JOB_KEYS = {"line1", "line2", "t_max", "output_path", "format"}
+CONFIG_KEYS = {"lifetime": _JOB_KEYS, "optimal-state": _JOB_KEYS,
+               "evolve": _JOB_KEYS | {"steps", "initial_state"},
+               "sinkhorn": {"line1", "output_path"}}
+
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -76,15 +82,24 @@ def _parse_custom_state(entries) -> np.ndarray:
     return (values[:, 0] + 1j * values[:, 1]).reshape(4, 4)
 
 
+def _read_keys(entry, keys: set[str], where: str) -> dict:
+    """entry, refused unless it is a JSON object whose keys all lie in keys."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+    unread = sorted(set(entry) - keys)
+    if unread:
+        raise ValueError(f"{where} does not read {unread[0]!r}, only {sorted(keys)}")
+    return entry
+
+
 def _load_config(args: argparse.Namespace) -> JobConfig:
-    raw: dict = {}
-    if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+    raw = json.loads(Path(args.config).read_text()) if args.config is not None else {}
+    raw = _read_keys(raw, CONFIG_KEYS[args.command], f"{args.command} --config")
     # a flag the subcommand does not take is absent from args
     flags = vars(args)
 
     def line(key: str, suffix: str) -> ChannelParams:
-        entry = dict(raw.get(key, {}))
+        entry = dict(_read_keys(raw.get(key, {}), {"gamma_h", "gamma_v", "gamma"}, key))
         for name, flag in (("gamma_h", "gh"), ("gamma_v", "gv"), ("gamma", "g")):
             if flags.get(flag + suffix) is not None:
                 entry[name] = flags[flag + suffix]
@@ -95,15 +110,12 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         )
 
     initial_state = raw.get("initial_state")
-    if initial_state is not None:
-        initial_state = _parse_custom_state(initial_state)
-
     cfg = JobConfig(
         line1=line("line1", "1"),
         line2=line("line2", "2"),
         t_max=raw.get("t_max"),
         steps=int(raw.get("steps", 200)),
-        initial_state=initial_state,
+        initial_state=None if initial_state is None else _parse_custom_state(initial_state),
         output_path=raw.get("output_path"),
         format=raw.get("format", "csv"),
     )
@@ -283,6 +295,7 @@ def _add_rates(sub: argparse.ArgumentParser, suffix: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qsink",
+        allow_abbrev=False,
         description="Entanglement lifetimes under depolarization and polarization-dependent loss.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sinkhorn", "normal form of line 1 at a given time"),
         ("validate", "replay all closed forms against independent checks"),
     ):
-        sub = subs.add_parser(name, help=helptext)
+        sub = subs.add_parser(name, help=helptext, allow_abbrev=False)
         # each subcommand takes only the flags it reads; validate runs its
         # one fixed grid and takes none
         if name == "validate":

@@ -46,8 +46,9 @@ import numpy as np
 
 from .ptm import SIGMA
 
-# Steps above this would make single calls unreasonably slow; the step size
-# is enlarged to keep the count below it.
+# The RK4 step count is capped here, the step enlarged to match: n stays a
+# finite integer however small dt is, and each step's h * G stays far above
+# the rounding of the identity it is added to.
 MAX_RK4_STEPS = 10**7
 
 # r + G is at most 4.5 times a line's largest rate, so it stays finite up to
@@ -194,42 +195,23 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _generator_matrix(params: ChannelParams) -> np.ndarray:
-    """Master-equation right-hand side as a matrix on row-major vec'd operators.
-
-    Columns are the literal right-hand side evaluated on the four 2x2 matrix
-    units, so this encodes the anticommutator and Pauli sandwich terms and
-    nothing of the closed-form solution.
-    """
-    loss = np.diag([params.gamma_h, params.gamma_v]).astype(complex)
-    gen = np.zeros((4, 4), dtype=complex)
-    for col in range(4):
-        unit = np.zeros((2, 2), dtype=complex)
-        unit[divmod(col, 2)] = 1.0
-        out = -0.5 * (loss @ unit + unit @ loss)
-        for pauli in SIGMA[1:]:
-            out += 0.25 * params.gamma * (pauli @ unit @ pauli)
-        out -= 0.75 * params.gamma * unit
-        gen[:, col] = out.reshape(-1)
-    return gen
-
-
 def ptm_via_integration(
     params: ChannelParams | Sequence[ChannelParams], t: float, dt: float | None = None
 ) -> np.ndarray:
     """Transfer matrix at time t from RK4 integration of the master equation.
 
-    All four Pauli inputs are propagated at once (columns of a vec'd stack)
-    and the matrix entries are read off as m[i, j] = tr[sigma_i rho_j(t)]/2.
-    The generator is constant in time, so the four classical RK4 stages
-    collapse exactly into one degree-4 polynomial step operator, which is
-    precomputed and then applied n = ceil(t / dt) times with h = t / n.
+    The generator is the literal right-hand side on the four 2x2 matrix
+    units: anticommutator and Pauli sandwiches, nothing of the closed form.
+    It is constant, so the four RK4 stages collapse into one step operator
+    S with h = t / n, n = ceil(t / dt), and n steps are S^n: each round of
+    repeated squaring multiplies S^(2^k) into the state where bit k of n is
+    set, about 2 log2(n) products in all.  The state holds the four Pauli
+    inputs vec'd, and m[i, j] = tr[sigma_i rho_j(t)] / 2.
 
     params may also be a sequence of lines; the result is then a stack
     (N, 4, 4).  Each line keeps its own step count (with dt None, the
     default step of its own rates) and gets exactly the products it would
-    get alone: the lines are stepped together, ordered by step count, and
-    each drops out once its count is reached.
+    get alone: a round touches only the lines with bits of n left.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -240,32 +222,37 @@ def ptm_via_integration(
         return out[0] if single else out
     if dt is not None and not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    counts = []
-    for case in cases:
-        case_dt = dt
-        if case_dt is None:
-            case_dt = 1e-4 / case.max_rate if case.max_rate > 0.0 else 1e-4
-        counts.append(min(max(1, math.ceil(t / case_dt)), MAX_RK4_STEPS))
-    order = np.argsort(counts, kind="stable")
-    n = np.array(counts)[order]
+    # the default step of a line is 1e-4 over its largest rate
+    steps = [dt or 1e-4 / (case.max_rate or 1.0) for case in cases]
+    n = np.array([max(1, math.ceil(min(t / step, MAX_RK4_STEPS))) for step in steps])
     h = (t / n)[:, None, None]
 
-    gen = np.stack([_generator_matrix(cases[k]) for k in order])
+    # each line's rates (N, 1, ...) against the units (4, 2, 2), unit k at divmod(k, 2)
+    rates = np.array([(c.gamma_h, c.gamma_v, c.gamma) for c in cases])
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    loss = np.zeros((len(cases), 1, 2, 2), dtype=complex)
+    loss[:, 0, 0, 0], loss[:, 0, 1, 1] = rates[:, 0], rates[:, 1]
+    g = rates[:, 2, None, None, None]
+    rhs = -0.5 * (loss @ units + units @ loss)
+    for pauli in SIGMA[1:]:
+        rhs += 0.25 * g * (pauli @ units @ pauli)
+    rhs -= 0.75 * g * units
+    # column k of the generator is the right-hand side on unit k, row-major vec'd
+    gen = rhs.reshape(-1, 4, 4).swapaxes(-2, -1)
+
     eye = np.eye(4, dtype=complex)
     k1 = gen
     k2 = gen @ (eye + 0.5 * h * k1)
     k3 = gen @ (eye + 0.5 * h * k2)
     k4 = gen @ (eye + h * k3)
-    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    power = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     basis = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
-    state = np.broadcast_to(basis, step.shape).copy()
-    taken = 0
-    # n ascends: from each new count on, the suffix still has steps to take
-    for first in np.flatnonzero(np.diff(n, prepend=0)):
-        for _ in range(n[first] - taken):
-            state[first:] = step[first:] @ state[first:]
-        taken = n[first]
-    out = np.empty(step.shape)
-    out[order] = (0.5 * (basis.conj().T @ state)).real
+    state = np.broadcast_to(basis, power.shape).copy()
+    while n.any():
+        odd = n % 2 == 1
+        state[odd] = power[odd] @ state[odd]
+        n //= 2
+        power[n > 0] = power[n > 0] @ power[n > 0]
+    out = (0.5 * (basis.conj().T @ state)).real
     return out[0] if single else out

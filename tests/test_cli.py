@@ -550,6 +550,62 @@ def test_bad_usage_raises_exit_code_one():
         assert excinfo.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --t is sinkhorn's flag and --st a prefix of --steps: neither is a flag here
+        ["lifetime", "--g1", "1", "--g2", "1", "--t", "0.1"],
+        ["evolve", "--g1", "1", "--g2", "1", "--st", "5"],
+    ],
+)
+def test_abbreviated_flags_are_refused(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "named"),
+    [
+        # a sinkhorn config file may only hold line 1 and the output path
+        ("sinkhorn", {"format": "csv", "steps": 7, "line2": {"gamma": 3}}, "'format'"),
+        ("sinkhorn", {"line1": {"gamma": 1.0}, "t_max": 1.0}, "'t_max'"),
+        ("lifetime", {"tmax": 0.4}, "'tmax'"),
+        ("lifetime", {"steps": 7}, "'steps'"),
+        ("optimal-state", {"initial_state": NON_X_STATE}, "'initial_state'"),
+        ("evolve", {"output": "x.csv"}, "'output'"),
+        ("evolve", {"line2": {"gamma": 1.0, "gama": 2.0}}, "'gama'"),
+        ("lifetime", {"line1": 1.0}, "line1 must be a JSON object"),
+        ("evolve", [], "must be a JSON object"),
+    ],
+)
+def test_config_keys_a_subcommand_does_not_read_are_refused(
+    capsys, tmp_path, command, config, named
+):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--g1", "1"]
+    argv += ["--t", "0.3"] if command == "sinkhorn" else ["--g2", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert named in err
+
+
+def test_every_config_key_a_subcommand_reads_is_accepted(capsys, tmp_path):
+    line = {"gamma_h": 1.0, "gamma_v": 5.0, "gamma": 1.0}
+    values = {"line1": line, "line2": line, "t_max": 1.0, "output_path": None,
+              "format": "json", "steps": 3, "initial_state": NON_X_STATE}
+    for command, keys in cli.CONFIG_KEYS.items():
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({key: values[key] for key in keys}))
+        argv = [command, "--config", str(path)] + (["--t", "0.3"] if command == "sinkhorn" else [])
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK, command
+        assert out
+
+
 def test_custom_state_must_be_4x4(capsys, tmp_path):
     # evolve always traces both built-in states, so a state name is no state
     for state in ([[1.0, 0.0]] * 4, "optimal"):
@@ -635,3 +691,9 @@ def test_validate_subcommand(capsys):
     lines = [line for line in out.strip().split("\n") if line]
     assert len(lines) == 4
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+def test_validate_is_deterministic(capsys):
+    first = run(capsys, ["validate"])
+    assert first[0] == EXIT_OK
+    assert run(capsys, ["validate"]) == first

@@ -199,6 +199,43 @@ def test_integration_stack_at_zero_is_identity():
     assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
 
 
+# at t = 0.1 the default step 1e-4 / max_rate gives these lines 1, 1023, 1024,
+# 1025, 2048 and 2049 steps: one step, and both sides of two powers of two
+COUNT_PARAMS = [
+    ChannelParams(5e-4, 0.0, 2e-4), ChannelParams(0.5, 1.0225, 0.3),
+    ChannelParams(1.0235, 0.0, 1.0), ChannelParams(0.1, 0.2, 1.0245),
+    ChannelParams(2.0475, 2.0, 0.0), ChannelParams(0.0, 0.7, 2.0485),
+]
+
+
+def test_integration_stack_matches_single_calls_across_bit_lengths():
+    t = 0.1
+    counts = [math.ceil(t / (1e-4 / p.max_rate)) for p in COUNT_PARAMS]
+    assert counts == [1, 1023, 1024, 1025, 2048, 2049]
+    # dt = t and dt > t: every line takes its one step
+    for dt in (None, t, 3.0 * t):
+        stacked = ptm_via_integration(COUNT_PARAMS, t, dt)
+        single = [ptm_via_integration(p, t, dt) for p in COUNT_PARAMS]
+        assert np.array_equal(stacked, np.stack(single))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 4097])
+def test_integration_semigroup_at_a_fixed_step(n):
+    # h a power of two, so that t = n h and t / h = n are exact
+    h = 2.0**-10
+    half = ptm_via_integration(REFERENCE, n * h, h)
+    whole = ptm_via_integration(REFERENCE, 2 * n * h, h)
+    assert np.max(np.abs(whole - compose(half, half))) <= 1e-14
+
+
+def test_integration_at_the_step_cap():
+    # 1e8 steps asked for, MAX_RK4_STEPS = 1e7 taken
+    capped = ptm_via_integration(REFERENCE, 1.0, 1e-8)
+    assert np.max(np.abs(ptm_at(REFERENCE, 1.0) - capped)) <= 1e-10
+    # t / dt = inf is capped the same way
+    assert np.array_equal(ptm_via_integration(REFERENCE, 1.0, 1e-320), capped)
+
+
 def test_pure_depolarization_both_paths():
     g, t = 2.0, 0.7
     params = ChannelParams(0.0, 0.0, g)

@@ -1,5 +1,6 @@
 """The README's documented library usage and command lines run as written."""
 
+import json
 import math
 import re
 import shlex
@@ -38,3 +39,13 @@ def test_readme_cli_examples_run(capsys, tmp_path):
         assert main(argv) == EXIT_OK, argv
         capsys.readouterr()
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_readme_config_file_runs_through_evolve(capsys, tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", section("Command line"), flags=re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "job.json"
+    path.write_text(blocks[0])
+    assert main(["evolve", "--config", str(path)]) == EXIT_OK
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert len(rows) == 1 + json.loads(blocks[0])["steps"]
