@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ChannelParams, ptm_at, ptm_over_slow
+from .dynamics import ChannelParams, ptm_over_slow
 from .entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -31,7 +31,7 @@ from .entanglement import (
     optimal_state,
 )
 from .sinkhorn import decompose, unital_lambdas
-from .validate import normal_form_residuals, run_all
+from .validate import run_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,13 +72,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _typed(value, types: tuple, what: str, where: str):
+    """value, refused with where named unless its exact type (a bool is no int) is in types."""
+    if type(value) not in types:
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
 def _parse_custom_state(entries) -> np.ndarray:
-    try:
-        values = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError):
-        values = None
+    pairs = type(entries) is list and all(
+        type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
+        for pair in entries
+    )
+    values = np.asarray(entries, dtype=float) if pairs else None
     if values is None or values.shape != (16, 2) or not np.isfinite(values).all():
-        raise ValueError("a custom state needs 16 finite [re, im] entries (row-major 4x4)")
+        raise ValueError("initial_state needs 16 finite [re, im] number pairs (row-major 4x4)")
     return (values[:, 0] + 1j * values[:, 1]).reshape(4, 4)
 
 
@@ -100,6 +108,8 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
 
     def line(key: str, suffix: str) -> ChannelParams:
         entry = dict(_read_keys(raw.get(key, {}), {"gamma_h", "gamma_v", "gamma"}, key))
+        for name, value in entry.items():
+            _typed(value, (int, float), "a number", f"{key}.{name}")
         for name, flag in (("gamma_h", "gh"), ("gamma_v", "gv"), ("gamma", "g")):
             if flags.get(flag + suffix) is not None:
                 entry[name] = flags[flag + suffix]
@@ -109,15 +119,21 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
             gamma=float(entry.get("gamma", 0.0)),
         )
 
+    # every file value is checked, also where a flag overrides it below
+    steps = _typed(raw.get("steps", 200), (int, float), "an integer", "steps")
+    if steps != int(steps):  # 2.0 is an integer, 2.9 is not; int() refuses inf
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     initial_state = raw.get("initial_state")
     cfg = JobConfig(
         line1=line("line1", "1"),
         line2=line("line2", "2"),
-        t_max=raw.get("t_max"),
-        steps=int(raw.get("steps", 200)),
+        t_max=_typed(raw.get("t_max"), (int, float, type(None)), "a number or null", "t_max"),
+        steps=int(steps),
         initial_state=None if initial_state is None else _parse_custom_state(initial_state),
-        output_path=raw.get("output_path"),
-        format=raw.get("format", "csv"),
+        output_path=_typed(
+            raw.get("output_path"), (str, type(None)), "a string or null", "output_path"
+        ),
+        format=_typed(raw.get("format", "csv"), (str,), "a string", "format"),
     )
     for flag, field in (("t_max", "t_max"), ("steps", "steps"),
                         ("out", "output_path"), ("format", "format")):
@@ -256,7 +272,7 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
         "lambda_x": dec.lambda_x,
         "lambda_y": dec.lambda_y,
         "lambda_z": dec.lambda_z,
-        "residuals": normal_form_residuals(dec, ptm_at(cfg.line1, t)),
+        "residuals": dec.residuals,
     }
     _write(cfg, record)
     return EXIT_OK
@@ -266,12 +282,10 @@ def cmd_validate() -> int:
     results = run_all()
     for result in results:
         print(result.line())
-    if all(r.passed for r in results):
-        return EXIT_OK
-    for result in results:
-        if not result.passed:
-            print(f"validation failed: {result.name} at {result.worst_case}", file=sys.stderr)
-    return EXIT_VALIDATION
+    failed = [result for result in results if not result.passed]
+    for result in failed:
+        print(f"validation failed: {result.name} at {result.worst_case}", file=sys.stderr)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
 
 
 def ptm_via_integration(
-    params: ChannelParams | Sequence[ChannelParams], t: float, dt: float | None = None
+    params: ChannelParams | Sequence[ChannelParams], t: float, dt: float
 ) -> np.ndarray:
     """Transfer matrix at time t from RK4 integration of the master equation.
 
@@ -209,9 +209,8 @@ def ptm_via_integration(
     inputs vec'd, and m[i, j] = tr[sigma_i rho_j(t)] / 2.
 
     params may also be a sequence of lines; the result is then a stack
-    (N, 4, 4).  Each line keeps its own step count (with dt None, the
-    default step of its own rates) and gets exactly the products it would
-    get alone: a round touches only the lines with bits of n left.
+    (N, 4, 4).  All lines share the step dt, so they share n, and each gets
+    the same products it would get alone.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
@@ -220,12 +219,10 @@ def ptm_via_integration(
     if t == 0.0:
         out = np.tile(np.eye(4), (len(cases), 1, 1))
         return out[0] if single else out
-    if dt is not None and not dt > 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    # the default step of a line is 1e-4 over its largest rate
-    steps = [dt or 1e-4 / (case.max_rate or 1.0) for case in cases]
-    n = np.array([max(1, math.ceil(min(t / step, MAX_RK4_STEPS))) for step in steps])
-    h = (t / n)[:, None, None]
+    n = max(1, math.ceil(min(t / dt, MAX_RK4_STEPS)))
+    h = t / n
 
     # each line's rates (N, 1, ...) against the units (4, 2, 2), unit k at divmod(k, 2)
     rates = np.array([(c.gamma_h, c.gamma_v, c.gamma) for c in cases])
@@ -248,11 +245,12 @@ def ptm_via_integration(
     power = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     basis = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
-    state = np.broadcast_to(basis, power.shape).copy()
-    while n.any():
-        odd = n % 2 == 1
-        state[odd] = power[odd] @ state[odd]
+    state = np.broadcast_to(basis, power.shape)
+    while n:
+        if n % 2:
+            state = power @ state
         n //= 2
-        power[n > 0] = power[n > 0] @ power[n > 0]
+        if n:
+            power = power @ power
     out = (0.5 * (basis.conj().T @ state)).real
     return out[0] if single else out

@@ -47,10 +47,17 @@ from .ptm import PSD_TOL, SIGMA, apply, compose, sandwich
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
 NORMAL_FORM_TOL = 1e-9
 
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class SinkhornDecomposition:
-    """One map's normal form: L = F_{a_op^-1} . upsilon . F_{b_op^-1}."""
+    """One map's normal form: L = F_{a_op^-1} . upsilon . F_{b_op^-1}.
+
+    residuals: upsilon's first row (trace_preserving) and column (unital)
+    against (1, 0, 0, 0), and the right-hand side against L (round_trip).
+    """
 
     s: float
     a_op: np.ndarray
@@ -59,6 +66,7 @@ class SinkhornDecomposition:
     lambda_y: float
     lambda_z: float
     upsilon: np.ndarray
+    residuals: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +102,15 @@ def _probe_positivity(m: np.ndarray) -> None:
                 )
 
 
-def fixed_point_iterate(
-    m: np.ndarray, tol: float = 1e-12, max_iter: int = 10000
-) -> np.ndarray:
-    """Iterate F[S] = (L[(L^dag[S])^-1])^-1 from S = I until it stops moving.
+def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
+    """Iterate F[S] = (L[(L^dag[S])^-1])^-1 from S = I until a step moves S by <= FIXED_POINT_TOL.
 
     Returns S in the tr[S] = 2 gauge (F is scale covariant, so the trace is
     renormalized after every step).  m may be one transfer matrix or a stack
     (..., 4, 4); a stack gives one S per map, each iterated until it alone
     stops moving, exactly as if it were iterated by itself.  Raises
     ValueError for maps the iteration cannot handle and RuntimeError if
-    max_iter steps are not enough for some map.
+    FIXED_POINT_MAX_ITER steps are not enough for some map.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
@@ -119,16 +125,16 @@ def fixed_point_iterate(
     # the rows still moving, with their maps and their current S
     active = np.arange(len(m))
     s_op = np.broadcast_to(np.eye(2, dtype=complex), fixed.shape)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         image = pd_inverse(apply(m, pd_inverse(apply(m.swapaxes(-1, -2), s_op))))
-        done = np.abs(image - s_op).max(axis=(-2, -1)) <= tol
+        done = np.abs(image - s_op).max(axis=(-2, -1)) <= FIXED_POINT_TOL
         s_op = 2.0 * image / np.trace(image, axis1=-2, axis2=-1).real[:, None, None]
         fixed[active[done]] = s_op[done]
         active, m, s_op = active[~done], m[~done], s_op[~done]
         if not active.size:
             return fixed.reshape(lead + (2, 2))
     raise RuntimeError(
-        f"fixed-point iteration did not converge within {max_iter} steps"
+        f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} steps"
     )
 
 
@@ -253,7 +259,8 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         complex
     )
     b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)
-    upsilon = compose(sandwich(a_op), compose(ptm_at(params, t), sandwich(b_op)))
+    m = ptm_at(params, t)
+    upsilon = compose(sandwich(a_op), compose(m, sandwich(b_op)))
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
     residual = float(np.max(np.abs(upsilon - target)))
@@ -261,6 +268,8 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         raise RuntimeError(
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )
+    flat = np.array([1.0, 0.0, 0.0, 0.0])
+    a_inv, b_inv = (sandwich(np.diag(1.0 / np.diag(x))) for x in (a_op, b_op))
     return SinkhornDecomposition(
         s=s,
         a_op=a_op,
@@ -269,4 +278,9 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         lambda_y=lam_y,
         lambda_z=lam_z,
         upsilon=upsilon,
+        residuals={
+            "trace_preserving": float(np.max(np.abs(upsilon[0] - flat))),
+            "unital": float(np.max(np.abs(upsilon[:, 0] - flat))),
+            "round_trip": float(np.max(np.abs(compose(a_inv, compose(upsilon, b_inv)) - m))),
+        },
     )

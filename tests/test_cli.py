@@ -10,6 +10,7 @@ from conftest import read_csv_columns
 from qsink import cli
 from qsink.cli import EXIT_NO_LIFETIME, EXIT_OK, EXIT_USAGE, main
 from qsink.dynamics import ChannelParams
+from qsink.validate import SuiteResult
 
 REFERENCE_ARGS = [
     "--gh1", "1", "--gv1", "5", "--g1", "1",
@@ -372,7 +373,8 @@ def test_sinkhorn_subcommand(capsys):
 
 
 # ---------------------------------------------------------------------------
-# byte layout of the one-record outputs on the reference line (1, 5, 1)
+# byte layout of the one-record outputs on the reference line (1, 5, 1),
+# and of validate's report on its fixed grid
 # ---------------------------------------------------------------------------
 
 PINNED_OUTPUTS = {
@@ -477,6 +479,15 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
     "round_trip": 1.1102230246251565e-16
   }
 }
+""",
+    ),
+    "validate": (
+        ["validate"],
+        """\
+[PASS] ptm-vs-integration: 315 cases, max deviation 1.926e-12 (ChannelParams(gamma_h=5.0, gamma_v=5.0, gamma=5.0), t=0.1)
+[PASS] sinkhorn-normal-form: 240 cases, max deviation 8.554e-12 (ChannelParams(gamma_h=0.0, gamma_v=0.5, gamma=0.5), t=0.1)
+[PASS] lifetime-closed-forms: 5 cases, max deviation 3.958e-11 (ChannelParams(gamma_h=0.0, gamma_v=0.0, gamma=0.25))
+[PASS] normal-form-predicates: 303 cases, max deviation 0.000e+00 (-)
 """,
     ),
 }
@@ -672,6 +683,43 @@ def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message)
     assert message in err
 
 
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        ({"t_max": "1"}, "t_max must be a number or null, got '1'"),
+        ({"line1": {"gamma": None}}, "line1.gamma must be a number, got None"),
+        ({"line1": {"gamma": "1"}}, "line1.gamma must be a number, got '1'"),
+        ({"line2": {"gamma_v": True}}, "line2.gamma_v must be a number, got True"),
+        ({"t_max": False}, "t_max must be a number or null, got False"),
+        ({"steps": 2.9}, "steps must be an integer, got 2.9"),
+        ({"steps": True}, "steps must be an integer, got True"),
+        ({"output_path": 5}, "output_path must be a string or null, got 5"),
+        ({"format": None}, "format must be a string, got None"),
+        ({"initial_state": [["1", 0.0]] * 16}, "initial_state needs 16 finite"),
+        ({"initial_state": [[True, 0.0]] * 16}, "initial_state needs 16 finite"),
+    ],
+)
+def test_config_values_of_the_wrong_type_fail_closed(capsys, tmp_path, config, message):
+    # each key is checked in the file, also where a flag overrides it
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    argv = ["evolve", "--config", str(path), "--g1", "1", "--g2", "1", "--t-max", "2",
+            "--steps", "5", "--out", str(tmp_path / "out.csv"), "--format", "csv"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_whole_numbers_are_integers_in_a_config_file(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"steps": 3.0, "t_max": 1}))
+    code, out, _ = run(capsys, ["evolve", "--config", str(path), "--g1", "1", "--g2", "1"])
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 1 + 3
+
+
 def test_json_output_refuses_non_finite_values(tmp_path):
     line = ChannelParams(0.0, 0.0, 1.0)
     cfg = cli.JobConfig(line, line, output_path=str(tmp_path / "out.json"), format="json")
@@ -691,6 +739,15 @@ def test_validate_subcommand(capsys):
     lines = [line for line in out.strip().split("\n") if line]
     assert len(lines) == 4
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+def test_validate_reports_each_failed_suite(capsys, monkeypatch):
+    results = [SuiteResult("good", True, 2, 0.0, "-"), SuiteResult("bad", False, 3, 1.0, "t=1")]
+    monkeypatch.setattr(cli, "run_all", lambda: results)
+    code, out, err = run(capsys, ["validate"])
+    assert code == cli.EXIT_VALIDATION
+    assert out == "".join(result.line() + "\n" for result in results)
+    assert err == "validation failed: bad at t=1\n"
 
 
 def test_validate_is_deterministic(capsys):

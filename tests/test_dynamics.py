@@ -124,7 +124,7 @@ def test_abcd_rejects_negative_time():
         with pytest.raises(ValueError, match="finite and >= 0"):
             ptm_at(REFERENCE, t)
         with pytest.raises(ValueError):
-            ptm_via_integration(REFERENCE, t)
+            ptm_via_integration(REFERENCE, t, 1e-3)
 
 
 def test_ptm_layout():
@@ -143,7 +143,7 @@ def test_ptm_diagonal_for_symmetric_loss():
 
 
 def test_integration_at_zero_is_identity():
-    assert np.array_equal(ptm_via_integration(REFERENCE, 0.0), np.eye(4))
+    assert np.array_equal(ptm_via_integration(REFERENCE, 0.0, 1e-3), np.eye(4))
 
 
 def test_integration_agrees_with_closed_form():
@@ -153,7 +153,9 @@ def test_integration_agrees_with_closed_form():
 
 
 def test_integration_default_step():
-    dev = np.max(np.abs(ptm_at(REFERENCE, 0.05) - ptm_via_integration(REFERENCE, 0.05)))
+    # 1e-4 over REFERENCE's largest rate: at this fine a step the oracle meets
+    # the closed form to 1e-10
+    dev = np.max(np.abs(ptm_at(REFERENCE, 0.05) - ptm_via_integration(REFERENCE, 0.05, 2e-5)))
     assert dev <= 1e-10
 
 
@@ -169,11 +171,11 @@ def test_integration_rejects_non_finite_time():
         with pytest.raises(ValueError):
             ptm_via_integration(REFERENCE, t, 1e-3)
         with pytest.raises(ValueError):
-            ptm_via_integration([REFERENCE, REFERENCE], t)
+            ptm_via_integration([REFERENCE, REFERENCE], t, 1e-3)
 
 
 # a subset of the validate grid: pure loss, pure depolarization, both, and
-# max rates 0.5, 1 and 5, so that the default step counts differ
+# max rates 0.5, 1 and 5
 STACK_PARAMS = [
     ChannelParams(gh, gv, g)
     for gh, gv, g in (
@@ -185,7 +187,7 @@ STACK_PARAMS = [
 
 
 def test_integration_stack_matches_single_calls():
-    for dt in (5e-4, None):
+    for dt in (5e-4, 1e-4):
         for t in (0.1, 0.25):
             stacked = ptm_via_integration(STACK_PARAMS, t, dt)
             single = [ptm_via_integration(p, t, dt) for p in STACK_PARAMS]
@@ -195,28 +197,22 @@ def test_integration_stack_matches_single_calls():
 
 
 def test_integration_stack_at_zero_is_identity():
-    stacked = ptm_via_integration(STACK_PARAMS, 0.0)
+    stacked = ptm_via_integration(STACK_PARAMS, 0.0, 1e-3)
     assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
 
 
-# at t = 0.1 the default step 1e-4 / max_rate gives these lines 1, 1023, 1024,
-# 1025, 2048 and 2049 steps: one step, and both sides of two powers of two
-COUNT_PARAMS = [
-    ChannelParams(5e-4, 0.0, 2e-4), ChannelParams(0.5, 1.0225, 0.3),
-    ChannelParams(1.0235, 0.0, 1.0), ChannelParams(0.1, 0.2, 1.0245),
-    ChannelParams(2.0475, 2.0, 0.0), ChannelParams(0.0, 0.7, 2.0485),
-]
-
-
 def test_integration_stack_matches_single_calls_across_bit_lengths():
-    t = 0.1
-    counts = [math.ceil(t / (1e-4 / p.max_rate)) for p in COUNT_PARAMS]
-    assert counts == [1, 1023, 1024, 1025, 2048, 2049]
-    # dt = t and dt > t: every line takes its one step
-    for dt in (None, t, 3.0 * t):
-        stacked = ptm_via_integration(COUNT_PARAMS, t, dt)
-        single = [ptm_via_integration(p, t, dt) for p in COUNT_PARAMS]
-        assert np.array_equal(stacked, np.stack(single))
+    # h a power of two, so that t = n h takes exactly n steps: one step, and
+    # both sides of two powers of two
+    h = 2.0**-14
+    for n in (1, 1023, 1024, 1025, 2048, 2049):
+        t = n * h
+        assert math.ceil(t / h) == n
+        # dt = t and dt > t: one step
+        for dt in (h, t, 3.0 * t):
+            stacked = ptm_via_integration(STACK_PARAMS, t, dt)
+            single = [ptm_via_integration(p, t, dt) for p in STACK_PARAMS]
+            assert np.array_equal(stacked, np.stack(single))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 4097])

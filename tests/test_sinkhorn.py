@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import identity_ptm, is_cp, is_trace_preserving, is_unital
+from qsink import sinkhorn
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
@@ -81,13 +82,14 @@ def test_iterate_rejects_identity_annihilating_map():
         fixed_point_iterate(m)
 
 
-def test_iterate_respects_max_iter():
-    with pytest.raises(RuntimeError):
-        fixed_point_iterate(ptm_at(REFERENCE, 0.3), max_iter=5)
-    with pytest.raises(RuntimeError):
+def test_iterate_respects_max_iter(monkeypatch):
+    monkeypatch.setattr(sinkhorn, "FIXED_POINT_MAX_ITER", 5)
+    with pytest.raises(RuntimeError, match="within 5 steps"):
+        fixed_point_iterate(ptm_at(REFERENCE, 0.3))
+    with pytest.raises(RuntimeError, match="within 5 steps"):
         # the depolarizing map converges at once; the other still holds the stack
         maps = np.stack([np.diag([1.0, 0.7, 0.7, 0.7]), ptm_at(REFERENCE, 0.3)])
-        fixed_point_iterate(maps, max_iter=5)
+        fixed_point_iterate(maps)
 
 
 def test_iterate_rejects_non_finite_maps():
