@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ChannelParams, ptm_over_slow
+from .dynamics import ChannelParams, superop_over_slow
 from .entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -220,8 +220,8 @@ def cmd_optimal_state(cfg: JobConfig) -> int:
 
 
 def _stacked_maps(params: ChannelParams, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Slow modes (T,) and transfer matrices over them (T, 4, 4) of one line."""
-    slows, maps = zip(*(ptm_over_slow(params, t) for t in times))
+    """Slow modes (T,) and matrix-unit maps over them (T, 4, 4) of one line."""
+    slows, maps = zip(*(superop_over_slow(params, t) for t in times))
     return np.array(slows), np.stack(maps)
 
 

@@ -27,9 +27,10 @@ mode ratio q = exp(-G t) with its log and 1 - q, and the ratios g/G and
 (gh - gv)/G with log(g/G).  The ratios and the two rates in the exponents
 depend on the line alone; ChannelParams.decay_rates forms them once per
 line, and decay_modes() adds the three exponentials of each time.
-ptm_over_slow() builds the transfer matrix in units of the slow mode, which
-stays finite where the modes underflow, and ptm_at() scales it back; the
-normal form in sinkhorn.py reads ratios alone.
+superop_over_slow() builds the map in units of the slow mode, finite where
+the modes underflow, on the |H>, |V> matrix units, where each of its entries
+is a sum of non-negative terms; ptm_at() forms the transfer matrix the same
+way and scales it back.  The normal form in sinkhorn.py reads ratios alone.
 ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check.
 """
@@ -159,34 +160,44 @@ def decay_modes(
     )
 
 
-def ptm_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarray]:
-    """The slow mode and the transfer matrix at time t divided by it.
+def superop_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarray]:
+    """The slow mode and the map at time t over it, on the matrix units of |H>, |V>.
 
-    Each entry of the quotient is a sum of non-negative terms in q, 1 - q
-    and the ratios, at most 1 and finite for every t; only the slow mode
-    underflows at times where the photon is surely lost.  Rescaling a map
-    leaves the conditional state alone, so the quotient is all that state
-    needs.
+    The real 4x4 map acts on row-major vec'd |H><H|, |H><V|, |V><H|, |V><V|:
+    entry [(a b), (i j)] is the part of L[|i><j|] along |a><b|.  Each entry
+    is a sum of non-negative terms, at most 1 and finite for every t; only
+    the slow mode underflows at times where the photon is surely lost.
+    Rescaling a map leaves the conditional state alone, so the quotient is
+    all that state needs.
     """
     slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
-    m = np.zeros((4, 4))
-    m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)
-    m[0, 3] = m[3, 0] = -0.5 * r_delta * one_minus_q
+    # 1 +- (gh - gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
+    larger = 1.0 + abs(r_delta)
+    smaller = r_gamma * r_gamma / larger
+    plus_delta, minus_delta = (larger, smaller) if r_delta >= 0.0 else (smaller, larger)
+    s = np.zeros((4, 4))
+    s[0, 0] = 0.5 * (minus_delta + q * plus_delta)
+    s[3, 3] = 0.5 * (plus_delta + q * minus_delta)
+    s[0, 3] = s[3, 0] = 0.5 * r_gamma * one_minus_q
     # the coherence over the slow mode is exp(-(g + G) t / 2) = (exp(-g t) q)^(1/2)
-    m[1, 1] = m[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
-    # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
-    m[3, 3] = 0.5 * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
-    return slow, m
+    s[1, 1] = s[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
+    return slow, s
 
 
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     """Transfer matrix of the loss model at time t (closed form).
 
-    The slow mode times ptm_over_slow(), so both the G -> 0 limit and large
-    G t come out exact; entries may underflow to 0 at times where the
-    photon is surely lost.
+    Formed over the slow mode and scaled back by it, so both the G -> 0
+    limit and large G t come out exact; entries may underflow to 0 at times
+    where the photon is surely lost.
     """
-    slow, m = ptm_over_slow(params, t)
+    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
+    m = np.zeros((4, 4))
+    m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)
+    m[0, 3] = m[3, 0] = -0.5 * r_delta * one_minus_q
+    m[1, 1] = m[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
+    # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
+    m[3, 3] = 0.5 * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
     return slow * m
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .dynamics import ChannelParams
 from .linalg import _first_flagged, hermitian_part, partial_transpose_second, trace_norm
-from .ptm import apply_two_qubit
 from .sinkhorn import log_fixed_point_diagonal, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -66,18 +65,31 @@ def negativity(rho: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 0.5 * (trace_norm(partial_transpose_second(rho)) - 1.0))
 
 
+def _reshuffle(rho: np.ndarray) -> np.ndarray:
+    """X[(i1 j1), (i2 j2)] = rho[(i1 i2), (j1 j2)], per matrix of a stack; its own inverse."""
+    lead = rho.shape[:-2]
+    return rho.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
+
+
 def conditional_state(
-    m1: np.ndarray, m2: np.ndarray, initial: np.ndarray
+    s1: np.ndarray, s2: np.ndarray, initial: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Postselected output state and the detection probability.
 
-    Applies the product map (m1 on the first qubit, m2 on the second) to a
+    s1 and s2 are the maps of the two lines in the matrix-unit basis: 4x4
+    matrices on row-major vec'd 2x2 operators, whose entry [(a b), (i j)]
+    is the part of L[|i><j|] along |a><b| (dynamics.superop_over_slow).
+    Applies the product map (s1 on the first qubit, s2 on the second) to a
     normalized initial state and renormalizes by the surviving trace.  With
     stacks of maps (..., 4, 4) the result is one state and one probability
     per map pair.
     """
+    s1, s2 = np.asarray(s1), np.asarray(s2)
+    if s1.shape[-2:] != (4, 4) or s2.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 maps, got shapes {s1.shape} and {s2.shape}")
     initial = _check_state(initial, normalized=True)
-    raw = apply_two_qubit(m1, m2, initial)
+    # on the reshuffled state the product map is s1 X s2^T
+    raw = _reshuffle(s1 @ _reshuffle(initial) @ np.swapaxes(s2, -1, -2))
     prob = np.trace(raw, axis1=-2, axis2=-1).real
     bad = _first_flagged(prob, prob <= MIN_DETECTION_PROB)
     if bad is not None:

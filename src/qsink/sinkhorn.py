@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import ChannelParams, decay_modes, ptm_at
 from .linalg import PD_MIN_EIG, _first_flagged, pd_inverse
-from .ptm import PSD_TOL, SIGMA, apply, compose, sandwich
+from .ptm import PSD_TOL, SIGMA, apply, sandwich
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
 NORMAL_FORM_TOL = 1e-9
@@ -260,7 +260,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     )
     b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)
     m = ptm_at(params, t)
-    upsilon = compose(sandwich(a_op), compose(m, sandwich(b_op)))
+    upsilon = sandwich(a_op) @ (m @ sandwich(b_op))
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
     residual = float(np.max(np.abs(upsilon - target)))
@@ -281,6 +281,6 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         residuals={
             "trace_preserving": float(np.max(np.abs(upsilon[0] - flat))),
             "unital": float(np.max(np.abs(upsilon[:, 0] - flat))),
-            "round_trip": float(np.max(np.abs(compose(a_inv, compose(upsilon, b_inv)) - m))),
+            "round_trip": float(np.max(np.abs(a_inv @ (upsilon @ b_inv) - m))),
         },
     )

@@ -17,7 +17,7 @@ from conftest import (
     read_csv_columns,
 )
 from qsink.cli import EXIT_OK, main
-from qsink.dynamics import ChannelParams, ptm_at
+from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
 from qsink.entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -25,7 +25,6 @@ from qsink.entanglement import (
     negativity,
     optimal_state,
 )
-from qsink.ptm import compose
 from qsink.validate import SuiteResult, suite_lifetime, suite_ptm_oracle, suite_sinkhorn
 
 SEED = 20260822
@@ -71,7 +70,7 @@ def test_criterion_2_semigroup(capsys):
         params = ChannelParams(*rng.uniform(0.0, 3.0, size=3))
         t1, t2 = rng.uniform(0.0, 1.5, size=2)
         dev = float(
-            np.max(np.abs(ptm_at(params, t1 + t2) - compose(ptm_at(params, t1), ptm_at(params, t2))))
+            np.max(np.abs(ptm_at(params, t1 + t2) - ptm_at(params, t1) @ ptm_at(params, t2)))
         )
         worst = max(worst, dev)
     report(capsys, 2, worst <= 1e-10, f"max semigroup defect = {worst:.3e} <= 1e-10 on 100 samples")
@@ -117,10 +116,10 @@ def test_criterion_6_optimality(capsys):
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     state = optimal_state(REFERENCE, REFERENCE, tau)
 
-    m_before = ptm_at(REFERENCE, tau * (1.0 - 1e-3))
+    m_before = superop_over_slow(REFERENCE, tau * (1.0 - 1e-3))[1]
     survives = is_entangled(conditional_state(m_before, m_before, state.rho)[0])
 
-    m_after = ptm_at(REFERENCE, tau * (1.0 + 1e-3))
+    m_after = superop_over_slow(REFERENCE, tau * (1.0 + 1e-3))[1]
     false_survivors = 0
     for k in range(200):
         rho = random_pure_density(rng, 4) if k < 150 else random_density(rng, 4)
@@ -155,8 +154,8 @@ def test_criterion_7_negativity_values(capsys):
 
 def test_criterion_8_postselection_invariance(capsys):
     t = 0.3
-    m1 = ptm_at(REFERENCE, t)
-    m2 = ptm_at(REFERENCE, t)
+    m1 = superop_over_slow(REFERENCE, t)[1]
+    m2 = superop_over_slow(REFERENCE, t)[1]
     base = negativity(conditional_state(m1, m2, RHO_PSI_PLUS)[0])
     worst = 0.0
     for p in (0.1, 0.5, 0.9):

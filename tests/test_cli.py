@@ -278,6 +278,18 @@ def test_evolve_surely_lost_photons_keep_their_negativity(capsys):
     assert plain_cols["negativity_psi_plus"][1] > 0.1
 
 
+def test_evolve_populations_do_not_cancel(capsys):
+    # the optimal state's detection probability over the slow modes is about
+    # 1.4e-9 at tau; formed from sums that cancel, its smallest eigenvalue
+    # came out at -1.4e-9 and the run exited 1 as "not positive semidefinite"
+    rates = ["--gh1", "26.371341399422388", "--gh2", "0.14734073802105965",
+             "--gv2", "13.0685101343408", "--g2", "0.0014047417824339498"]
+    code, out, err = run(capsys, ["evolve", *rates, "--steps", "21"])
+    assert code == EXIT_OK, err
+    # row 5 is t = 0.5 tau; the reference is the 50-digit value
+    assert abs(read_csv_columns(out)["negativity_optimal"][5] - 0.23134477078770544) <= 1e-15
+
+
 def test_evolve_output_does_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"initial_state": NON_X_STATE}))

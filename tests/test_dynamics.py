@@ -6,9 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import detection_probability, is_cp, is_trace_nonincreasing, random_density
-from qsink.dynamics import ChannelParams, decay_modes, ptm_at, ptm_via_integration
-from qsink.ptm import compose
+from conftest import (
+    detection_probability,
+    is_cp,
+    is_trace_nonincreasing,
+    ptm_to_superop,
+    random_density,
+)
+from qsink.dynamics import (
+    ChannelParams,
+    decay_modes,
+    ptm_at,
+    ptm_via_integration,
+    superop_over_slow,
+)
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
 
@@ -142,6 +153,36 @@ def test_ptm_diagonal_for_symmetric_loss():
     assert np.max(np.abs(m - np.diag(np.diag(m)))) == 0.0
 
 
+def test_superop_over_slow_is_the_lifted_transfer_matrix(rng):
+    for _ in range(50):
+        params = ChannelParams(*rng.uniform(0.0, 5.0, size=3))
+        t = float(rng.uniform(0.0, 3.0))
+        slow, s = superop_over_slow(params, t)
+        assert slow == decay_modes(params, t)[0]
+        assert np.max(np.abs(s - ptm_to_superop(ptm_at(params, t)) / slow)) <= 1e-15
+
+
+def test_superop_over_slow_entries_are_non_negative_past_underflow():
+    for params in (REFERENCE, ChannelParams(100.0, 0.0, 0.01), ChannelParams(0.0, 0.0, 3.0)):
+        assert np.array_equal(superop_over_slow(params, 0.0)[1], np.eye(4))
+        for t in (0.3, 10.0, 1e4, 1e300):
+            s = superop_over_slow(params, t)[1]
+            assert np.all((s >= 0.0) & (s <= 1.0))
+            assert s[0, 3] == s[3, 0] and s[1, 1] == s[2, 2]
+            mask = np.ones((4, 4), dtype=bool)
+            for idx in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (3, 3)):
+                mask[idx] = False
+            assert np.all(s[mask] == 0.0)
+
+
+def test_superop_over_slow_pure_loss_is_exact():
+    # over the slower V mode, H keeps exp(-(gh - gv) t) and nothing crosses over
+    t = 1.7
+    s = superop_over_slow(ChannelParams(3.0, 0.5, 0.0), t)[1]
+    assert s[0, 0] == math.exp(-2.5 * t) and s[3, 3] == 1.0
+    assert s[0, 3] == 0.0
+
+
 def test_integration_at_zero_is_identity():
     assert np.array_equal(ptm_via_integration(REFERENCE, 0.0, 1e-3), np.eye(4))
 
@@ -221,7 +262,7 @@ def test_integration_semigroup_at_a_fixed_step(n):
     h = 2.0**-10
     half = ptm_via_integration(REFERENCE, n * h, h)
     whole = ptm_via_integration(REFERENCE, 2 * n * h, h)
-    assert np.max(np.abs(whole - compose(half, half))) <= 1e-14
+    assert np.max(np.abs(whole - half @ half)) <= 1e-14
 
 
 def test_integration_at_the_step_cap():
@@ -245,7 +286,7 @@ def test_semigroup_property(rng):
         params = ChannelParams(*rng.uniform(0.0, 3.0, size=3))
         t1, t2 = rng.uniform(0.0, 1.5, size=2)
         joint = ptm_at(params, t1 + t2)
-        split = compose(ptm_at(params, t1), ptm_at(params, t2))
+        split = ptm_at(params, t1) @ ptm_at(params, t2)
         assert np.max(np.abs(joint - split)) <= 1e-10
 
 

@@ -9,11 +9,12 @@ from conftest import (
     apply_two_qubit_oracle,
     identity_ptm,
     is_entangled,
+    ptm_to_superop,
     random_density,
     random_pure_density,
     random_separable,
 )
-from qsink.dynamics import ChannelParams, ptm_at
+from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
 from qsink.entanglement import (
     PSI_PLUS,
     conditional_state,
@@ -22,7 +23,6 @@ from qsink.entanglement import (
     negativity,
     optimal_state,
 )
-from qsink.ptm import apply_two_qubit
 from qsink.sinkhorn import decompose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -98,14 +98,14 @@ def test_conditional_state_matches_superoperator_oracle():
     m2 = ptm_at(ChannelParams(0.5, 2.0, 0.0), 0.2)
     raw = apply_two_qubit_oracle(m1, m2, RHO_PSI_PLUS)
     expected_prob = float(np.trace(raw).real)
-    out, prob = conditional_state(m1, m2, RHO_PSI_PLUS)
+    out, prob = conditional_state(ptm_to_superop(m1), ptm_to_superop(m2), RHO_PSI_PLUS)
     assert abs(prob - expected_prob) <= 1e-12
     assert np.max(np.abs(out - raw / expected_prob)) <= 1e-12
 
 
 def test_conditional_state_rescaling_invariance():
-    m1 = ptm_at(REFERENCE, 0.4)
-    m2 = ptm_at(REFERENCE, 0.4)
+    m1 = superop_over_slow(REFERENCE, 0.4)[1]
+    m2 = superop_over_slow(REFERENCE, 0.4)[1]
     base_state, base_prob = conditional_state(m1, m2, RHO_PSI_PLUS)
     for p in (0.1, 0.5, 0.9):
         out, prob = conditional_state(p * m1, m2, RHO_PSI_PLUS)
@@ -131,8 +131,8 @@ def test_conditional_state_requires_normalized_input():
 def test_stacked_conditional_state_and_negativity_match_single_calls(rng):
     lines = [ChannelParams(*rng.uniform(0.0, 5.0, size=3)) for _ in range(2)]
     times = rng.uniform(0.0, 1.5, size=8)
-    m1 = np.stack([ptm_at(lines[0], float(t)) for t in times])
-    m2 = np.stack([ptm_at(lines[1], float(t)) for t in times])
+    m1 = np.stack([superop_over_slow(lines[0], float(t))[1] for t in times])
+    m2 = np.stack([superop_over_slow(lines[1], float(t))[1] for t in times])
     # non-X states: every entry of the density matrix is populated
     for initial in (RHO_PSI_PLUS, random_pure_density(rng, 4), random_density(rng, 4)):
         states, probs = conditional_state(m1, m2, initial)
@@ -298,7 +298,7 @@ def test_optimal_state_survives_to_the_lifetime():
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     state = optimal_state(REFERENCE, REFERENCE, tau)
     t_probe = tau * (1.0 - 1e-3)
-    m = ptm_at(REFERENCE, t_probe)
+    m = superop_over_slow(REFERENCE, t_probe)[1]
     out, _ = conditional_state(m, m, state.rho)
     assert is_entangled(out)
 
@@ -311,7 +311,7 @@ def test_window_before_lifetime_separates_the_states():
     opt = optimal_state(REFERENCE, REFERENCE, tau)
     psi_dead = []
     for t in np.linspace(0.8 * tau, tau, 50, endpoint=False):
-        m = ptm_at(REFERENCE, float(t))
+        m = superop_over_slow(REFERENCE, float(t))[1]
         out_psi, _ = conditional_state(m, m, RHO_PSI_PLUS)
         out_opt, _ = conditional_state(m, m, opt.rho)
         psi_dead.append(negativity(out_psi) <= 1e-12)
@@ -326,7 +326,7 @@ def test_early_times_favor_the_maximally_entangled_pair():
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     opt = optimal_state(REFERENCE, REFERENCE, tau)
     for frac in (0.1, 0.25):
-        m = ptm_at(REFERENCE, frac * tau)
+        m = superop_over_slow(REFERENCE, frac * tau)[1]
         n_psi = negativity(conditional_state(m, m, RHO_PSI_PLUS)[0])
         n_opt = negativity(conditional_state(m, m, opt.rho)[0])
         assert n_psi > n_opt
@@ -340,8 +340,8 @@ def test_unital_parts_kill_psi_plus_exactly_at_the_lifetime():
 
     def entangled_after_unital(t: float) -> bool:
         dec = decompose(REFERENCE, t)
-        out = apply_two_qubit(dec.upsilon, dec.upsilon, RHO_PSI_PLUS)
-        return is_entangled(out)
+        upsilon = ptm_to_superop(dec.upsilon)
+        return is_entangled(conditional_state(upsilon, upsilon, RHO_PSI_PLUS)[0])
 
     low, high = 0.5 * tau, 1.4 * tau
     assert entangled_after_unital(low)

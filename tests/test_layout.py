@@ -1,8 +1,9 @@
-"""Code layout: no function or class in src/qsink is there for the tests alone."""
+"""Code layout: no function, class or module constant in src/qsink is there for the tests alone."""
 
 import ast
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import qsink
 
@@ -19,6 +20,29 @@ def _overrides(module: str, cls: str, name: str) -> bool:
     return any(hasattr(base, name) for base in found.__mro__[1:])
 
 
+def _constants(tree: ast.Module) -> list[SimpleNamespace]:
+    """The names bound by module-level assignments, each with its statement's lines.
+
+    The target's own Name node lies on those lines, so it does not count as
+    a reference to the name.
+    """
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [
+            SimpleNamespace(name=name.id, lineno=node.lineno, end_lineno=node.end_lineno)
+            for target in targets
+            for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        ]
+    return found
+
+
 def test_every_definition_is_referenced_in_src():
     definitions, references = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -29,6 +53,7 @@ def test_every_definition_is_referenced_in_src():
             if isinstance(node, ast.ClassDef)
             for item in node.body
         }
+        definitions += [(path.stem, constant, None) for constant in _constants(tree)]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((path.stem, node, classes.get(id(node))))

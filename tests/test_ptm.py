@@ -19,8 +19,8 @@ from conftest import (
     vec,
 )
 from qsink.dynamics import ChannelParams, ptm_at
-from qsink.entanglement import PSI_PLUS, negativity
-from qsink.ptm import apply, apply_two_qubit, compose, sandwich
+from qsink.entanglement import PSI_PLUS, conditional_state, negativity
+from qsink.ptm import apply, sandwich
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -63,6 +63,29 @@ def test_apply_rejects_wrong_shape():
         apply(identity_ptm(), np.eye(4, dtype=complex))
 
 
+# The product of two one-qubit maps on a two-qubit state, as conditional_state
+# applies it to maps lifted from transfer matrices to the matrix-unit basis.
+
+
+def apply_two_qubit(m1: np.ndarray, m2: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The unnormalized output of conditional_state: its state times its probability."""
+    out, prob = conditional_state(lift(m1), lift(m2), rho)
+    return out * np.asarray(prob)[..., None, None]
+
+
+def lift(m: np.ndarray) -> np.ndarray:
+    """ptm_to_superop on one transfer matrix or on each of a stack."""
+    m = np.asarray(m)
+    return np.stack([ptm_to_superop(x) for x in m.reshape(-1, 4, 4)]).reshape(m.shape)
+
+
+def random_map(rng: np.random.Generator) -> np.ndarray:
+    """A random transfer matrix outside the loss family that keeps every trace above 0.3."""
+    m = rng.normal(size=(4, 4))
+    m[0] = np.concatenate(([1.0], rng.uniform(-0.1, 0.1, size=3)))
+    return m
+
+
 def test_apply_two_qubit_identity(rng):
     rho = random_density(rng, 4)
     out = apply_two_qubit(identity_ptm(), identity_ptm(), rho)
@@ -82,9 +105,8 @@ def test_apply_two_qubit_matches_superoperator_oracle(rng):
 
 def test_apply_two_qubit_random_maps_vs_oracle(rng):
     for _ in range(10):
-        m1 = rng.normal(size=(4, 4))
-        m2 = rng.normal(size=(4, 4))
-        rho = random_hermitian(rng, 4)
+        m1, m2 = random_map(rng), random_map(rng)
+        rho = random_density(rng, 4)
         expected = apply_two_qubit_oracle(m1, m2, rho)
         assert np.max(np.abs(apply_two_qubit(m1, m2, rho) - expected)) <= 1e-11
 
@@ -116,9 +138,9 @@ def test_apply_two_qubit_stacked_matches_single_calls_and_oracle(rng):
 def test_apply_two_qubit_rejects_wrong_stack_shapes(rng):
     rho = random_density(rng, 4)
     with pytest.raises(ValueError):
-        apply_two_qubit(np.ones((3, 4, 3)), identity_ptm(), rho)
+        conditional_state(np.ones((3, 4, 3)), np.eye(4), rho)
     with pytest.raises(ValueError):
-        apply_two_qubit(identity_ptm(), identity_ptm(), np.stack([np.eye(2)] * 3))
+        conditional_state(np.eye(4), np.eye(4), np.stack([np.eye(2)] * 3))
 
 
 def test_apply_two_qubit_factorizes_products(rng):
@@ -165,8 +187,8 @@ def test_loss_model_map_is_self_dual():
 
 def test_dual_reverses_composition(rng):
     m1, m2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-    lhs = compose(dual(m1), dual(m2))
-    rhs = dual(compose(m2, m1))
+    lhs = dual(m1) @ dual(m2)
+    rhs = dual(m2 @ m1)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -174,7 +196,7 @@ def test_compose_is_sequential_application(rng):
     m1 = ptm_at(ChannelParams(1.0, 5.0, 1.0), 0.2)
     m2 = ptm_at(ChannelParams(0.5, 0.5, 2.0), 0.4)
     rho = random_density(rng, 2)
-    direct = apply(compose(m1, m2), rho)
+    direct = apply(m1 @ m2, rho)
     sequential = apply(m1, apply(m2, rho))
     assert np.max(np.abs(direct - sequential)) <= 1e-13
 
@@ -201,7 +223,7 @@ def test_sandwich_multiplicative(rng):
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     lhs = sandwich(x @ y)
-    rhs = compose(sandwich(x), sandwich(y))
+    rhs = sandwich(x) @ sandwich(y)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 

@@ -288,14 +288,14 @@ def test_decompose_filters_are_positive_diagonal():
 
 def test_decompose_round_trip():
     # undo the filters: L = F_{A^-1} . U . F_{B^-1}
-    from qsink.ptm import compose, sandwich
+    from qsink.ptm import sandwich
 
     for params in (REFERENCE, ChannelParams(0.5, 5.0, 0.5)):
         for t in (0.2, 1.0, 2.0):
             dec = decompose(params, t)
             a_inv = np.diag(1.0 / np.diag(dec.a_op))
             b_inv = np.diag(1.0 / np.diag(dec.b_op))
-            rebuilt = compose(sandwich(a_inv), compose(dec.upsilon, sandwich(b_inv)))
+            rebuilt = sandwich(a_inv) @ (dec.upsilon @ sandwich(b_inv))
             assert np.max(np.abs(rebuilt - ptm_at(params, t))) <= 1e-9
 
 
