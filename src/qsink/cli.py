@@ -7,8 +7,8 @@ Each subcommand accepts only the flags and config keys it reads (no
 abbreviated flags): sinkhorn reads line 1 and --t and always prints JSON,
 only evolve reads --steps, and validate takes no flags at all.
 
-Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime below
-t_max, 3 validation failure.
+Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime (for
+lifetime and optimal-state, below t_max), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ class JobConfig:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _typed(value, types: tuple, what: str, where: str):
@@ -146,18 +142,18 @@ def _write(cfg: JobConfig, record: dict, columns: dict[str, list] | None = None)
     """Write one result to cfg.output_path, or to stdout without one.
 
     As JSON, record is written whole.  As CSV, columns (an ordered mapping
-    of equal-length lists) becomes a header and one row per index, floats
-    with 17 significant digits and ints as they are.  A result without
-    columns has no CSV form and is always written as JSON.
+    of equal-length lists, each of one type) becomes a header and one row
+    per index, floats with 17 significant digits and ints as they are.  A
+    result without columns has no CSV form and is always written as JSON.
     """
     if columns is None or cfg.format == "json":
         # NaN and Infinity are not JSON: refuse them instead of printing them
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     else:
-        lines = [",".join(columns)]
-        for row in zip(*columns.values()):
-            lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-        text = "\n".join(lines) + "\n"
+        rows = list(zip(*columns.values()))
+        # each column's format from its first value; %.17g is format(x, ".17g")
+        row_format = ",".join("%.17g" if isinstance(x, float) else "%d" for x in rows[0])
+        text = "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
     if cfg.output_path is None:
         sys.stdout.write(text)
     else:
@@ -219,12 +215,6 @@ def cmd_optimal_state(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def _stacked_maps(params: ChannelParams, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Slow modes (T,) and matrix-unit maps over them (T, 4, 4) of one line."""
-    slows, maps = zip(*(superop_over_slow(params, t) for t in times))
-    return np.array(slows), np.stack(maps)
-
-
 def cmd_evolve(cfg: JobConfig) -> int:
     result = max_lifetime(cfg.line1, cfg.line2)
     if result.tau is None:
@@ -248,16 +238,18 @@ def cmd_evolve(cfg: JobConfig) -> int:
         ordered += ["negativity_custom", "detection_prob_custom"]
     table: dict[str, list[float]] = {c: [] for c in ordered}
     table["t"] = np.linspace(0.0, t_max, cfg.steps).tolist()
+    # the states (S, 1, 4, 4) against each block's maps (T, 4, 4): (S, T) results
+    initial = np.stack([rho for _, rho in states])[:, None]
     for start in range(0, cfg.steps, EVOLVE_BLOCK):
         block = table["t"][start : start + EVOLVE_BLOCK]
-        slow1, m1 = _stacked_maps(cfg.line1, block)
-        slow2, m2 = _stacked_maps(cfg.line2, block)
-        for name, rho in states:
-            # the maps over their slow modes give the same conditional state
-            # and stay finite where the photons are surely lost
-            conditional, prob = conditional_state(m1, m2, rho)
-            table[f"negativity_{name}"].extend(negativity(conditional).tolist())
-            table[f"detection_prob_{name}"].extend((slow1 * slow2 * prob).tolist())
+        slow1, m1 = superop_over_slow(cfg.line1, block)
+        slow2, m2 = superop_over_slow(cfg.line2, block)
+        # the maps over their slow modes give the same conditional state
+        # and stay finite where the photons are surely lost
+        conditional, prob = conditional_state(m1, m2, initial)
+        for (name, _), neg, det in zip(states, negativity(conditional), slow1 * slow2 * prob):
+            table[f"negativity_{name}"].extend(neg.tolist())
+            table[f"detection_prob_{name}"].extend(det.tolist())
     _write(cfg, table, table)
     return EXIT_OK
 

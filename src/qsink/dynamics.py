@@ -26,13 +26,15 @@ through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
 mode ratio q = exp(-G t) with its log and 1 - q, and the ratios g/G and
 (gh - gv)/G with log(g/G).  The ratios and the two rates in the exponents
 depend on the line alone; ChannelParams.decay_rates forms them once per
-line, and decay_modes() adds the three exponentials of each time.
-superop_over_slow() builds the map in units of the slow mode, finite where
-the modes underflow, on the |H>, |V> matrix units, where each of its entries
-is a sum of non-negative terms; ptm_at() forms the transfer matrix the same
-way and scales it back.  The normal form in sinkhorn.py reads ratios alone.
-ptm_via_integration() recomputes the transfer matrix by brute-force
-integration of the master equation, as an independent cross-check.
+line.  Per time, _mode_ratio(), the core of decay_modes(), forms log q and
+1 - q, all the signal parameters read, and decay_modes() adds the slow mode
+and q.  superop_over_slow() builds the map in units of the slow mode, finite
+where the modes underflow, on the |H>, |V> matrix units, where each of its
+entries is a sum of non-negative terms, at one time or at a sequence of
+times; ptm_at() forms the transfer matrix the same way and scales it back.
+The normal form in sinkhorn.py reads ratios alone.  ptm_via_integration()
+recomputes the transfer matrix by brute-force integration of the master
+equation, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ class ChannelParams:
         return -0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma
 
 
+def _mode_ratio(params: ChannelParams, t: float) -> tuple[float, float]:
+    """(log q, 1 - q) at time t, q = exp(-G t): the part of decay_modes() that lambda reads."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    # doubled after the product: G itself may lie past the double range
+    log_q = 2.0 * (params.decay_rates[0] * t)
+    return log_q, -math.expm1(log_q)
+
+
 def decay_modes(
     params: ChannelParams, t: float
 ) -> tuple[float, float, float, float, float, float, float]:
@@ -144,23 +155,20 @@ def decay_modes(
 
     Per call, only the three exponentials of t are evaluated.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    neg_half_big_g, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
-    # doubled after the product: G itself may lie past the double range
-    log_q = 2.0 * (neg_half_big_g * t)
+    log_q, one_minus_q = _mode_ratio(params, t)
+    _, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
     return (
         math.exp(neg_half_slow_rate * t),
         log_q,
         math.exp(log_q),
-        -math.expm1(log_q),
+        one_minus_q,
         r_gamma,
         r_delta,
         log_r_gamma,
     )
 
 
-def superop_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarray]:
+def superop_over_slow(params: ChannelParams, t: float | Sequence[float]) -> tuple:
     """The slow mode and the map at time t over it, on the matrix units of |H>, |V>.
 
     The real 4x4 map acts on row-major vec'd |H><H|, |H><V|, |V><H|, |V><V|:
@@ -168,20 +176,27 @@ def superop_over_slow(params: ChannelParams, t: float) -> tuple[float, np.ndarra
     is a sum of non-negative terms, at most 1 and finite for every t; only
     the slow mode underflows at times where the photon is surely lost.
     Rescaling a map leaves the conditional state alone, so the quotient is
-    all that state needs.
+    all that state needs.  A sequence of times gives the slow modes (T,)
+    and a stack (T, 4, 4) of maps, each row formed exactly as it is alone.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
+    single = np.ndim(t) == 0
+    _, _, r_gamma, r_delta, _ = params.decay_rates
     # 1 +- (gh - gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
     larger = 1.0 + abs(r_delta)
     smaller = r_gamma * r_gamma / larger
     plus_delta, minus_delta = (larger, smaller) if r_delta >= 0.0 else (smaller, larger)
-    s = np.zeros((4, 4))
-    s[0, 0] = 0.5 * (minus_delta + q * plus_delta)
-    s[3, 3] = 0.5 * (plus_delta + q * minus_delta)
-    s[0, 3] = s[3, 0] = 0.5 * r_gamma * one_minus_q
-    # the coherence over the slow mode is exp(-(g + G) t / 2) = (exp(-g t) q)^(1/2)
-    s[1, 1] = s[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
-    return slow, s
+    rows = []
+    for time in [t] if single else t:
+        slow, log_q, q, one_minus_q, _, _, _ = decay_modes(params, time)
+        # the coherence over the slow mode is exp(-(g + G) t / 2) = (exp(-g t) q)^(1/2)
+        rows.append((slow, 0.5 * (minus_delta + q * plus_delta),
+                     0.5 * (plus_delta + q * minus_delta), 0.5 * r_gamma * one_minus_q,
+                     math.exp(0.5 * (1.0 + r_gamma) * log_q)))
+    # per row: slow, then H<-H, V<-V, H<-V = V<-H and the two coherences
+    entries = np.array(rows).reshape(-1, 5)
+    s = np.zeros((len(rows), 4, 4))
+    s[:, [0, 3, 0, 3, 1, 2], [0, 3, 3, 0, 1, 2]] = entries[:, [1, 2, 3, 3, 4, 4]]
+    return (rows[0][0], s[0]) if single else (entries[:, 0], s)
 
 
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:

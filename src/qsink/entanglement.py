@@ -160,11 +160,8 @@ def max_lifetime(
         total = max(params1.max_rate, params2.max_rate)
     t_start = 1.0 / total
 
-    def g(t: float) -> float:
-        return lifetime_lhs(params1, params2, t)
-
     low, high = 0.0, min(t_start, t_max)
-    g_high = g(high)
+    g_high = lifetime_lhs(params1, params2, high)
     evals = 1
     while g_high >= 0.0:
         if high >= t_max:
@@ -173,7 +170,7 @@ def max_lifetime(
             )
         low = high
         high = min(2.0 * high, t_max)
-        g_high = g(high)
+        g_high = lifetime_lhs(params1, params2, high)
         evals += 1
 
     tau = None
@@ -182,7 +179,7 @@ def max_lifetime(
     # (rates far above 1) keep their digits
     while high - low > _ROOT_INTERVAL_TOL * min(high, 1.0):
         mid = 0.5 * (low + high)
-        g_mid = g(mid)
+        g_mid = lifetime_lhs(params1, params2, mid)
         evals += 1
         if abs(g_mid) <= _ROOT_RESIDUAL_TOL:
             tau, residual = mid, g_mid
@@ -193,7 +190,7 @@ def max_lifetime(
             high = mid
     if tau is None:
         tau = 0.5 * (low + high)
-        residual = g(tau)
+        residual = lifetime_lhs(params1, params2, tau)
         evals += 1
 
     return LifetimeResult(tau=tau, bracket=(low, high), residual=residual, iterations=evals)

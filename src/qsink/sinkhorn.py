@@ -14,13 +14,14 @@ For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
 serves as the independent cross-check.
 
-Numerical note: everything below is a view of dynamics.decay_modes().
-Divided by the slow mode, s, the shape of the filters and the signal
-parameters depend on the line only through the mode ratio q = exp(-G t),
-1 - q and g/G, and each is written as a sum of terms of one sign.  g/G,
-(gh - gv)/G and log(g/G) are per line (ChannelParams.decay_rates, formed
-once); only q, its log and 1 - q are per time.  g/G enters through its log
-wherever it multiplies, so it keeps its digits where g/G underflows.  With
+Numerical note: everything below is a view of dynamics.decay_modes() or, for
+the signal parameters, of its core _mode_ratio().  Divided by the slow mode,
+s, the shape of the filters and the signal parameters depend on the line
+only through the mode ratio q = exp(-G t), 1 - q and g/G, and each is
+written as a sum of terms of one sign.  g/G, (gh - gv)/G and log(g/G) are
+per line (ChannelParams.decay_rates, formed once); only q, its log and 1 - q
+are per time.  g/G enters through its log wherever it multiplies, so it
+keeps its digits where g/G underflows.  With
 A = asinh((g/G) sinh(G t / 2)) the signal parameters are
 
     lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelParams, decay_modes, ptm_at
+from .dynamics import ChannelParams, _mode_ratio, decay_modes, ptm_at
 from .linalg import PD_MIN_EIG, _first_flagged, pd_inverse
 from .ptm import PSD_TOL, SIGMA, apply, sandwich
 
@@ -145,9 +146,15 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
 _LN2 = math.log(2.0)
 
 
-def _lambdas(
-    log_q: float, one_minus_q: float, r_gamma: float, log_r_gamma: float
-) -> tuple[float, float, float]:
+def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float]:
+    """Signal parameters (lx, ly, lz) of the unital normal form at time t.
+
+    Finite and well conditioned for every t >= 0, including times where the
+    decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
+    pure polarization-dependent loss.  Only log q and 1 - q depend on t.
+    """
+    log_q, one_minus_q = _mode_ratio(params, t)
+    _, _, r_gamma, _, log_r_gamma = params.decay_rates
     if log_r_gamma == -math.inf or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
         return 1.0, 1.0, 1.0
@@ -162,17 +169,6 @@ def _lambdas(
     half_g_t = r_gamma * (0.5 * log_q) if r_gamma > 0.0 else 0.0
     lam_x = math.exp(half_g_t - big_a)
     return lam_x, lam_x, math.exp(-2.0 * big_a)
-
-
-def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float]:
-    """Signal parameters (lx, ly, lz) of the unital normal form at time t.
-
-    Finite and well conditioned for every t >= 0, including times where the
-    decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
-    pure polarization-dependent loss.
-    """
-    _, log_q, _, one_minus_q, r_gamma, _, log_r_gamma = decay_modes(params, t)
-    return _lambdas(log_q, one_minus_q, r_gamma, log_r_gamma)
 
 
 def _log(x: float) -> float:
@@ -242,10 +238,8 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     The composed transfer matrix F_A . L . F_B is verified against
     diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma = decay_modes(params, t)
-    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(
-        log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma
-    )
+    slow, *modes = decay_modes(params, t)
+    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(*modes)
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
     if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
@@ -253,7 +247,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             f"degenerate filter: image of the fixed point has eigenvalues "
             f"({eig_h:.3e}, {eig_v:.3e})"
         )
-    lam_x, lam_y, lam_z = _lambdas(log_q, one_minus_q, r_gamma, log_r_gamma)
+    lam_x, lam_y, lam_z = unital_lambdas(params, t)
 
     a_op = np.diag([math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))]).astype(
         complex

@@ -1,5 +1,6 @@
 """Loss-model dynamics: closed form against the integration oracle."""
 
+import hashlib
 import math
 import warnings
 
@@ -181,6 +182,34 @@ def test_superop_over_slow_pure_loss_is_exact():
     s = superop_over_slow(ChannelParams(3.0, 0.5, 0.0), t)[1]
     assert s[0, 0] == math.exp(-2.5 * t) and s[3, 3] == 1.0
     assert s[0, 3] == 0.0
+
+
+@pytest.mark.parametrize(
+    "params, times",
+    [
+        # t = 0, then past the slow mode's underflow near t = 520
+        (REFERENCE, [0.0, 0.3, 1e3, 1e4, 1e300]),
+        (ChannelParams(3.0, 0.5, 0.0), [0.0, 1.7, 1e3]),
+        # rates above 2^1020, formed at an eighth of their size
+        (ChannelParams(1.7e308, 0.0, 1.7e308), [0.0, 1e-309, 6e-309, 1e-300]),
+    ],
+)
+def test_superop_over_slow_on_a_sequence_is_the_stacked_single_calls(params, times):
+    slows, maps = superop_over_slow(params, times)
+    assert slows.shape == (len(times),) and maps.shape == (len(times), 4, 4)
+    for k, t in enumerate(times):
+        slow, s = superop_over_slow(params, t)
+        assert type(slow) is float and s.shape == (4, 4)
+        assert slows[k].tobytes() == np.float64(slow).tobytes()
+        assert maps[k].tobytes() == s.tobytes()
+
+
+def test_superop_over_slow_grid_is_pinned_to_the_bit():
+    # the bytes of 1000 single-time calls, each formed with math's
+    # exponentials: numpy's ufuncs match those only to the last bit
+    slows, maps = superop_over_slow(REFERENCE, np.linspace(0.0, 1.0, 1000).tolist())
+    digest = hashlib.sha256(slows.tobytes() + maps.tobytes()).hexdigest()
+    assert digest == "1341c452b1dbd6d3f9bb1c0b05cb86b35fb03cad3ad89d56d62c835c9165b24a"
 
 
 def test_integration_at_zero_is_identity():

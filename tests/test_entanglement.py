@@ -14,6 +14,7 @@ from conftest import (
     random_pure_density,
     random_separable,
 )
+from qsink import entanglement
 from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
 from qsink.entanglement import (
     PSI_PLUS,
@@ -253,6 +254,65 @@ def test_max_lifetime_reference_pair_regression():
     assert result.bracket == (0.4947890673897096, 0.4947890676558018)
     assert result.residual == -8.83324524636464e-11
     assert result.iterations == 35
+
+
+# (line1, line2) -> tau, bracket and residual as float.hex, and the g evaluations;
+# each figure is the root search's own, to the last bit
+PINNED_ROOTS = {
+    "reference": (REFERENCE, REFERENCE, "0x1.faa9fc3db6db7p-2",
+                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34", 35),
+    "symmetric-depolarization": (
+        depolarizing(1.0), depolarizing(1.0), "0x1.193ea7ab00000p-1",
+        ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", 34),
+    "pure-loss-against-depolarization": (
+        ChannelParams(100.0, 0.0, 0.0), depolarizing(0.01), "0x1.b771e5fa92c67p+6",
+        ("0x1.b771e5f94b20cp+6", "0x1.b771e5fbda6c2p+6"), "0x1.a683800000000p-35", 47),
+    # one root reached by two search paths: the bisection stops at different points
+    "strong-balanced-loss": (
+        ChannelParams(1000.0, 1000.0, 0.001), ChannelParams(1000.0, 1000.0, 0.001),
+        "0x1.12a72fbc7583cp+9", ("0x1.12a72fb4445d1p+9", "0x1.12a72fc4a6aa6p+9"),
+        "0x1.6fce000000000p-34", 52),
+    "weak-depolarization": (
+        depolarizing(0.001), depolarizing(0.001), "0x1.12a72fbcfe000p+9",
+        ("0x1.12a72fbc04000p+9", "0x1.12a72fbdf8000p+9"), "-0x1.7e7b000000000p-35", 34),
+    "depolarization-below-the-ratio-range": (
+        ChannelParams(0.0, 0.0, 0.0), ChannelParams(0.0, 1e170, 1e-154), "0x1.c2e6c14bf8776p-555",
+        ("0x1.c2e6c14bf3a2cp-555", "0x1.c2e6c14bfd4c1p-555"), "-0x1.74cac00000000p-35", 50),
+    "near-the-double-maximum": (
+        ChannelParams(1.7e308, 0.0, 1.7e308), depolarizing(1.0), "0x0.4848398bb9ed8p-1022",
+        ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", 35),
+    "tiny-depolarization": (
+        ChannelParams(1.0, 0.0, 1e-200), ChannelParams(1.0, 0.0, 1e-200), "0x1.cc6c43872b000p+9",
+        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 52),
+    "no-root": (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), None,
+                ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ROOTS))
+def test_max_lifetime_is_pinned_to_the_bit(case):
+    line1, line2, tau, bracket, residual, iterations = PINNED_ROOTS[case]
+    result = max_lifetime(line1, line2)
+    assert (None if result.tau is None else result.tau.hex()) == tau
+    assert tuple(x.hex() for x in result.bracket) == bracket
+    assert result.residual.hex() == residual
+    assert result.iterations == iterations
+
+
+@pytest.mark.parametrize("case", ["reference", "near-the-double-maximum", "no-root"])
+def test_max_lifetime_counts_each_g_evaluation(monkeypatch, case):
+    # the count goes through the module's own lifetime_lhs, as a tracer sees it
+    calls = []
+    lhs = entanglement.lifetime_lhs
+
+    def counted(*args):
+        calls.append(args)
+        return lhs(*args)
+
+    monkeypatch.setattr(entanglement, "lifetime_lhs", counted)
+    line1, line2, *_ = PINNED_ROOTS[case]
+    result = max_lifetime(line1, line2)
+    assert len(calls) == result.iterations > 0
 
 
 # ---------------------------------------------------------------------------
