@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelParams
-from .linalg import _first_flagged, hermitian_part, partial_transpose_second, trace_norm
+from .linalg import _first_flagged, hermitian_part, partial_transpose_second
 from .sinkhorn import log_fixed_point_diagonal, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -55,14 +55,19 @@ def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
 
 
 def negativity(rho: np.ndarray) -> np.ndarray:
-    """Entanglement negativity (|PT(rho)|_1 - 1) / 2, clamped at zero.
+    """Entanglement negativity: the sum of max(0, -lambda) over the eigenvalues of PT(rho).
 
-    Subnormalized inputs are normalized first.  A single state gives a
-    float, a stack (..., 4, 4) of states an array of one per state.
+    This is (|PT(rho)|_1 - 1) / 2 for a unit-trace state, without the trace
+    subtracted in rounding: a separable state, whose PT has no negative
+    eigenvalue, gets exactly 0.  Subnormalized inputs are normalized first.
+    A single state gives a float, a stack (..., 4, 4) of states an array of
+    one per state.
     """
     rho = _check_state(rho, normalized=False)
     rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-    return np.maximum(0.0, 0.5 * (trace_norm(partial_transpose_second(rho)) - 1.0))
+    # PT keeps an exactly Hermitian rho exactly Hermitian
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_second(rho))
+    return np.sum(np.maximum(0.0, -eigenvalues), axis=-1)
 
 
 def _reshuffle(rho: np.ndarray) -> np.ndarray:

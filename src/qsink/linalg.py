@@ -1,11 +1,14 @@
 """Small dense Hermitian linear algebra helpers.
 
-Everything here operates on plain complex numpy arrays and is sized for the
-2x2 and 4x4 problems the rest of the package deals in.  hermitian_part,
-partial_transpose_second, trace_norm and pd_inverse also take a stack
-(..., n, n) of such matrices and work on each.  Inputs that are supposed to
-be Hermitian are symmetrized before use and rejected if they are further
-than HERMITICITY_TOL from their own adjoint.
+Everything here operates on plain numpy arrays and is sized for the 2x2
+and 4x4 problems the rest of the package deals in.  hermitian_part and
+partial_transpose_second take a complex matrix or a stack (..., n, n) of
+them and work on each; inputs that are supposed to be Hermitian are
+symmetrized before use and rejected if they are further than
+HERMITICITY_TOL from their own adjoint.  pd_inverse works on qubit
+operators held as their real Pauli coefficients c_k = tr[sigma_k X], one
+per operator in the last axis of a (..., 4) stack; real coefficients can
+only describe Hermitian operators, so it needs no such check.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 # Smallest eigenvalue still accepted as "positive definite".
 PD_MIN_EIG = 1e-12
+
+# the signs of (c_0, -c), X^-1's coefficients up to their common factor
+_INVERSE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _first_flagged(values: np.ndarray, flags: np.ndarray) -> float | None:
@@ -35,8 +41,7 @@ def _as_matrices(m: np.ndarray) -> np.ndarray:
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are not Hermitian to tolerance."""
     m = _as_matrices(m)
-    # ndarray methods, cheaper than the numpy functions: the fixed-point
-    # iteration calls this tens of thousands of times on 2x2 inputs
+    # ndarray methods, cheaper than the numpy functions on 2x2 inputs
     adjoint = m.swapaxes(-1, -2).conj()
     drift = float(np.abs(m - adjoint).max())
     # fails closed: a NaN entry gives a NaN drift
@@ -55,19 +60,24 @@ def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     return np.swapaxes(rho.reshape(lead + (2, 2, 2, 2)), -3, -1).reshape(lead + (4, 4))
 
 
-def trace_norm(m: np.ndarray) -> np.ndarray:
-    """Sum of absolute eigenvalues of a Hermitian matrix: a float, or one per matrix of a stack."""
-    return np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(m))), axis=-1)
+def pd_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite qubit operator (or of each of a stack) on Pauli coefficients.
 
-
-def pd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a positive definite matrix (or of each in a stack) via its spectrum."""
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
+    c holds c_k = tr[sigma_k X], k = 0..3, so X = (c_0 + c . sigma) / 2 has
+    eigenvalues (c_0 -+ |c|) / 2 and X^-1 the coefficients
+    4 (c_0, -c) / ((c_0 - |c|) (c_0 + |c|)).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim < 1 or c.shape[-1] != 4:
+        raise ValueError(f"expected Pauli coefficients (..., 4), got shape {c.shape}")
+    c_0 = c[..., 0]
+    # |c| without squares, which would overflow first
+    length = np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
+    low = 0.5 * (c_0 - length)
     # fails closed: a NaN eigenvalue is not positive either
-    low = vals[..., 0]
     bad = _first_flagged(low, ~(low > PD_MIN_EIG))
     if bad is not None:
         raise ValueError(
             f"pd_inverse needs a positive definite matrix; smallest eigenvalue is {bad:.3e}"
         )
-    return (vecs * (1.0 / vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return c * (4.0 / ((c_0 - length) * (c_0 + length)))[..., None] * _INVERSE_SIGNS

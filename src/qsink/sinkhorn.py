@@ -12,7 +12,9 @@ positive fixed point of
 
 For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
-serves as the independent cross-check.
+serves as the independent cross-check.  It iterates on the real Pauli
+coefficients c_k = tr[sigma_k S], the basis the transfer matrix is written
+in, and inverts each image in closed form (linalg.pd_inverse).
 
 Numerical note: everything below is a view of dynamics.decay_modes() or, for
 the signal parameters, of its core _mode_ratio().  Divided by the slow mode,
@@ -57,7 +59,9 @@ class SinkhornDecomposition:
     """One map's normal form: L = F_{a_op^-1} . upsilon . F_{b_op^-1}.
 
     residuals: upsilon's first row (trace_preserving) and column (unital)
-    against (1, 0, 0, 0), and the right-hand side against L (round_trip).
+    against (1, 0, 0, 0), the right-hand side against L (round_trip), and
+    upsilon against diag(1, lx, ly, lz) (self_check, which decompose holds
+    to NORMAL_FORM_TOL).
     """
 
     s: float
@@ -112,6 +116,12 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     stops moving, exactly as if it were iterated by itself.  Raises
     ValueError for maps the iteration cannot handle and RuntimeError if
     FIXED_POINT_MAX_ITER steps are not enough for some map.
+
+    S and its images are held as Pauli coefficients c_k = tr[sigma_k S],
+    on which L is m @ c and L^dag is m^T @ c: a step is two real 4x4
+    products and two closed-form qubit inverses.  A step moves S by the
+    largest entry of the 2x2 change D = (d_0 + d . sigma) / 2, which is
+    max(|d_0| + |d_z|, |d_x + i d_y|) / 2.
     """
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
@@ -122,18 +132,24 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     if bad is not None:
         raise ValueError(f"map entries must be finite, got {bad!r}")
     _probe_positivity(m)
-    fixed = np.empty((len(m), 2, 2), dtype=complex)
-    # the rows still moving, with their maps and their current S
+    fixed = np.empty((len(m), 4))
+    # the rows still moving, with their maps, their duals and their current S
     active = np.arange(len(m))
-    s_op = np.broadcast_to(np.eye(2, dtype=complex), fixed.shape)
+    dual = m.swapaxes(-1, -2)
+    s_coeffs = np.broadcast_to(np.array([2.0, 0.0, 0.0, 0.0]), fixed.shape)
     for _ in range(FIXED_POINT_MAX_ITER):
-        image = pd_inverse(apply(m, pd_inverse(apply(m.swapaxes(-1, -2), s_op))))
-        done = np.abs(image - s_op).max(axis=(-2, -1)) <= FIXED_POINT_TOL
-        s_op = 2.0 * image / np.trace(image, axis1=-2, axis2=-1).real[:, None, None]
-        fixed[active[done]] = s_op[done]
-        active, m, s_op = active[~done], m[~done], s_op[~done]
+        inner = pd_inverse(np.einsum("nij,nj->ni", dual, s_coeffs))
+        image = pd_inverse(np.einsum("nij,nj->ni", m, inner))
+        step = np.abs(image - s_coeffs)
+        moved = 0.5 * np.maximum(step[:, 0] + step[:, 3], np.hypot(step[:, 1], step[:, 2]))
+        done = moved <= FIXED_POINT_TOL
+        s_coeffs = image * (2.0 / image[:, :1])
+        if done.any():
+            fixed[active[done]] = s_coeffs[done]
+            keep = ~done
+            active, m, dual, s_coeffs = active[keep], m[keep], dual[keep], s_coeffs[keep]
         if not active.size:
-            return fixed.reshape(lead + (2, 2))
+            return 0.5 * np.einsum("nk,kab->nab", fixed, SIGMA).reshape(lead + (2, 2))
     raise RuntimeError(
         f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} steps"
     )
@@ -276,5 +292,6 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             "trace_preserving": float(np.max(np.abs(upsilon[0] - flat))),
             "unital": float(np.max(np.abs(upsilon[:, 0] - flat))),
             "round_trip": float(np.max(np.abs(a_inv @ (upsilon @ b_inv) - m))),
+            "self_check": residual,
         },
     )

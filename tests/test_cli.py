@@ -310,16 +310,31 @@ def test_evolve_custom_state_output_is_pinned(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal,negativity_custom,detection_prob_custom
-0,0.5,0.33247178515725617,0.99999999999999978,1.0000000000000002,0.078143390310021488,1
-0.12369726688068892,0.2989294076141501,0.28245227596810218,0.53091285682875689,0.3587946898715702,0.0030006257057506591,0.53817118590659085
-0.24739453376137785,0.13128367574185784,0.1841667527405354,0.32908348856777825,0.15675697684551035,0,0.32382690354738319
-0.37109180064206676,0.026458647053992479,0.078607251071763362,0.21971910369808109,0.082443281481377806,0,0.20830228091569625
+0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002,0.078143390310021432,1
+0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.3587946898715702,0.0030006257057505971,0.53817118590659085
+0.24739453376137785,0.13128367574185779,0.18416675274053534,0.32908348856777825,0.15675697684551035,0,0.32382690354738319
+0.37109180064206676,0.02645864705399241,0.078607251071763334,0.21971910369808109,0.082443281481377806,0,0.20830228091569625
 0.4947890675227557,0,0,0.15119331063379823,0.049378689405089472,0,0.13908663343499078
 0.61848633440344458,0,0,0.1052303257467421,0.03186117310108242,0,0.094804516419184429
-0.74218360128413352,0,0,0.073546470477888398,0.021371879619046397,1.1102230246251565e-16,0.065370024229789075
+0.74218360128413352,0,0,0.073546470477888398,0.021371879619046397,0,0.065370024229789075
 0.86588086816482246,0,0,0.051480211473282779,0.014623796058117252,0,0.045371249915092123
-0.9895781350455114,0,1.1102230246251565e-16,0.036054247604028873,0.010111067150040792,0,0.031610826761778364
+0.9895781350455114,0,0,0.036054247604028873,0.010111067150040792,0,0.031610826761778364
 """
+
+
+def test_evolve_negativity_is_exactly_zero_past_the_lifetime(capsys, tmp_path):
+    # past tau every conditional state is separable: its partial transpose
+    # has no negative eigenvalue, and no rounding of a trace may add one ulp
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"initial_state": NON_X_STATE}))
+    argv = ["evolve", *REFERENCE_ARGS, "--steps", "2001", "--config", str(path)]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    cols = read_csv_columns(out)
+    late = [i for i, t in enumerate(cols["t"]) if t > REFERENCE_TAU]
+    assert len(late) == 1000
+    for name in ("negativity_psi_plus", "negativity_optimal", "negativity_custom"):
+        assert [cols[name][i] for i in late] == [0.0] * len(late), name
 
 
 def test_evolve_json_and_csv_carry_the_same_values(capsys, tmp_path):
@@ -491,15 +506,15 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
         ["evolve", *REFERENCE_ARGS, "--steps", "9"],
         """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal
-0,0.5,0.33247178515725617,0.99999999999999978,1.0000000000000002
-0.12369726688068892,0.2989294076141501,0.28245227596810218,0.53091285682875689,0.3587946898715702
-0.24739453376137785,0.13128367574185784,0.1841667527405354,0.32908348856777825,0.15675697684551035
-0.37109180064206676,0.026458647053992479,0.078607251071763362,0.21971910369808109,0.082443281481377806
+0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002
+0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.3587946898715702
+0.24739453376137785,0.13128367574185779,0.18416675274053534,0.32908348856777825,0.15675697684551035
+0.37109180064206676,0.02645864705399241,0.078607251071763334,0.21971910369808109,0.082443281481377806
 0.4947890675227557,0,0,0.15119331063379823,0.049378689405089472
 0.61848633440344458,0,0,0.1052303257467421,0.03186117310108242
 0.74218360128413352,0,0,0.073546470477888398,0.021371879619046397
 0.86588086816482246,0,0,0.051480211473282779,0.014623796058117252
-0.9895781350455114,0,1.1102230246251565e-16,0.036054247604028873,0.010111067150040792
+0.9895781350455114,0,0,0.036054247604028873,0.010111067150040792
 """,
     ),
     "sinkhorn": (
@@ -522,7 +537,8 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
   "residuals": {
     "trace_preserving": 2.3600648352454026e-16,
     "unital": 2.7755575615628914e-16,
-    "round_trip": 1.1102230246251565e-16
+    "round_trip": 1.1102230246251565e-16,
+    "self_check": 2.7755575615628914e-16
   }
 }
 """,

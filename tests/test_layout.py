@@ -1,4 +1,8 @@
-"""Code layout: no function, class or module constant in src/qsink is there for the tests alone."""
+"""Code layout: nothing in src/qsink is there for the tests alone, and nothing is imported unread.
+
+No function, class or module constant lacks a caller in src/qsink, and no
+module imports a name that it never reads.
+"""
 
 import ast
 import importlib
@@ -73,3 +77,24 @@ def test_every_definition_is_referenced_in_src():
         )
     ]
     assert unreferenced == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # `import a.b` binds a
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in reads:
+                        unread.append(f"{path.stem}: {bound}")
+    assert unread == []

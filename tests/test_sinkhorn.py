@@ -63,6 +63,37 @@ def test_iterate_gauge_and_diagonality():
     assert abs(s_op[1, 0]) <= 1e-15
 
 
+def test_iterate_after_a_unitary_gives_the_rotated_fixed_point():
+    # L' = U L[.] U^dag is not self-dual, and F'[S] = U F[U^dag S U] U^dag,
+    # so its fixed point U S U^dag has every Pauli component
+    from qsink.ptm import SIGMA, sandwich
+
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    half_angle = 0.4
+    u = math.cos(half_angle) * np.eye(2) - 1j * math.sin(half_angle) * sum(
+        n * pauli for n, pauli in zip(axis, SIGMA[1:])
+    )
+    for params, t in ((REFERENCE, 0.3), (ChannelParams(5.0, 0.5, 1.0), 1.0)):
+        s_op = np.eye(2) + decompose(params, t).s * SIGMA_Z
+        iterated = fixed_point_iterate(sandwich(u) @ ptm_at(params, t))
+        assert np.array_equal(iterated, iterated.conj().T)
+        assert min(abs(iterated[0, 1].real), abs(iterated[0, 1].imag)) >= 0.01
+        assert np.max(np.abs(iterated - u @ s_op @ u.conj().T)) <= 1e-9
+
+
+def test_iterate_converges_in_the_off_diagonal_entries():
+    # turned from z to x, S = I + s sigma_x moves only off the diagonal
+    # (besides its trace); the slowest map of the validate grid comes within
+    # 1e-10 of it only if the stopping rule reads those entries too
+    from qsink.ptm import SIGMA, sandwich
+
+    params, t = ChannelParams(0.0, 0.5, 0.5), 0.1
+    u = (np.eye(2) - 1j * SIGMA[2]) / math.sqrt(2.0)
+    iterated = fixed_point_iterate(sandwich(u) @ ptm_at(params, t))
+    expected = np.eye(2) + decompose(params, t).s * SIGMA[1]
+    assert np.max(np.abs(iterated - expected)) <= 1e-10
+
+
 def test_iterate_rejects_expanding_map():
     with pytest.raises(ValueError):
         fixed_point_iterate(np.diag([1.0, 1.2, 1.2, 1.2]))
@@ -123,6 +154,7 @@ def test_iterate_stack_matches_single_calls():
     # any leading shape
     nested = fixed_point_iterate(maps.reshape(2, -1, 4, 4))
     assert np.array_equal(nested, single.reshape(2, -1, 2, 2))
+    assert fixed_point_iterate(np.empty((0, 4, 4))).shape == (0, 2, 2)
 
 
 def test_iterate_stack_rejects_one_bad_map():
@@ -276,6 +308,8 @@ def test_decompose_unital_part_properties():
             assert is_cp(dec.upsilon)
             target = np.diag([1.0, dec.lambda_x, dec.lambda_y, dec.lambda_z])
             assert np.max(np.abs(dec.upsilon - target)) <= NORMAL_FORM_TOL
+            # decompose reports the residual of its own self-check
+            assert dec.residuals["self_check"] == np.max(np.abs(dec.upsilon - target))
 
 
 def test_decompose_filters_are_positive_diagonal():
