@@ -180,6 +180,7 @@ def cmd_lifetime(cfg: JobConfig) -> int:
         "bracket": list(result.bracket),
         "residual": result.residual,
         "iterations": result.iterations,
+        "evaluations": result.evaluations,
         "lambdas": {"line1": list(lam1), "line2": list(lam2)},
     }
     row = {"tau": result.tau, "residual": result.residual, "iterations": result.iterations}

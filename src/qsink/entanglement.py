@@ -31,6 +31,10 @@ MIN_DETECTION_PROB = 1e-14
 
 _ROOT_RESIDUAL_TOL = 1e-10
 _ROOT_INTERVAL_TOL = 1e-12
+# A computed g beyond _ROOT_RESIDUAL_TOL by this much settles the sign of
+# every bisection midpoint on its side (max_lifetime); g's rounding breaks
+# its monotonicity by at most a few ulps.
+_SETTLE_MARGIN = 1e-12
 
 
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
@@ -117,13 +121,25 @@ class LifetimeResult:
     depolarizes (bracket (0, inf), residual 2, no g evaluation), else only
     below t_max, the largest double unless given (bracket ends at t_max,
     residual is g there).
-    iterations counts g evaluations.
+    evaluations counts the g evaluations of each phase of the search:
+    "bracket" (the doubling), "secant" (the secant steps and the two probes
+    that end them) and "bisection" (the midpoints no value had settled, and
+    the final residual); iterations is their sum.
     """
 
     tau: float | None
     bracket: tuple[float, float]
     residual: float
-    iterations: int
+    evaluations: dict[str, int]
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.evaluations.values())
+
+
+def _log1p_g(g: float) -> float:
+    """log(g + 1), the log of the sum of the lambda products; -inf where it underflows."""
+    return math.log1p(g) if g > -1.0 else -math.inf
 
 
 def max_lifetime(
@@ -133,7 +149,8 @@ def max_lifetime(
 
     With a depolarizing line g(t) tends to -1, so doubling brackets the
     root unless the depolarization is too weak to act within the double
-    range; t_max, by default the largest double, caps the search.
+    range; t_max, by default (or when infinite) the largest double, caps
+    the search.
 
     The first root is the only one: g never increases.  For one line with
     depolarization rate gamma and G = sqrt(gamma^2 + (gh - gv)^2) >= gamma,
@@ -150,13 +167,46 @@ def max_lifetime(
     factors: it never increases, and it strictly decreases as soon as
     either line depolarizes.  Past its root g stays negative, so nothing
     after the root is searched.
+
+    The bisection is certified, not shortened: it halves the doubling's
+    bracket and stops exactly where an evaluation of every midpoint would,
+    but evaluates only the midpoints whose outcome g has not already
+    settled.  A computed g(p) > clear = _ROOT_RESIDUAL_TOL + _SETTLE_MARGIN
+    settles every midpoint m <= p: g(m) >= g(p) > _ROOT_RESIDUAL_TOL, so m
+    is positive and no early stop, and the bisection takes low = m without
+    asking.  Likewise g(p) < -clear settles every m >= p (high = m).  This
+    needs the computed g to be monotone up to far less than the margin.
+    lifetime_lhs chains operations that are each monotone in t and rounded
+    to within an ulp, and test_lifetime_lhs_never_increases and its
+    neighbouring-times variant hold it to 4 ulps of 1, a thousand times
+    below _SETTLE_MARGIN.  So tau, bracket and residual are those of the
+    plain bisection to the bit, whichever points settle the midpoints.
+
+    To settle most of them, a secant step on f = log(g + 1), which is
+    linear in t for symmetric depolarization, goes before each unsettled
+    midpoint, from the last two points evaluated.  Each step stays strictly
+    inside the unsettled interval, hence inside [0, t_max].  Once the last
+    two values are so small that the next estimate is within about clear
+    of the root, the two points +-1.5 clear / slope around it are probed
+    instead, which leaves unsettled only the band where |g| is at most
+    about 1.5 clear, and the secant stops.  The secant steps again only
+    while it gains: right after a midpoint was evaluated, or after a step
+    that at least halved |f|.  Otherwise, and when a step would leave the
+    interval, the midpoint is evaluated as the plain bisection evaluates
+    it, and the secant goes on from there.  Between two midpoints the
+    halving bounds the steps (|f| <= 37 for any double g > -1).  The search
+    needs about 11 g evaluations per root for rates on [1e-3, 1e3], where
+    the plain bisection needs about 36.
     """
     if t_max is not None and not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if params1.gamma == 0.0 and params2.gamma == 0.0:
         # both unital parts are the identity: g(t) = 2 for every t
-        return LifetimeResult(tau=None, bracket=(0.0, math.inf), residual=2.0, iterations=0)
-    if t_max is None:
+        return LifetimeResult(
+            tau=None, bracket=(0.0, math.inf), residual=2.0,
+            evaluations={"bracket": 0, "secant": 0, "bisection": 0},
+        )
+    if t_max is None or t_max == math.inf:
         # the largest double: a start at 1 / (tiny rates) = inf is capped there
         t_max = sys.float_info.max
     total = params1.total_rate + params2.total_rate
@@ -165,40 +215,80 @@ def max_lifetime(
         total = max(params1.max_rate, params2.max_rate)
     t_start = 1.0 / total
 
-    low, high = 0.0, min(t_start, t_max)
+    # g(0) = 2 exactly, without an evaluation
+    low, high, g_low = 0.0, min(t_start, t_max), 2.0
     g_high = lifetime_lhs(params1, params2, high)
-    evals = 1
+    evals = {"bracket": 1, "secant": 0, "bisection": 0}
     while g_high >= 0.0:
         if high >= t_max:
             return LifetimeResult(
-                tau=None, bracket=(low, high), residual=g_high, iterations=evals
+                tau=None, bracket=(low, high), residual=g_high, evaluations=evals
             )
-        low = high
+        low, g_low = high, g_high
         high = min(2.0 * high, t_max)
         g_high = lifetime_lhs(params1, params2, high)
-        evals += 1
+        evals["bracket"] += 1
 
+    # every midpoint outside (sure_pos, sure_neg) is settled; none lies
+    # outside (low, high).  (t0, f0), (t1, f1): the last two points
+    # evaluated, with f = log(g + 1); the secant runs until it converges,
+    # and only while it gains: after a midpoint, or a step that halved |f|
+    clear = _ROOT_RESIDUAL_TOL + _SETTLE_MARGIN
+    sure_pos, sure_neg = low, high
+    t0, f0, t1, f1 = low, _log1p_g(g_low), high, _log1p_g(g_high)
+    secant = gaining = True
     tau = None
     residual = math.nan
     # the bracket width is relative below tau = 1, so roots at tiny tau
     # (rates far above 1) keep their digits
     while high - low > _ROOT_INTERVAL_TOL * min(high, 1.0):
         mid = 0.5 * (low + high)
+        if mid <= sure_pos:
+            low = mid
+            continue
+        if mid >= sure_neg:
+            high = mid
+            continue
+        if secant and gaining and f1 != f0:
+            dt_df = (t1 - t0) / (f1 - f0)
+            t = t1 - f1 * dt_df
+            if sure_pos < t < sure_neg:
+                # t is off the root by about f0 f1 in units of g: once that
+                # is below clear, probe both sides of t instead, and stop
+                secant = abs(f0 * f1) > clear
+                width = 1.5 * clear * abs(dt_df)
+                for probe in (t,) if secant else (t - width, t + width):
+                    if sure_pos < probe < sure_neg:
+                        g_probe = lifetime_lhs(params1, params2, probe)
+                        evals["secant"] += 1
+                        if g_probe > clear:
+                            sure_pos = probe
+                        elif g_probe < -clear:
+                            sure_neg = probe
+                if secant:
+                    f = _log1p_g(g_probe)
+                    gaining = abs(f) <= 0.5 * abs(f1)
+                    t0, f0, t1, f1 = t1, f1, t, f
+                # mid may be settled now
+                continue
         g_mid = lifetime_lhs(params1, params2, mid)
-        evals += 1
+        evals["bisection"] += 1
         if abs(g_mid) <= _ROOT_RESIDUAL_TOL:
             tau, residual = mid, g_mid
             break
+        t0, f0, t1, f1 = t1, f1, mid, _log1p_g(g_mid)
+        gaining = True
+        # no later midpoint lies outside (low, high), nor may a secant step
         if g_mid > 0.0:
-            low = mid
+            low = sure_pos = mid
         else:
-            high = mid
+            high = sure_neg = mid
     if tau is None:
         tau = 0.5 * (low + high)
         residual = lifetime_lhs(params1, params2, tau)
-        evals += 1
+        evals["bisection"] += 1
 
-    return LifetimeResult(tau=tau, bracket=(low, high), residual=residual, iterations=evals)
+    return LifetimeResult(tau=tau, bracket=(low, high), residual=residual, evaluations=evals)
 
 
 @dataclass(frozen=True)
@@ -225,8 +315,8 @@ def optimal_state(
     decays faster.  B is proportional to the square root of the fixed point
     S, so only the diagonals of the two fixed points enter.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be > 0, got {tau!r}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     log_h1, log_v1 = log_fixed_point_diagonal(params1, tau)
     log_h2, log_v2 = log_fixed_point_diagonal(params2, tau)
     # log of amp_h / amp_v = sqrt((1 + s1)(1 + s2) / ((1 - s1)(1 - s2))); the

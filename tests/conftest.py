@@ -8,9 +8,14 @@ plain matrix multiplication in a different representation.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from qsink import entanglement
+from qsink.dynamics import ChannelParams
 from qsink.entanglement import negativity
 from qsink.ptm import PSD_TOL, SIGMA
 
@@ -145,6 +150,57 @@ def random_pd(
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(x)
     return (q * 10.0 ** np.linspace(0.0, -log_condition, dim)) @ q.conj().T
+
+
+def plain_bisection(
+    params1: ChannelParams, params2: ChannelParams
+) -> tuple[float | None, tuple[float, float], float, int]:
+    """(tau, bracket, residual, g evaluations) of the root search without skips.
+
+    The doubling and bisection that max_lifetime settles without evaluating
+    every midpoint, here evaluating every one: max_lifetime must return the
+    same tau, bracket and residual to the bit.  g goes through the module's
+    lifetime_lhs, as in max_lifetime.
+    """
+    lifetime_lhs = entanglement.lifetime_lhs
+    tol_residual, tol_interval = 1e-10, 1e-12
+    if params1.gamma == 0.0 and params2.gamma == 0.0:
+        return None, (0.0, math.inf), 2.0, 0
+    t_max = sys.float_info.max
+    total = params1.total_rate + params2.total_rate
+    if total == math.inf:
+        total = max(params1.max_rate, params2.max_rate)
+    t_start = 1.0 / total
+
+    low, high = 0.0, min(t_start, t_max)
+    g_high = lifetime_lhs(params1, params2, high)
+    evals = 1
+    while g_high >= 0.0:
+        if high >= t_max:
+            return None, (low, high), g_high, evals
+        low = high
+        high = min(2.0 * high, t_max)
+        g_high = lifetime_lhs(params1, params2, high)
+        evals += 1
+
+    tau = None
+    residual = math.nan
+    while high - low > tol_interval * min(high, 1.0):
+        mid = 0.5 * (low + high)
+        g_mid = lifetime_lhs(params1, params2, mid)
+        evals += 1
+        if abs(g_mid) <= tol_residual:
+            tau, residual = mid, g_mid
+            break
+        if g_mid > 0.0:
+            low = mid
+        else:
+            high = mid
+    if tau is None:
+        tau = 0.5 * (low + high)
+        residual = lifetime_lhs(params1, params2, tau)
+        evals += 1
+    return tau, (low, high), residual, evals
 
 
 def read_csv_columns(text: str) -> dict[str, list[float]]:

@@ -428,7 +428,7 @@ PINNED_OUTPUTS = {
         ["lifetime", *REFERENCE_ARGS],
         """\
 tau,residual,iterations,lambda1_x,lambda1_y,lambda1_z,lambda2_x,lambda2_y,lambda2_z
-0.4947890675227557,-8.8332452463646405e-11,35,0.58510924726401303,0.58510924726401303,0.56151076342662176,0.58510924726401303,0.58510924726401303,0.56151076342662176
+0.4947890675227557,-8.8332452463646405e-11,11,0.58510924726401303,0.58510924726401303,0.56151076342662176,0.58510924726401303,0.58510924726401303,0.56151076342662176
 """,
     ),
     "lifetime-json": (
@@ -441,7 +441,12 @@ tau,residual,iterations,lambda1_x,lambda1_y,lambda1_z,lambda2_x,lambda2_y,lambda
     0.4947890676558018
   ],
   "residual": -8.83324524636464e-11,
-  "iterations": 35,
+  "iterations": 11,
+  "evaluations": {
+    "bracket": 4,
+    "secant": 6,
+    "bisection": 1
+  },
   "lambdas": {
     "line1": [
       0.585109247264013,

@@ -1,6 +1,8 @@
 """Lifetime equation, conditional states, and the optimal initial state."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -253,37 +255,40 @@ def test_max_lifetime_reference_pair_regression():
     assert result.tau == 0.4947890675227557
     assert result.bracket == (0.4947890673897096, 0.4947890676558018)
     assert result.residual == -8.83324524636464e-11
-    assert result.iterations == 35
+    assert result.iterations == 11
+    assert result.evaluations == {"bracket": 4, "secant": 6, "bisection": 1}
 
 
 # (line1, line2) -> tau, bracket and residual as float.hex, and the g evaluations;
-# each figure is the root search's own, to the last bit
+# each figure is the root search's own, to the last bit.  tau, bracket and
+# residual are also those of the plain bisection (conftest.plain_bisection),
+# which took 35, 34, 47, 52, 34, 50, 35, 52 and 1 evaluations
 PINNED_ROOTS = {
     "reference": (REFERENCE, REFERENCE, "0x1.faa9fc3db6db7p-2",
-                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34", 35),
+                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34", 11),
     "symmetric-depolarization": (
         depolarizing(1.0), depolarizing(1.0), "0x1.193ea7ab00000p-1",
-        ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", 34),
+        ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", 6),
     "pure-loss-against-depolarization": (
         ChannelParams(100.0, 0.0, 0.0), depolarizing(0.01), "0x1.b771e5fa92c67p+6",
-        ("0x1.b771e5f94b20cp+6", "0x1.b771e5fbda6c2p+6"), "0x1.a683800000000p-35", 47),
+        ("0x1.b771e5f94b20cp+6", "0x1.b771e5fbda6c2p+6"), "0x1.a683800000000p-35", 20),
     # one root reached by two search paths: the bisection stops at different points
     "strong-balanced-loss": (
         ChannelParams(1000.0, 1000.0, 0.001), ChannelParams(1000.0, 1000.0, 0.001),
         "0x1.12a72fbc7583cp+9", ("0x1.12a72fb4445d1p+9", "0x1.12a72fc4a6aa6p+9"),
-        "0x1.6fce000000000p-34", 52),
+        "0x1.6fce000000000p-34", 27),
     "weak-depolarization": (
         depolarizing(0.001), depolarizing(0.001), "0x1.12a72fbcfe000p+9",
-        ("0x1.12a72fbc04000p+9", "0x1.12a72fbdf8000p+9"), "-0x1.7e7b000000000p-35", 34),
+        ("0x1.12a72fbc04000p+9", "0x1.12a72fbdf8000p+9"), "-0x1.7e7b000000000p-35", 6),
     "depolarization-below-the-ratio-range": (
         ChannelParams(0.0, 0.0, 0.0), ChannelParams(0.0, 1e170, 1e-154), "0x1.c2e6c14bf8776p-555",
-        ("0x1.c2e6c14bf3a2cp-555", "0x1.c2e6c14bfd4c1p-555"), "-0x1.74cac00000000p-35", 50),
+        ("0x1.c2e6c14bf3a2cp-555", "0x1.c2e6c14bfd4c1p-555"), "-0x1.74cac00000000p-35", 31),
     "near-the-double-maximum": (
         ChannelParams(1.7e308, 0.0, 1.7e308), depolarizing(1.0), "0x0.4848398bb9ed8p-1022",
-        ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", 35),
+        ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", 10),
     "tiny-depolarization": (
         ChannelParams(1.0, 0.0, 1e-200), ChannelParams(1.0, 0.0, 1e-200), "0x1.cc6c43872b000p+9",
-        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 52),
+        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 29),
     "no-root": (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), None,
                 ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", 1),
 }
@@ -299,7 +304,21 @@ def test_max_lifetime_is_pinned_to_the_bit(case):
     assert result.iterations == iterations
 
 
-@pytest.mark.parametrize("case", ["reference", "near-the-double-maximum", "no-root"])
+def test_max_lifetime_needs_few_g_evaluations_per_root():
+    # a count, not a time: the same on any machine.  The plain bisection
+    # needs about 36 evaluations per root on these pairs, the search about 11
+    rng = random.Random(300)
+    counts = []
+    for _ in range(300):
+        line1, line2 = (ChannelParams(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
+                        for _ in range(2))
+        result = max_lifetime(line1, line2)
+        assert result.tau is not None
+        counts.append(result.iterations)
+    assert sum(counts) / len(counts) <= 16.0
+
+
+@pytest.mark.parametrize("case", list(PINNED_ROOTS))
 def test_max_lifetime_counts_each_g_evaluation(monkeypatch, case):
     # the count goes through the module's own lifetime_lhs, as a tracer sees it
     calls = []
@@ -312,7 +331,34 @@ def test_max_lifetime_counts_each_g_evaluation(monkeypatch, case):
     monkeypatch.setattr(entanglement, "lifetime_lhs", counted)
     line1, line2, *_ = PINNED_ROOTS[case]
     result = max_lifetime(line1, line2)
-    assert len(calls) == result.iterations > 0
+    assert len(calls) == result.iterations == sum(result.evaluations.values()) > 0
+    assert set(result.evaluations) == {"bracket", "secant", "bisection"}
+    # every probe of the search lies in the search range
+    for _, _, t in calls:
+        assert math.isfinite(t) and 0.0 <= t <= sys.float_info.max
+
+
+def test_max_lifetime_probes_stay_below_t_max(monkeypatch):
+    times = []
+    lhs = entanglement.lifetime_lhs
+    monkeypatch.setattr(
+        entanglement, "lifetime_lhs", lambda *args: times.append(args[2]) or lhs(*args)
+    )
+    for t_max in (0.1, 0.6, 1.0):
+        result = max_lifetime(REFERENCE, depolarizing(1.0), t_max=t_max)
+        assert len(times) == result.iterations
+        assert all(0.0 <= t <= t_max for t in times)
+        times.clear()
+
+
+def test_max_lifetime_infinite_t_max_is_the_default_cap():
+    # an infinite cap is no cap: the search ends at the largest double, as
+    # without one, instead of evaluating g at t = inf
+    for lines in ((REFERENCE, REFERENCE), (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0))):
+        assert max_lifetime(*lines, t_max=math.inf) == max_lifetime(*lines)
+    result = max_lifetime(depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), t_max=math.inf)
+    assert result.tau is None
+    assert result.bracket[1] == sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +398,13 @@ def test_optimal_state_rejects_nonpositive_tau():
         optimal_state(REFERENCE, REFERENCE, 0.0)
     with pytest.raises(ValueError):
         optimal_state(REFERENCE, REFERENCE, -1.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_optimal_state_rejects_non_finite_tau_by_its_name(tau):
+    # not "t must be finite" from the decay-mode core underneath
+    with pytest.raises(ValueError, match=r"^tau must be finite and > 0, got"):
+        optimal_state(REFERENCE, REFERENCE, tau)
 
 
 def test_optimal_state_survives_to_the_lifetime():

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import plain_bisection
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
 from qsink.sinkhorn import (
@@ -82,6 +83,47 @@ def test_lifetime_lhs_never_increases(params1, params2, t1, t2):
     before = lifetime_lhs(params1, params2, t1)
     after = lifetime_lhs(params1, params2, t2)
     assert after <= before + 4.0 * math.ulp(1.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, LINES, TIMES, st.integers(1, 2**20))
+def test_lifetime_lhs_never_increases_between_neighbouring_times(params1, params2, t, steps):
+    # the search settles midpoints near a root by the sign of g a few ulps
+    # of t away (max_lifetime), so monotonicity must survive rounding there
+    later = t + steps * math.ulp(t)
+    assume(math.isfinite(later))
+    before = lifetime_lhs(params1, params2, t)
+    after = lifetime_lhs(params1, params2, later)
+    assert after <= before + 4.0 * math.ulp(1.0)
+
+
+def _assert_same_root_as_plain_bisection(params1, params2):
+    result = max_lifetime(params1, params2)
+    tau, bracket, residual, evaluations = plain_bisection(params1, params2)
+    # to the bit: the skipped midpoints were settled, not guessed
+    assert (None if result.tau is None else result.tau.hex()) == (
+        None if tau is None else tau.hex()
+    )
+    assert [x.hex() for x in result.bracket] == [x.hex() for x in bracket]
+    assert result.residual.hex() == residual.hex()
+    assert result.iterations <= evaluations + 4
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, LINES)
+def test_max_lifetime_is_the_plain_bisection_over_the_double_range(params1, params2):
+    _assert_same_root_as_plain_bisection(params1, params2)
+
+
+MODERATE_LINES = st.builds(
+    ChannelParams, *(st.floats(-3.0, 3.0).map(lambda e: 10.0**e) for _ in range(3))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(MODERATE_LINES, MODERATE_LINES)
+def test_max_lifetime_is_the_plain_bisection_on_moderate_rates(params1, params2):
+    _assert_same_root_as_plain_bisection(params1, params2)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
