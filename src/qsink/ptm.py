@@ -6,6 +6,10 @@ A linear map L on qubit operators is stored as the real 4x4 matrix
 
 with Pauli index order (identity, x, y, z).  States stay plain complex
 numpy arrays; the polarization basis |H>, |V> is identified with |0>, |1>.
+
+The normal form's filters are real and diagonal, so their transfer
+matrices are formed in closed form (diagonal_sandwich).  The general
+sandwich of an arbitrary 2x2 operator is a test oracle in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -43,10 +47,20 @@ def apply(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...k,kab->...ab", (m @ coeffs[..., None])[..., 0], _SIG)
 
 
-def sandwich(x: np.ndarray) -> np.ndarray:
-    """Transfer matrix of rho -> x rho x^dag for an arbitrary 2x2 operator x."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
-    m = 0.5 * np.einsum("iab,bc,jcd,ad->ij", _SIG, x, _SIG, x.conj())
-    return np.ascontiguousarray(m.real)
+def diagonal_sandwich(h: float, v: float) -> np.ndarray:
+    """Transfer matrix of rho -> X rho X for a real diagonal filter X = diag(h, v).
+
+    Only the identity/z block and the x, y diagonal are nonzero.  Each entry
+    is the sum of products that the general contraction
+    m[i, j] = tr[sigma_i X sigma_j X^dag] / 2 forms, in closed form.
+    """
+    hh, vv, hv = h * h, v * v, h * v
+    plus, minus, cross = 0.5 * (hh + vv), 0.5 * (hh - vv), 0.5 * (hv + hv)
+    return np.array(
+        [
+            [plus, 0.0, 0.0, minus],
+            [0.0, cross, 0.0, 0.0],
+            [0.0, 0.0, cross, 0.0],
+            [minus, 0.0, 0.0, plus],
+        ]
+    )

@@ -14,7 +14,11 @@ For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
 serves as the independent cross-check.  It iterates on the real Pauli
 coefficients c_k = tr[sigma_k S], the basis the transfer matrix is written
-in, and inverts each image in closed form (linalg.pd_inverse).
+in, and inverts each image in closed form (linalg.pd_inverse).  A and B
+are real and diagonal, so decompose() forms the transfer matrices of both
+filters and of their inverses in closed form (ptm.diagonal_sandwich); the
+general sandwich of an arbitrary 2x2 operator is a test oracle in
+tests/conftest.py.
 
 Numerical note: everything below is a view of dynamics.decay_modes() or, for
 the signal parameters, of its core _mode_ratio().  Divided by the slow mode,
@@ -45,7 +49,7 @@ import numpy as np
 
 from .dynamics import ChannelParams, _mode_ratio, decay_modes, ptm_at
 from .linalg import PD_MIN_EIG, _first_flagged, pd_inverse
-from .ptm import PSD_TOL, SIGMA, apply, sandwich
+from .ptm import PSD_TOL, SIGMA, apply, diagonal_sandwich
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
 NORMAL_FORM_TOL = 1e-9
@@ -252,7 +256,9 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     """Full normal form of the loss model's map at time t.
 
     The composed transfer matrix F_A . L . F_B is verified against
-    diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
+    diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.  Both filters
+    are diagonal, (a_h, a_v) and (b_h, b_v), and their transfer matrices
+    and those of their inverses are formed from these four numbers.
     """
     slow, *modes = decay_modes(params, t)
     s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(*modes)
@@ -265,33 +271,32 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         )
     lam_x, lam_y, lam_z = unital_lambdas(params, t)
 
-    a_op = np.diag([math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))]).astype(
-        complex
-    )
-    b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)
+    a_h, a_v = math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
+    b_h, b_v = 1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)
     m = ptm_at(params, t)
-    upsilon = sandwich(a_op) @ (m @ sandwich(b_op))
+    upsilon = diagonal_sandwich(a_h, a_v) @ (m @ diagonal_sandwich(b_h, b_v))
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
-    residual = float(np.max(np.abs(upsilon - target)))
+    residual = float(abs(upsilon - target).max())
     if not residual <= NORMAL_FORM_TOL:
         raise RuntimeError(
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )
     flat = np.array([1.0, 0.0, 0.0, 0.0])
-    a_inv, b_inv = (sandwich(np.diag(1.0 / np.diag(x))) for x in (a_op, b_op))
+    a_inv = diagonal_sandwich(1.0 / a_h, 1.0 / a_v)
+    b_inv = diagonal_sandwich(1.0 / b_h, 1.0 / b_v)
     return SinkhornDecomposition(
         s=s,
-        a_op=a_op,
-        b_op=b_op,
+        a_op=np.diag([a_h, a_v]).astype(complex),
+        b_op=np.diag([b_h, b_v]).astype(complex),
         lambda_x=lam_x,
         lambda_y=lam_y,
         lambda_z=lam_z,
         upsilon=upsilon,
         residuals={
-            "trace_preserving": float(np.max(np.abs(upsilon[0] - flat))),
-            "unital": float(np.max(np.abs(upsilon[:, 0] - flat))),
-            "round_trip": float(np.max(np.abs(a_inv @ (upsilon @ b_inv) - m))),
+            "trace_preserving": float(abs(upsilon[0] - flat).max()),
+            "unital": float(abs(upsilon[:, 0] - flat).max()),
+            "round_trip": float(abs(a_inv @ (upsilon @ b_inv) - m).max()),
             "self_check": residual,
         },
     )

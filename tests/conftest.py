@@ -15,9 +15,13 @@ import numpy as np
 import pytest
 
 from qsink import entanglement
-from qsink.dynamics import ChannelParams
+from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import negativity
+from qsink.linalg import PD_MIN_EIG
 from qsink.ptm import PSD_TOL, SIGMA
+from qsink.sinkhorn import NORMAL_FORM_TOL, _fixed_point, unital_lambdas
+
+_SIG = np.stack(SIGMA)
 
 # Negativity above this counts as entangled.
 ENTANGLEMENT_TOL = 1e-10
@@ -46,6 +50,20 @@ def ptm_to_superop(m: np.ndarray) -> np.ndarray:
             # tr[sigma_j rho] = vec(sigma_j^T) . vec(rho)
             sup += 0.5 * m[i, j] * np.outer(vec(SIGMA[i]), vec(SIGMA[j].T))
     return sup
+
+
+def sandwich(x: np.ndarray) -> np.ndarray:
+    """Transfer matrix of rho -> x rho x^dag for an arbitrary 2x2 operator x.
+
+    The general contraction m[i, j] = tr[sigma_i x sigma_j x^dag] / 2; the
+    package forms only the real diagonal case, in closed form
+    (ptm.diagonal_sandwich).
+    """
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {x.shape}")
+    m = 0.5 * np.einsum("iab,bc,jcd,ad->ij", _SIG, x, _SIG, x.conj())
+    return np.ascontiguousarray(m.real)
 
 
 def identity_ptm() -> np.ndarray:
@@ -201,6 +219,54 @@ def plain_bisection(
         residual = lifetime_lhs(params1, params2, tau)
         evals += 1
     return tau, (low, high), residual, evals
+
+
+def einsum_decompose(params: ChannelParams, t: float) -> dict:
+    """decompose's normal form with every filter formed by the general sandwich.
+
+    The route decompose took before its filters had a closed form, kept
+    step for step: the same checks in the same order, with the same errors.
+    Returns s, the filters, upsilon and the residuals, which decompose must
+    reproduce to the bit.
+    """
+    slow, *modes = decay_modes(params, t)
+    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(*modes)
+    eig_h = slow * math.exp(log_eig_h)
+    eig_v = slow * math.exp(log_eig_v)
+    if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
+        raise ValueError(
+            f"degenerate filter: image of the fixed point has eigenvalues "
+            f"({eig_h:.3e}, {eig_v:.3e})"
+        )
+    lam_x, lam_y, lam_z = unital_lambdas(params, t)
+
+    a_op = np.diag([math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))]).astype(
+        complex
+    )
+    b_op = np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex)
+    m = ptm_at(params, t)
+    upsilon = sandwich(a_op) @ (m @ sandwich(b_op))
+
+    target = np.diag([1.0, lam_x, lam_y, lam_z])
+    residual = float(np.max(np.abs(upsilon - target)))
+    if not residual <= NORMAL_FORM_TOL:
+        raise RuntimeError(
+            f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
+        )
+    flat = np.array([1.0, 0.0, 0.0, 0.0])
+    a_inv, b_inv = (sandwich(np.diag(1.0 / np.diag(x))) for x in (a_op, b_op))
+    return {
+        "s": s,
+        "a_op": a_op,
+        "b_op": b_op,
+        "upsilon": upsilon,
+        "residuals": {
+            "trace_preserving": float(np.max(np.abs(upsilon[0] - flat))),
+            "unital": float(np.max(np.abs(upsilon[:, 0] - flat))),
+            "round_trip": float(np.max(np.abs(a_inv @ (upsilon @ b_inv) - m))),
+            "self_check": residual,
+        },
+    }
 
 
 def read_csv_columns(text: str) -> dict[str, list[float]]:

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import plain_bisection
+from conftest import einsum_decompose, plain_bisection
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
 from qsink.sinkhorn import (
@@ -158,3 +158,35 @@ def test_optimal_state_is_a_unit_vector_wherever_a_lifetime_exists(params1, para
     psi = optimal_state(params1, params2, tau).psi
     assert np.all(np.isfinite(psi))
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15
+
+
+def _normal_form_outcome(route, params, t):
+    """What one route to the normal form gives: its bytes, or its error by type and message."""
+    try:
+        found = route(params, t)
+    except Exception as error:  # a RuntimeWarning is an error here too
+        return type(error), str(error)
+    if not isinstance(found, dict):
+        found = vars(found)
+    arrays = tuple(found[name].tobytes() for name in ("a_op", "b_op", "upsilon"))
+    residuals = {name: value.hex() for name, value in found["residuals"].items()}
+    return found["s"].hex(), arrays, residuals
+
+
+def _assert_decompose_is_the_einsum_route(params, t):
+    assert _normal_form_outcome(decompose, params, t) == _normal_form_outcome(
+        einsum_decompose, params, t
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, TIMES)
+def test_decompose_is_the_einsum_route_to_the_bit(params, t):
+    _assert_decompose_is_the_einsum_route(params, t)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(MODERATE_LINES, decades(-3.0, 2.0))
+def test_decompose_is_the_einsum_route_to_the_bit_on_moderate_rates(params, t):
+    # rates and times of everyday size, which the double range rarely draws
+    _assert_decompose_is_the_einsum_route(params, t)

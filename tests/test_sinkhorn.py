@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identity_ptm, is_cp, is_trace_preserving, is_unital
+from conftest import identity_ptm, is_cp, is_trace_preserving, is_unital, sandwich
 from qsink import sinkhorn
 from qsink.dynamics import ChannelParams, ptm_at
+from qsink.ptm import SIGMA
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
     decompose,
@@ -66,8 +67,6 @@ def test_iterate_gauge_and_diagonality():
 def test_iterate_after_a_unitary_gives_the_rotated_fixed_point():
     # L' = U L[.] U^dag is not self-dual, and F'[S] = U F[U^dag S U] U^dag,
     # so its fixed point U S U^dag has every Pauli component
-    from qsink.ptm import SIGMA, sandwich
-
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
     half_angle = 0.4
     u = math.cos(half_angle) * np.eye(2) - 1j * math.sin(half_angle) * sum(
@@ -85,8 +84,6 @@ def test_iterate_converges_in_the_off_diagonal_entries():
     # turned from z to x, S = I + s sigma_x moves only off the diagonal
     # (besides its trace); the slowest map of the validate grid comes within
     # 1e-10 of it only if the stopping rule reads those entries too
-    from qsink.ptm import SIGMA, sandwich
-
     params, t = ChannelParams(0.0, 0.5, 0.5), 0.1
     u = (np.eye(2) - 1j * SIGMA[2]) / math.sqrt(2.0)
     iterated = fixed_point_iterate(sandwich(u) @ ptm_at(params, t))
@@ -322,8 +319,6 @@ def test_decompose_filters_are_positive_diagonal():
 
 def test_decompose_round_trip():
     # undo the filters: L = F_{A^-1} . U . F_{B^-1}
-    from qsink.ptm import sandwich
-
     for params in (REFERENCE, ChannelParams(0.5, 5.0, 0.5)):
         for t in (0.2, 1.0, 2.0):
             dec = decompose(params, t)
