@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ptm import SIGMA
+from .linalg import SIGMA
 
 # The RK4 step count is capped here, the step enlarged to match: n stays a
 # finite integer however small dt is, and each step's h * G stays far above

@@ -14,11 +14,28 @@ For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
 serves as the independent cross-check.  It iterates on the real Pauli
 coefficients c_k = tr[sigma_k S], the basis the transfer matrix is written
-in, and inverts each image in closed form (linalg.pd_inverse).  A and B
-are real and diagonal, so decompose() forms the transfer matrices of both
-filters and of their inverses in closed form (ptm.diagonal_sandwich); the
-general sandwich of an arbitrary 2x2 operator is a test oracle in
-tests/conftest.py.
+in, and inverts each image in closed form (linalg.pd_inverse).
+
+A and B are real and diagonal, and a diagonal filter X scales the matrix
+unit |i><j| by x_i x_j.  decompose() therefore works on the |H>, |V>
+matrix units of the map over its slow mode (dynamics.superop_over_slow),
+whose entries H = H<-H, V = V<-V, h = H<-V = V<-H and the coherence c
+are all non-negative.  There the closed forms read
+
+    sqrt(q + h^2) = sqrt(H V),   1 + q + 2 sqrt(H V) = (sqrt(H) + sqrt(V))^2,
+    1 + s = 2 sqrt(V) / (sqrt(H) + sqrt(V)),   1 - s = 2 sqrt(H) / (sqrt(H) + sqrt(V)),
+    L^dag[S] = w (I - s sigma_z),   w = sqrt(H V) + h,
+
+and, with B taken over the slow mode, upsilon's entries on the units are
+products of positive numbers, a_h^2 H b_h^2, a_h^2 h b_v^2, a_v^2 h b_h^2,
+a_v^2 V b_v^2 and a_h a_v c b_h b_v.  They are (1 + lz)/2, (1 - lz)/2
+twice, (1 + lz)/2 again and lx, since
+
+    lx = c / (sqrt(H V) + h),   lz = (sqrt(H V) - h) / (sqrt(H V) + h),
+
+with (sqrt(H V))^2 - h^2 = q.  Nothing cancels in them, however unequal
+the filters; only the transfer matrix's +- sums of the four populations
+subtract, numbers of order 1.
 
 Numerical note: everything below is a view of dynamics.decay_modes() or, for
 the signal parameters, of its core _mode_ratio().  Divided by the slow mode,
@@ -47,9 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelParams, _mode_ratio, decay_modes, ptm_at
-from .linalg import PD_MIN_EIG, _first_flagged, pd_inverse
-from .ptm import PSD_TOL, SIGMA, apply, diagonal_sandwich
+from .dynamics import ChannelParams, _mode_ratio, superop_over_slow
+from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
 NORMAL_FORM_TOL = 1e-9
@@ -89,20 +105,20 @@ def _probe_positivity(m: np.ndarray) -> None:
     # requirement for the iteration (it only ever inverts images of PD
     # operators).  Rank-preserving pure loss maps pure states to singular
     # outputs and is still fine to iterate; genuinely non-positive maps are
-    # rejected on the pure-state probes.  m is a stack (N, 4, 4); each probe
-    # fails closed, so a NaN eigenvalue counts as a violation.
-    half_eye = 0.5 * np.eye(2, dtype=complex)
-    for mm in (m, m.swapaxes(-1, -2)):
-        low = np.linalg.eigvalsh(apply(mm, half_eye))[:, 0]
+    # rejected on the pure-state probes.  m is a stack (N, 4, 4) acting on
+    # Pauli coefficients: I/2 has (1, 0, 0, 0), so its image is column 0 of
+    # m (row 0 for the dual), and (I +- sigma_k)/2 has (1, +-e_k).  Each
+    # probe fails closed, so a NaN eigenvalue counts as a violation.
+    for image in (m[:, :, 0], m[:, 0, :]):
+        low = pauli_eigenvalues(image)[0]
         bad = _first_flagged(low, ~(low > PD_MIN_EIG))
         if bad is not None:
             raise ValueError(
                 f"map is not strictly positive: identity maps to min eigenvalue {bad:.3e}"
             )
-    for pauli in SIGMA[1:]:
+    for k in (1, 2, 3):
         for sign in (1.0, -1.0):
-            probe = 0.5 * (np.eye(2, dtype=complex) + sign * pauli)
-            low = np.linalg.eigvalsh(apply(m, probe))[:, 0]
+            low = pauli_eigenvalues(m[:, :, 0] + sign * m[:, :, k])[0]
             bad = _first_flagged(low, ~(low >= -PSD_TOL))
             if bad is not None:
                 raise ValueError(
@@ -202,42 +218,34 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
-def _fixed_point(
-    log_q: float,
-    q: float,
-    one_minus_q: float,
-    r_gamma: float,
-    r_delta: float,
-    log_r_gamma: float,
-) -> tuple[float, float, float, float, float]:
-    """(s, log(1 + s), log(1 - s), log eig_h, log eig_v).
+def _fixed_point(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
+    """(log(1 + s), log(1 - s), log eig_h, log eig_v), read off the map over its slow mode.
 
-    eig_h, eig_v are the eigenvalues of L^dag[S] over the slow mode.  1 -+ s
-    and eig are sums of non-negative terms, taken in logs: for a strongly
-    filtering line one of them underflows in a linear sum.
+    eig_h, eig_v are the eigenvalues of L^dag[S] over the slow mode.  With
+    H = H<-H, V = V<-V and h = H<-V the entries of superop_over_slow,
+    1 -+ s = 2 sqrt(H or V) / (sqrt(H) + sqrt(V)) and L^dag[S] = w (I - s sigma_z)
+    with w = sqrt(H V) + h, so log eig_{h,v} = log(1 -+ s) + log w.  H, V and
+    h are taken in logs: for a strongly filtering line one of them underflows.
     """
-    half_gap = 0.5 * r_gamma * one_minus_q
-    width = math.sqrt(q + half_gap * half_gap)
-    denom = 1.0 + q + 2.0 * width
-    s = r_delta * one_minus_q / denom
-    log_half_gap = log_r_gamma + _log(one_minus_q) - _LN2
-    log_width = 0.5 * _log_add(log_q, 2.0 * log_half_gap)
+    log_q, one_minus_q = _mode_ratio(params, t)
+    _, _, _, r_delta, log_r_gamma = params.decay_rates
     # 1 +- (gh-gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
     log_larger = math.log1p(abs(r_delta))
     log_smaller = 2.0 * log_r_gamma - log_larger
     log_plus_delta, log_minus_delta = (
         (log_larger, log_smaller) if r_delta >= 0.0 else (log_smaller, log_larger)
     )
-    # 1 +- s = 2 (upper or lower + width) / denom, all terms positive
-    log_upper = _log_add(log_plus_delta, log_q + log_minus_delta) - _LN2
-    log_lower = _log_add(log_minus_delta, log_q + log_plus_delta) - _LN2
-    log_denom = math.log(denom)
-    log_plus_s = _LN2 + _log_add(log_upper, log_width) - log_denom
-    log_minus_s = _LN2 + _log_add(log_lower, log_width) - log_denom
-    # L^dag[S] = (a + b s) I + (b + d s) sigma_z on |H>, |V>.
-    log_eig_h = _log_add(log_plus_s + log_lower, log_minus_s + log_half_gap)
-    log_eig_v = _log_add(log_minus_s + log_upper, log_plus_s + log_half_gap)
-    return s, log_plus_s, log_minus_s, log_eig_h, log_eig_v
+    # the logs of sqrt(H), H = ((1 - r_delta) + q (1 + r_delta)) / 2, of sqrt(V),
+    # V = ((1 + r_delta) + q (1 - r_delta)) / 2, and of h = (g/G) (1 - q) / 2
+    log_root_h = 0.5 * (_log_add(log_minus_delta, log_q + log_plus_delta) - _LN2)
+    log_root_v = 0.5 * (_log_add(log_plus_delta, log_q + log_minus_delta) - _LN2)
+    log_cross = log_r_gamma + _log(one_minus_q) - _LN2
+    # log 2 - log(sqrt(H) + sqrt(V))
+    log_scale = _LN2 - _log_add(log_root_h, log_root_v)
+    log_plus_s = log_scale + log_root_v
+    log_minus_s = log_scale + log_root_h
+    log_w = _log_add(log_root_h + log_root_v, log_cross)
+    return log_plus_s, log_minus_s, log_minus_s + log_w, log_plus_s + log_w
 
 
 def log_fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, float]:
@@ -248,20 +256,21 @@ def log_fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, fl
     free of the absolute scale that makes B itself overflow at long times.
     Either entry may be far below the double range, or -inf.
     """
-    _, *modes = decay_modes(params, t)
-    return _fixed_point(*modes)[1:3]
+    return _fixed_point(params, t)[:2]
 
 
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     """Full normal form of the loss model's map at time t.
 
-    The composed transfer matrix F_A . L . F_B is verified against
-    diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.  Both filters
-    are diagonal, (a_h, a_v) and (b_h, b_v), and their transfer matrices
-    and those of their inverses are formed from these four numbers.
+    Both filters are diagonal, (a_h, a_v) and (b_h, b_v), and a diagonal
+    filter X scales the matrix unit |i><j| by x_i x_j, so upsilon is formed
+    on the matrix units of the map over its slow mode (superop_over_slow),
+    with B taken over the slow mode too: each entry is a product of
+    positive numbers, and the transfer matrix sums them with signs.  It is
+    verified against diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
     """
-    slow, *modes = decay_modes(params, t)
-    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(*modes)
+    slow, x = superop_over_slow(params, t)
+    log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(params, t)
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
     if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
@@ -270,11 +279,28 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             f"({eig_h:.3e}, {eig_v:.3e})"
         )
     lam_x, lam_y, lam_z = unital_lambdas(params, t)
+    # s = (V - H) / (sqrt(H) + sqrt(V))^2, with V - H = r_delta (1 - q), which does not cancel
+    roots = math.sqrt(x[0, 0]) + math.sqrt(x[3, 3])
+    s = params.decay_rates[3] * _mode_ratio(params, t)[1] / (roots * roots)
 
     a_h, a_v = math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
     b_h, b_v = 1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)
-    m = ptm_at(params, t)
-    upsilon = diagonal_sandwich(a_h, a_v) @ (m @ diagonal_sandwich(b_h, b_v))
+    # F_X scales x's row-major vec'd unit |i><j| by x_i x_j; B is taken over
+    # the slow mode, as x is
+    a = (a_h, a_v)
+    b = (math.exp(-0.5 * log_eig_h), math.exp(-0.5 * log_eig_v))
+    scale_a = np.array([[a[i] * a[j]] for i in (0, 1) for j in (0, 1)])
+    scale_b = np.array([b[i] * b[j] for i in (0, 1) for j in (0, 1)])
+    units = scale_a * x * scale_b
+    hh, hv, vh, vv = units[0, 0], units[0, 3], units[3, 0], units[3, 3]
+    upsilon = np.array(
+        [
+            [0.5 * (hh + hv + vh + vv), 0.0, 0.0, 0.5 * (hh - hv + vh - vv)],
+            [0.0, units[1, 1], 0.0, 0.0],
+            [0.0, 0.0, units[2, 2], 0.0],
+            [0.5 * (hh + hv - vh - vv), 0.0, 0.0, 0.5 * (hh - hv - vh + vv)],
+        ]
+    )
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
     residual = float(abs(upsilon - target).max())
@@ -283,8 +309,6 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )
     flat = np.array([1.0, 0.0, 0.0, 0.0])
-    a_inv = diagonal_sandwich(1.0 / a_h, 1.0 / a_v)
-    b_inv = diagonal_sandwich(1.0 / b_h, 1.0 / b_v)
     return SinkhornDecomposition(
         s=s,
         a_op=np.diag([a_h, a_v]).astype(complex),
@@ -296,7 +320,7 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         residuals={
             "trace_preserving": float(abs(upsilon[0] - flat).max()),
             "unital": float(abs(upsilon[:, 0] - flat).max()),
-            "round_trip": float(abs(a_inv @ (upsilon @ b_inv) - m).max()),
+            "round_trip": float(abs(units / scale_a / scale_b - x).max()),
             "self_check": residual,
         },
     )

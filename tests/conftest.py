@@ -8,6 +8,7 @@ plain matrix multiplication in a different representation.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 
@@ -17,9 +18,8 @@ import pytest
 from qsink import entanglement
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import negativity
-from qsink.linalg import PD_MIN_EIG
-from qsink.ptm import PSD_TOL, SIGMA
-from qsink.sinkhorn import NORMAL_FORM_TOL, _fixed_point, unital_lambdas
+from qsink.linalg import PD_MIN_EIG, PSD_TOL, SIGMA, hermitian_part
+from qsink.sinkhorn import NORMAL_FORM_TOL, _log, _log_add, unital_lambdas
 
 _SIG = np.stack(SIGMA)
 
@@ -52,12 +52,29 @@ def ptm_to_superop(m: np.ndarray) -> np.ndarray:
     return sup
 
 
+def apply(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply the map with transfer matrix m to a Hermitian 2x2 operator.
+
+    Either may also be a stack, (..., 4, 4) maps or (..., 2, 2) operators;
+    the stacks broadcast against each other and the result is one operator
+    per pair.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 transfer matrix, got shape {m.shape}")
+    rho = hermitian_part(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {rho.shape}")
+    coeffs = np.einsum("kab,...ba->...k", _SIG, rho)
+    return 0.5 * np.einsum("...k,kab->...ab", (m @ coeffs[..., None])[..., 0], _SIG)
+
+
 def sandwich(x: np.ndarray) -> np.ndarray:
     """Transfer matrix of rho -> x rho x^dag for an arbitrary 2x2 operator x.
 
     The general contraction m[i, j] = tr[sigma_i x sigma_j x^dag] / 2; the
-    package forms only the real diagonal case, in closed form
-    (ptm.diagonal_sandwich).
+    package forms its diagonal filters on the matrix units instead
+    (sinkhorn.decompose).
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (2, 2):
@@ -221,16 +238,94 @@ def plain_bisection(
     return tau, (low, high), residual, evals
 
 
-def einsum_decompose(params: ChannelParams, t: float) -> dict:
-    """decompose's normal form with every filter formed by the general sandwich.
+def width_fixed_point(
+    log_q: float,
+    q: float,
+    one_minus_q: float,
+    r_gamma: float,
+    r_delta: float,
+    log_r_gamma: float,
+) -> tuple[float, float, float, float, float]:
+    """(s, log(1 + s), log(1 - s), log eig_h, log eig_v) from the decay modes.
 
-    The route decompose took before its filters had a closed form, kept
-    step for step: the same checks in the same order, with the same errors.
-    Returns s, the filters, upsilon and the residuals, which decompose must
-    reproduce to the bit.
+    The fixed point by its width and denominator: with half_gap = (g/G)(1 - q)/2
+    and width = sqrt(q + half_gap^2), s = r_delta (1 - q) / (1 + q + 2 width)
+    and 1 -+ s = 2 (lower or upper + width) / (1 + q + 2 width), each a sum
+    of positive terms taken in logs, as are the eigenvalues
+    (1 + s) lower + (1 - s) half_gap and (1 - s) upper + (1 + s) half_gap of
+    L^dag[S] over the slow mode.  sinkhorn reads the same quantities off
+    the map's entries through exact identities instead.
+    """
+    ln2 = math.log(2.0)
+    half_gap = 0.5 * r_gamma * one_minus_q
+    width = math.sqrt(q + half_gap * half_gap)
+    denom = 1.0 + q + 2.0 * width
+    s = r_delta * one_minus_q / denom
+    log_half_gap = log_r_gamma + _log(one_minus_q) - ln2
+    log_width = 0.5 * _log_add(log_q, 2.0 * log_half_gap)
+    log_larger = math.log1p(abs(r_delta))
+    log_smaller = 2.0 * log_r_gamma - log_larger
+    log_plus_delta, log_minus_delta = (
+        (log_larger, log_smaller) if r_delta >= 0.0 else (log_smaller, log_larger)
+    )
+    log_upper = _log_add(log_plus_delta, log_q + log_minus_delta) - ln2
+    log_lower = _log_add(log_minus_delta, log_q + log_plus_delta) - ln2
+    log_denom = math.log(denom)
+    log_plus_s = ln2 + _log_add(log_upper, log_width) - log_denom
+    log_minus_s = ln2 + _log_add(log_lower, log_width) - log_denom
+    log_eig_h = _log_add(log_plus_s + log_lower, log_minus_s + log_half_gap)
+    log_eig_v = _log_add(log_minus_s + log_upper, log_plus_s + log_half_gap)
+    return s, log_plus_s, log_minus_s, log_eig_h, log_eig_v
+
+
+def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
+    """width_fixed_point's formula at 60 digits: (s, log(1 + s), log(1 - s), log eig_h, log eig_v).
+
+    The line's ratios g/G and (gh - gv)/G and the time's log q are taken as
+    exact, so the reference and the package share their inputs.  Every
+    quantity is a sum of positive terms, so 60 digits hold wherever it lies
+    in the decimal exponent range.
+    """
+    _, log_q, _, _, r_gamma, r_delta, _ = decay_modes(params, t)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        q = D(log_q).exp()
+        one_minus_q = 1 - q
+        r_gamma, r_delta = D(r_gamma), D(r_delta)
+        larger = 1 + abs(r_delta)
+        smaller = r_gamma * r_gamma / larger
+        plus_delta, minus_delta = (larger, smaller) if r_delta >= 0 else (smaller, larger)
+        upper = (plus_delta + q * minus_delta) / 2
+        lower = (minus_delta + q * plus_delta) / 2
+        half_gap = r_gamma * one_minus_q / 2
+        width = (q + half_gap * half_gap).sqrt()
+        denom = 1 + q + 2 * width
+        plus_s = 2 * (upper + width) / denom
+        minus_s = 2 * (lower + width) / denom
+        eig_h = plus_s * lower + minus_s * half_gap
+        eig_v = minus_s * upper + plus_s * half_gap
+        return (
+            r_delta * one_minus_q / denom,
+            *(x.ln() if x > 0 else D("-Infinity") for x in (plus_s, minus_s, eig_h, eig_v)),
+        )
+
+
+def einsum_decompose(params: ChannelParams, t: float) -> dict:
+    """decompose's normal form on the Pauli route: filters by the general sandwich.
+
+    The route decompose took before it worked on the matrix units, kept
+    step for step: the fixed point by its width and denominator
+    (width_fixed_point), every filter's transfer matrix by the general
+    sandwich, upsilon as their product with the transfer matrix, and the
+    same checks in the same order, with the same errors.  Each filter
+    mixes the identity with sigma_z there, so upsilon's entries cancel
+    where the filters are very unequal, and the self-check may fail where
+    decompose's does not.  Returns s, the filters, upsilon and the
+    residuals.
     """
     slow, *modes = decay_modes(params, t)
-    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(*modes)
+    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = width_fixed_point(*modes)
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
     if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):

@@ -311,14 +311,14 @@ def test_evolve_custom_state_output_is_pinned(capsys, tmp_path):
     assert out == """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal,negativity_custom,detection_prob_custom
 0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002,0.078143390310021432,1
-0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.3587946898715702,0.0030006257057505971,0.53817118590659085
-0.24739453376137785,0.13128367574185779,0.18416675274053534,0.32908348856777825,0.15675697684551035,0,0.32382690354738319
-0.37109180064206676,0.02645864705399241,0.078607251071763334,0.21971910369808109,0.082443281481377806,0,0.20830228091569625
-0.4947890675227557,0,0,0.15119331063379823,0.049378689405089472,0,0.13908663343499078
-0.61848633440344458,0,0,0.1052303257467421,0.03186117310108242,0,0.094804516419184429
-0.74218360128413352,0,0,0.073546470477888398,0.021371879619046397,0,0.065370024229789075
-0.86588086816482246,0,0,0.051480211473282779,0.014623796058117252,0,0.045371249915092123
-0.9895781350455114,0,0,0.036054247604028873,0.010111067150040792,0,0.031610826761778364
+0.12369726688068892,0.2989294076141501,0.2824522759681023,0.53091285682875689,0.35879468987157032,0.0030006257057505971,0.53817118590659085
+0.24739453376137785,0.13128367574185779,0.18416675274053532,0.32908348856777825,0.15675697684551038,0,0.32382690354738319
+0.37109180064206676,0.02645864705399241,0.078607251071763362,0.21971910369808109,0.082443281481377834,0,0.20830228091569625
+0.4947890675227557,0,0,0.15119331063379823,0.049378689405089479,0,0.13908663343499078
+0.61848633440344458,0,0,0.1052303257467421,0.031861173101082434,0,0.094804516419184429
+0.74218360128413352,0,0,0.073546470477888398,0.021371879619046401,0,0.065370024229789075
+0.86588086816482246,0,0,0.051480211473282779,0.014623796058117259,0,0.045371249915092123
+0.9895781350455114,0,0,0.036054247604028873,0.010111067150040795,0,0.031610826761778364
 """
 
 
@@ -454,8 +454,15 @@ def _known_exit_one(argv, message, reason):
             "degenerate filter: image of the fixed point has eigenvalues (9.358e-14, 9.358e-14)",
             "the filter's eigenvalues are compared with the absolute PD_MIN_EIG",
         ),
+        # filters 1e4 apart, where the Pauli route's self-check cancelled to 4e-9
+        (["sinkhorn", "--gh1", "100", "--gv1", "0", "--g1", "0.01", "--t", "1"], None),
     ],
-    ids=["evolve-vv-underflow", "evolve-hh-underflow", "sinkhorn-degenerate-filter"],
+    ids=[
+        "evolve-vv-underflow",
+        "evolve-hh-underflow",
+        "sinkhorn-degenerate-filter",
+        "sinkhorn-unequal-filters",
+    ],
 )
 def test_valid_input_exits_zero(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -512,7 +519,7 @@ tau,residual,iterations,lambda1_x,lambda1_y,lambda1_z,lambda2_x,lambda2_y,lambda
         ["optimal-state", *REFERENCE_ARGS],
         """\
 tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,schmidt_2,b1_h,b1_v,b2_h,b2_v
-0.4947890675227557,0.35574316645087795,0,0,0,0,0,0.93458375736126675,0,0.93458375736126675,0.35574316645087795,0.7425631636510277,1.2035779775272466,0.7425631636510277,1.2035779775272466
+0.4947890675227557,0.355743166450878,0,0,0,0,0,0.93458375736126675,0,0.93458375736126675,0.355743166450878,0.7425631636510277,1.2035779775272466,0.7425631636510277,1.2035779775272466
 """,
     ),
     "optimal-state-json": (
@@ -522,7 +529,7 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
   "tau": 0.4947890675227557,
   "psi": [
     [
-      0.35574316645087795,
+      0.355743166450878,
       0.0
     ],
     [
@@ -540,7 +547,7 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
   ],
   "schmidt_coefficients": [
     0.9345837573612668,
-    0.35574316645087795
+    0.355743166450878
   ],
   "b1_diag": [
     0.7425631636510277,
@@ -558,14 +565,14 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
         """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal
 0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002
-0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.3587946898715702
-0.24739453376137785,0.13128367574185779,0.18416675274053534,0.32908348856777825,0.15675697684551035
-0.37109180064206676,0.02645864705399241,0.078607251071763334,0.21971910369808109,0.082443281481377806
-0.4947890675227557,0,0,0.15119331063379823,0.049378689405089472
-0.61848633440344458,0,0,0.1052303257467421,0.03186117310108242
-0.74218360128413352,0,0,0.073546470477888398,0.021371879619046397
-0.86588086816482246,0,0,0.051480211473282779,0.014623796058117252
-0.9895781350455114,0,0,0.036054247604028873,0.010111067150040792
+0.12369726688068892,0.2989294076141501,0.2824522759681023,0.53091285682875689,0.35879468987157032
+0.24739453376137785,0.13128367574185779,0.18416675274053532,0.32908348856777825,0.15675697684551038
+0.37109180064206676,0.02645864705399241,0.078607251071763362,0.21971910369808109,0.082443281481377834
+0.4947890675227557,0,0,0.15119331063379823,0.049378689405089479
+0.61848633440344458,0,0,0.1052303257467421,0.031861173101082434
+0.74218360128413352,0,0,0.073546470477888398,0.021371879619046401
+0.86588086816482246,0,0,0.051480211473282779,0.014623796058117259
+0.9895781350455114,0,0,0.036054247604028873,0.010111067150040795
 """,
     ),
     "sinkhorn": (
@@ -576,7 +583,7 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
   "s": -0.28912140067055025,
   "a_diag": [
     0.8431361689130942,
-    1.1353948214918679
+    1.1353948214918677
   ],
   "b_diag": [
     1.3750387255035277,
@@ -586,10 +593,10 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
   "lambda_y": 0.7341254817087135,
   "lambda_z": 0.7274932066305086,
   "residuals": {
-    "trace_preserving": 2.3600648352454026e-16,
-    "unital": 2.7755575615628914e-16,
-    "round_trip": 1.1102230246251565e-16,
-    "self_check": 2.7755575615628914e-16
+    "trace_preserving": 1.1102230246251565e-16,
+    "unital": 1.1102230246251565e-16,
+    "round_trip": 5.551115123125783e-17,
+    "self_check": 1.1102230246251565e-16
   }
 }
 """,

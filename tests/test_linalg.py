@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_pd
-from qsink.linalg import hermitian_part, partial_transpose_second, pd_inverse
-from qsink.ptm import SIGMA
+from qsink.linalg import (
+    SIGMA,
+    hermitian_part,
+    partial_transpose_second,
+    pauli_eigenvalues,
+    pd_inverse,
+)
 
 PSI_PLUS_RHO = 0.5 * np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -84,6 +89,12 @@ def coefficients(x: np.ndarray) -> np.ndarray:
 def operator(c: np.ndarray) -> np.ndarray:
     """The qubit operator (c_0 + c . sigma) / 2 with Pauli coefficients c."""
     return 0.5 * np.einsum("...k,kab->...ab", c, np.stack(SIGMA))
+
+
+def test_pauli_eigenvalues_are_the_spectrum(rng):
+    ops = np.stack([random_hermitian(rng, 2) for _ in range(20)])
+    low, high = pauli_eigenvalues(coefficients(ops))
+    assert np.max(np.abs(np.stack([low, high], axis=-1) - np.linalg.eigvalsh(ops))) <= 1e-14
 
 
 def test_pd_inverse_moderate_condition(rng):

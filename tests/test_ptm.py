@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply,
     apply_two_qubit_oracle,
     choi,
     dual,
@@ -21,7 +22,6 @@ from conftest import (
 )
 from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import PSI_PLUS, conditional_state, negativity
-from qsink.ptm import apply, diagonal_sandwich
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -226,19 +226,6 @@ def test_sandwich_multiplicative(rng):
     lhs = sandwich(x @ y)
     rhs = sandwich(x) @ sandwich(y)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_diagonal_sandwich_is_the_general_sandwich_to_the_bit():
-    # h and v log-uniform on [1e-150, 1e150], so that h * h stays finite,
-    # plus h == v, 0 and 1
-    rng = np.random.default_rng(15)
-    pairs = [tuple(10.0 ** rng.uniform(-150.0, 150.0, size=2)) for _ in range(2000)]
-    pairs += [(h, h) for h, _ in pairs[:200]]
-    edges = (0.0, 1.0, 1e-150, 1e150, 0.7)
-    pairs += [(h, v) for h in edges for v in edges]
-    for h, v in pairs:
-        general = sandwich(np.diag([h, v]).astype(complex))
-        assert diagonal_sandwich(h, v).tobytes() == general.tobytes(), (h, v)
 
 
 def test_choi_of_identity_is_bell_projector():

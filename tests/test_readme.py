@@ -6,6 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
+import qsink
 from qsink.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,3 +50,15 @@ def test_readme_config_file_runs_through_evolve(capsys, tmp_path):
     assert main(["evolve", "--config", str(path)]) == EXIT_OK
     rows = capsys.readouterr().out.strip().split("\n")
     assert len(rows) == 1 + json.loads(blocks[0])["steps"]
+
+
+def test_readme_modules_are_the_package_modules():
+    # one bullet per module of src/qsink, so a deleted module leaves no entry behind
+    library = section("Library")
+    bullets = library.split("Modules:\n", 1)[1]
+    named = re.findall(r"^\* `qsink\.(\w+)` —", bullets, flags=re.MULTILINE)
+    modules = sorted(
+        path.stem for path in Path(qsink.__file__).parent.glob("*.py") if path.stem != "__init__"
+    )
+    assert sorted(named) == modules
+    assert len(named) == len(set(named))

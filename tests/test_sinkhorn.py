@@ -1,16 +1,27 @@
 """Normal-form machinery: closed form against the fixed-point iteration."""
 
 import math
+import random
+import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from conftest import identity_ptm, is_cp, is_trace_preserving, is_unital, sandwich
+from conftest import (
+    decimal_fixed_point,
+    identity_ptm,
+    is_cp,
+    is_trace_preserving,
+    is_unital,
+    sandwich,
+)
 from qsink import sinkhorn
-from qsink.dynamics import ChannelParams, ptm_at
-from qsink.ptm import SIGMA
+from qsink.dynamics import ChannelParams, decay_modes, ptm_at, superop_over_slow
+from qsink.linalg import SIGMA
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
+    _fixed_point,
     decompose,
     fixed_point_iterate,
     unital_lambdas,
@@ -173,6 +184,56 @@ def test_closed_form_s_sign_tracks_imbalance():
     for t in (0.2, 1.0, 3.0):
         assert decompose(ChannelParams(5.0, 1.0, 1.0), t).s > 0.0
         assert decompose(ChannelParams(1.0, 5.0, 1.0), t).s < 0.0
+
+
+def random_lines_and_times(seed: int, count: int):
+    """(line, t) with each rate 0 or 10^U(-3, 3) and t = 10^U(-3, 2)."""
+    rng = random.Random(seed)
+
+    def rate() -> float:
+        return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 3.0)
+
+    return [
+        (ChannelParams(rate(), rate(), rate()), 10.0 ** rng.uniform(-3.0, 2.0))
+        for _ in range(count)
+    ]
+
+
+def test_fixed_point_is_the_width_formula_at_60_digits():
+    # the closed form through the entries' identities, against the width and
+    # denominator formula evaluated at 60 digits on the same inputs
+    bound = 4 * Decimal(sys.float_info.epsilon)
+    for params, t in random_lines_and_times(16, 2000):
+        ref_s, *ref_logs = decimal_fixed_point(params, t)
+        for found, ref in zip(_fixed_point(params, t), ref_logs):
+            if ref.is_infinite():
+                assert found == -math.inf, (params, t)
+            else:
+                assert abs(Decimal(found) - ref) <= bound * max(1, abs(ref)), (params, t)
+        try:
+            s = decompose(params, t).s
+        except ValueError:
+            continue  # a degenerate filter
+        assert abs(Decimal(s) - ref_s) <= bound * abs(ref_s), (params, t)
+
+
+def test_lambdas_are_the_identities_on_the_map_entries():
+    # lx = c / (sqrt(H V) + h), lz = (sqrt(H V) - h) / (sqrt(H V) + h) and
+    # sqrt(H V)^2 - h^2 = q, with H, V, h, c the map's entries over its slow
+    # mode, wherever H and V are normal doubles
+    checked = 0
+    for params, t in random_lines_and_times(17, 2000):
+        _, x = superop_over_slow(params, t)
+        hh, vv, hv, coherence = x[0, 0], x[3, 3], x[0, 3], x[1, 1]
+        if min(hh, vv) < sys.float_info.min:
+            continue
+        checked += 1
+        root = math.sqrt(hh) * math.sqrt(vv)
+        lam_x, _, lam_z = unital_lambdas(params, t)
+        assert abs(coherence / (root + hv) - lam_x) <= 4e-15, (params, t)
+        assert abs((root - hv) / (root + hv) - lam_z) <= 4e-15, (params, t)
+        assert abs(root * root - hv * hv - decay_modes(params, t)[2]) <= 4e-15, (params, t)
+    assert checked >= 1900
 
 
 def test_closed_form_s_stays_inside_unit_interval():
