@@ -106,6 +106,9 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         entry = dict(_read_keys(raw.get(key, {}), {"gamma_h", "gamma_v", "gamma"}, key))
         for name, value in entry.items():
             _typed(value, (int, float), "a number", f"{key}.{name}")
+            # False for NaN, inf, negatives and ints past the double range alike
+            if not 0.0 <= value <= sys.float_info.max:
+                raise ValueError(f"{key}.{name} must be finite and >= 0, got {value!r}")
         for name, flag in (("gamma_h", "gh"), ("gamma_v", "gv"), ("gamma", "g")):
             if flags.get(flag + suffix) is not None:
                 entry[name] = flags[flag + suffix]
@@ -117,7 +120,7 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
 
     # every file value is checked, also where a flag overrides it below
     steps = _typed(raw.get("steps", 200), (int, float), "an integer", "steps")
-    if steps != int(steps):  # 2.0 is an integer, 2.9 is not; int() refuses inf
+    if type(steps) is float and not steps.is_integer():  # 2.0 is one; 2.9, inf and nan are not
         raise ValueError(f"steps must be an integer, got {steps!r}")
     initial_state = raw.get("initial_state")
     cfg = JobConfig(

@@ -23,18 +23,21 @@ E = exp(-(g + gh + gv) t / 2)):
 
 Every quantity of this package that depends on the line and the time goes
 through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
-mode ratio q = exp(-G t) with its log and 1 - q, and the ratios g/G and
-(gh - gv)/G with log(g/G).  The ratios and the two rates in the exponents
-depend on the line alone; ChannelParams.decay_rates forms them once per
-line.  Per time, _mode_ratio(), the core of decay_modes(), forms log q and
-1 - q, all the signal parameters read, and decay_modes() adds the slow mode
-and q.  superop_over_slow() builds the map in units of the slow mode, finite
-where the modes underflow, on the |H>, |V> matrix units, where each of its
-entries is a sum of non-negative terms, at one time or at a sequence of
-times; ptm_at() forms the transfer matrix the same way and scales it back.
-The normal form in sinkhorn.py reads ratios alone.  ptm_via_integration()
-recomputes the transfer matrix by brute-force integration of the master
-equation, as an independent cross-check.
+mode ratio q = exp(-G t), its log and 1 - q.  The ratios g/G and
+(gh - gv)/G, their logs and the rates in the exponents depend on the line
+alone; ChannelParams.decay_rates forms them once per line.  Per time,
+_mode_ratio(), the core of decay_modes(), forms log q and 1 - q, all the
+signal parameters read, and decay_modes() adds the slow mode and q.
+_entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
+entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
+V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
+non-negative terms, finite where the modes underflow.  superop_over_slow()
+builds the map from them at one time or at a sequence of times, and the
+normal form in sinkhorn.py reads its fixed point, filters and middle map
+off the same logs.  ptm_at() forms the transfer matrix in closed form on
+the Pauli basis and scales it back by the slow mode.
+ptm_via_integration() recomputes the transfer matrix by brute-force
+integration of the master equation, as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ MAX_RK4_STEPS = 10**7
 # r + G is at most 4.5 times a line's largest rate, so it stays finite up to
 # this rate; a line with a larger one is formed at an eighth of its rates.
 _UNSCALED_RATE_MAX = 2.0**1020
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,21 @@ class ChannelParams:
         return max(self.gamma_h, self.gamma_v, self.gamma)
 
     @cached_property
-    def decay_rates(self) -> tuple[float, float, float, float, float]:
-        """The time-independent part of decay_modes(), formed once per line.
+    def decay_rates(self) -> tuple[float, float, float, float, float, float, float]:
+        """The time-independent part of decay_modes() and _entry_logs(), formed once per line.
 
-        Returns (-G / 2, -(r - G) / 2, r_gamma, r_delta, log_r_gamma), with
-        G = sqrt(g^2 + (gh - gv)^2) and r = g + gh + gv:
+        Returns (-G / 2, -(r - G) / 2, r_gamma, r_delta, log_r_gamma,
+        log_plus, log_minus), with G = sqrt(g^2 + (gh - gv)^2) and
+        r = g + gh + gv:
 
         * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
           as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0;
         * log_r_gamma = log(g / G), -inf exactly when g = 0.  It is taken as
           log g - log G where g / G is below the normal doubles, so a line
-          whose depolarization is tiny against its loss asymmetry keeps it.
+          whose depolarization is tiny against its loss asymmetry keeps it;
+        * log_plus, log_minus = log((1 +- r_delta) / 2), halved before the
+          log, so the larger is exactly 0 for pure loss; the smaller is
+          r_gamma^2 / (2 (1 + |r_delta|)), which does not cancel.
 
         r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
         r + G first, so it neither cancels nor overflows.  G / 2 and
@@ -128,7 +137,22 @@ class ChannelParams:
             log_r_gamma = math.log(g) - math.log(big_g)
         else:
             log_r_gamma = -math.inf
-        return -0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma
+        log_larger = math.log1p(abs(r_delta))
+        log_halves = (log_larger - _LN2, 2.0 * log_r_gamma - log_larger - _LN2)
+        log_plus, log_minus = log_halves if r_delta >= 0.0 else log_halves[::-1]
+        return (-0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma,
+                log_plus, log_minus)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), for logs down to -inf."""
+    if a < b:
+        a, b = b, a
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
 def _mode_ratio(params: ChannelParams, t: float) -> tuple[float, float]:
@@ -140,31 +164,40 @@ def _mode_ratio(params: ChannelParams, t: float) -> tuple[float, float]:
     return log_q, -math.expm1(log_q)
 
 
-def decay_modes(
-    params: ChannelParams, t: float
-) -> tuple[float, float, float, float, float, float, float]:
-    """The two decay modes of one line at time t, and the ratios built on them.
+def decay_modes(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
+    """The two decay modes of one line at time t: (slow, log_q, q, one_minus_q).
 
-    Returns (slow, log_q, q, one_minus_q, r_gamma, r_delta, log_r_gamma):
-
-    * slow = exp(-(r - G) t / 2), r = g + gh + gv, the slower mode;
-    * q = fast / slow = exp(-G t), its log -G t, and 1 - q from expm1, so
-      every ratio of the modes stays exact where the modes underflow;
-    * r_gamma = g / G, r_delta = (gh - gv) / G and log_r_gamma = log(g / G),
-      read from params.decay_rates: they depend on the line, not on t.
-
-    Per call, only the three exponentials of t are evaluated.
+    slow = exp(-(r - G) t / 2), r = g + gh + gv, is the slower mode, and
+    q = fast / slow = exp(-G t) comes with its log -G t and with 1 - q from
+    expm1, so every ratio of the modes stays exact where the modes
+    underflow.  Per call, only the three exponentials of t are evaluated.
     """
     log_q, one_minus_q = _mode_ratio(params, t)
-    _, neg_half_slow_rate, r_gamma, r_delta, log_r_gamma = params.decay_rates
+    return math.exp(params.decay_rates[1] * t), log_q, math.exp(log_q), one_minus_q
+
+
+def _entry_logs(
+    params: ChannelParams, log_q: float, one_minus_q: float
+) -> tuple[float, float, float, float]:
+    """Logs of the map's distinct entries over its slow mode, at the time of (log q, 1 - q).
+
+    Returns (log H, log V, log h, log c) on the |H>, |V> matrix units:
+
+        H = H<-H = (1 - r_delta) / 2 + q (1 + r_delta) / 2,
+        V = V<-V = (1 + r_delta) / 2 + q (1 - r_delta) / 2,
+        h = H<-V = V<-H = (g/G) (1 - q) / 2,
+        c = exp(-(g + G) t / 2) = q^((1 + g/G) / 2),
+
+    with r_delta = (gh - gv)/G.  Each is a sum of non-negative terms, taken
+    in logs, so it keeps its digits where it underflows; a log is -inf
+    exactly where its entry is 0.
+    """
+    _, _, r_gamma, _, log_r_gamma, log_plus, log_minus = params.decay_rates
     return (
-        math.exp(neg_half_slow_rate * t),
-        log_q,
-        math.exp(log_q),
-        one_minus_q,
-        r_gamma,
-        r_delta,
-        log_r_gamma,
+        _log_add(log_minus, log_q + log_plus),
+        _log_add(log_plus, log_q + log_minus),
+        log_r_gamma + _log(one_minus_q) - _LN2,
+        0.5 * (1.0 + r_gamma) * log_q,
     )
 
 
@@ -172,26 +205,20 @@ def superop_over_slow(params: ChannelParams, t: float | Sequence[float]) -> tupl
     """The slow mode and the map at time t over it, on the matrix units of |H>, |V>.
 
     The real 4x4 map acts on row-major vec'd |H><H|, |H><V|, |V><H|, |V><V|:
-    entry [(a b), (i j)] is the part of L[|i><j|] along |a><b|.  Each entry
-    is a sum of non-negative terms, at most 1 and finite for every t; only
-    the slow mode underflows at times where the photon is surely lost.
-    Rescaling a map leaves the conditional state alone, so the quotient is
-    all that state needs.  A sequence of times gives the slow modes (T,)
-    and a stack (T, 4, 4) of maps, each row formed exactly as it is alone.
+    entry [(a b), (i j)] is the part of L[|i><j|] along |a><b|.  Its entries
+    are the exponentials of _entry_logs(), at most 1 and finite for every
+    t; only the slow mode underflows at times where the photon is surely
+    lost.  Rescaling a map leaves the conditional state alone, so the
+    quotient is all that state needs.  A sequence of times gives the slow
+    modes (T,) and a stack (T, 4, 4) of maps, each row formed exactly as it
+    is alone.
     """
     single = np.ndim(t) == 0
-    _, _, r_gamma, r_delta, _ = params.decay_rates
-    # 1 +- (gh - gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
-    larger = 1.0 + abs(r_delta)
-    smaller = r_gamma * r_gamma / larger
-    plus_delta, minus_delta = (larger, smaller) if r_delta >= 0.0 else (smaller, larger)
     rows = []
     for time in [t] if single else t:
-        slow, log_q, q, one_minus_q, _, _, _ = decay_modes(params, time)
-        # the coherence over the slow mode is exp(-(g + G) t / 2) = (exp(-g t) q)^(1/2)
-        rows.append((slow, 0.5 * (minus_delta + q * plus_delta),
-                     0.5 * (plus_delta + q * minus_delta), 0.5 * r_gamma * one_minus_q,
-                     math.exp(0.5 * (1.0 + r_gamma) * log_q)))
+        slow, log_q, _, one_minus_q = decay_modes(params, time)
+        log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
+        rows.append((slow, math.exp(log_hh), math.exp(log_vv), math.exp(log_hv), math.exp(log_c)))
     # per row: slow, then H<-H, V<-V, H<-V = V<-H and the two coherences
     entries = np.array(rows).reshape(-1, 5)
     s = np.zeros((len(rows), 4, 4))
@@ -206,11 +233,13 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     limit and large G t come out exact; entries may underflow to 0 at times
     where the photon is surely lost.
     """
-    slow, log_q, q, one_minus_q, r_gamma, r_delta, _ = decay_modes(params, t)
+    slow, log_q, q, one_minus_q = decay_modes(params, t)
+    _, _, r_gamma, r_delta, _, _, _ = params.decay_rates
     m = np.zeros((4, 4))
     m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)
     m[0, 3] = m[3, 0] = -0.5 * r_delta * one_minus_q
-    m[1, 1] = m[2, 2] = math.exp(0.5 * (1.0 + r_gamma) * log_q)
+    # the Pauli coherence is the matrix units' coherence c
+    m[1, 1] = m[2, 2] = math.exp(_entry_logs(params, log_q, one_minus_q)[3])
     # 1 - g/G = ((gh - gv)/G)^2 / (1 + g/G), exact where the subtraction is not
     m[3, 3] = 0.5 * (2.0 * q + r_delta * r_delta / (1.0 + r_gamma) * one_minus_q)
     return slow * m

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelParams
+from .dynamics import ChannelParams, _entry_logs, _mode_ratio
 from .linalg import _first_flagged, hermitian_part, partial_transpose_second
-from .sinkhorn import log_fixed_point_diagonal, unital_lambdas
+from .sinkhorn import _fixed_point, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -317,8 +317,11 @@ def optimal_state(
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
-    log_h1, log_v1 = log_fixed_point_diagonal(params1, tau)
-    log_h2, log_v2 = log_fixed_point_diagonal(params2, tau)
+    # each fixed point's diagonal log(1 +- s), read off the line's map entries
+    (log_h1, log_v1), (log_h2, log_v2) = (
+        _fixed_point(*_entry_logs(params, *_mode_ratio(params, tau))[:3])[:2]
+        for params in (params1, params2)
+    )
     # log of amp_h / amp_v = sqrt((1 + s1)(1 + s2) / ((1 - s1)(1 - s2))); the
     # fixed points' diagonals may underflow where this ratio does not
     log_ratio = 0.5 * ((log_h1 - log_v1) + (log_h2 - log_v2))

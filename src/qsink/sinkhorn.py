@@ -18,43 +18,40 @@ in, and inverts each image in closed form (linalg.pd_inverse).
 
 A and B are real and diagonal, and a diagonal filter X scales the matrix
 unit |i><j| by x_i x_j.  decompose() therefore works on the |H>, |V>
-matrix units of the map over its slow mode (dynamics.superop_over_slow),
-whose entries H = H<-H, V = V<-V, h = H<-V = V<-H and the coherence c
-are all non-negative.  There the closed forms read
+matrix units of the map over its slow mode, whose distinct entries
+H = H<-H, V = V<-V, h = H<-V = V<-H and the coherence c are all
+non-negative.  dynamics._entry_logs() forms their logs, once per line and
+time, and the fixed point, both filters and upsilon are read off them:
 
     sqrt(q + h^2) = sqrt(H V),   1 + q + 2 sqrt(H V) = (sqrt(H) + sqrt(V))^2,
     1 + s = 2 sqrt(V) / (sqrt(H) + sqrt(V)),   1 - s = 2 sqrt(H) / (sqrt(H) + sqrt(V)),
-    L^dag[S] = w (I - s sigma_z),   w = sqrt(H V) + h,
+    L^dag[S] = w (I - s sigma_z),   w = sqrt(H V) + h.
 
-and, with B taken over the slow mode, upsilon's entries on the units are
+With B taken over the slow mode, upsilon's entries on the units are
 products of positive numbers, a_h^2 H b_h^2, a_h^2 h b_v^2, a_v^2 h b_h^2,
-a_v^2 V b_v^2 and a_h a_v c b_h b_v.  They are (1 + lz)/2, (1 - lz)/2
-twice, (1 + lz)/2 again and lx, since
+a_v^2 V b_v^2 and a_h a_v c b_h b_v, each formed as the exponential of a
+sum of logs.  They are (1 + lz)/2, (1 - lz)/2 twice, (1 + lz)/2 again and
+lx, since
 
     lx = c / (sqrt(H V) + h),   lz = (sqrt(H V) - h) / (sqrt(H V) + h),
 
 with (sqrt(H V))^2 - h^2 = q.  Nothing cancels in them, however unequal
 the filters; only the transfer matrix's +- sums of the four populations
-subtract, numbers of order 1.
+subtract, numbers of order 1.  The logs keep the fixed point's diagonal
+1 +- s where one of its entries underflows for a strongly filtering line,
+while the ratio of the two lines' entries, which the optimal state needs,
+does not; only the filter B carries the absolute scale of the map.
 
-Numerical note: everything below is a view of dynamics.decay_modes() or, for
-the signal parameters, of its core _mode_ratio().  Divided by the slow mode,
-s, the shape of the filters and the signal parameters depend on the line
-only through the mode ratio q = exp(-G t), 1 - q and g/G, and each is
-written as a sum of terms of one sign.  g/G, (gh - gv)/G and log(g/G) are
-per line (ChannelParams.decay_rates, formed once); only q, its log and 1 - q
-are per time.  g/G enters through its log wherever it multiplies, so it
-keeps its digits where g/G underflows.  With
-A = asinh((g/G) sinh(G t / 2)) the signal parameters are
+The signal parameters take their own route, the independent one that
+decompose's self-check compares upsilon against.  With
+A = asinh((g/G) sinh(G t / 2)) they are
 
     lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
 
-and A is formed from log q, so they stay finite and exact at times where
-the modes themselves underflow; the lifetime search probes such times on
-purpose.  The fixed point's diagonal 1 +- s is kept in logs, since one of
-its entries underflows for a strongly filtering line while the ratio of
-the two lines' entries, which the optimal state needs, does not.  Only
-the filter B carries the absolute scale of the map.
+and A is formed from log q and 1 - q alone (dynamics._mode_ratio), so they
+stay finite and exact at times where the modes themselves underflow; the
+lifetime search probes such times on purpose.  g/G enters through its log
+wherever it multiplies, so it keeps its digits where g/G underflows.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelParams, _mode_ratio, superop_over_slow
+from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio, decay_modes
 from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
@@ -79,9 +76,8 @@ class SinkhornDecomposition:
     """One map's normal form: L = F_{a_op^-1} . upsilon . F_{b_op^-1}.
 
     residuals: upsilon's first row (trace_preserving) and column (unital)
-    against (1, 0, 0, 0), the right-hand side against L (round_trip), and
-    upsilon against diag(1, lx, ly, lz) (self_check, which decompose holds
-    to NORMAL_FORM_TOL).
+    against (1, 0, 0, 0), and upsilon against diag(1, lx, ly, lz)
+    (self_check, which decompose holds to NORMAL_FORM_TOL).
     """
 
     s: float
@@ -179,9 +175,6 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
 # Closed form
 # ---------------------------------------------------------------------------
 
-_LN2 = math.log(2.0)
-
-
 def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float]:
     """Signal parameters (lx, ly, lz) of the unital normal form at time t.
 
@@ -190,7 +183,7 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     pure polarization-dependent loss.  Only log q and 1 - q depend on t.
     """
     log_q, one_minus_q = _mode_ratio(params, t)
-    _, _, r_gamma, _, log_r_gamma = params.decay_rates
+    _, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
     if log_r_gamma == -math.inf or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
         return 1.0, 1.0, 1.0
@@ -207,56 +200,26 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     return lam_x, lam_x, math.exp(-2.0 * big_a)
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
+def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, float, float, float]:
+    """(log(1 + s), log(1 - s), log eig_h, log eig_v) from the logs of the map's entries.
 
-
-def _log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)), for logs down to -inf."""
-    if a < b:
-        a, b = b, a
-    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
-
-
-def _fixed_point(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
-    """(log(1 + s), log(1 - s), log eig_h, log eig_v), read off the map over its slow mode.
-
-    eig_h, eig_v are the eigenvalues of L^dag[S] over the slow mode.  With
-    H = H<-H, V = V<-V and h = H<-V the entries of superop_over_slow,
-    1 -+ s = 2 sqrt(H or V) / (sqrt(H) + sqrt(V)) and L^dag[S] = w (I - s sigma_z)
-    with w = sqrt(H V) + h, so log eig_{h,v} = log(1 -+ s) + log w.  H, V and
-    h are taken in logs: for a strongly filtering line one of them underflows.
+    log_hh, log_vv and log_hv are the logs of H = H<-H, V = V<-V and
+    h = H<-V over the slow mode (dynamics._entry_logs); eig_h, eig_v are
+    the eigenvalues of L^dag[S] over the slow mode.  1 -+ s =
+    2 sqrt(H or V) / (sqrt(H) + sqrt(V)) and L^dag[S] = w (I - s sigma_z)
+    with w = sqrt(H V) + h, so log eig_{h,v} = log(1 -+ s) + log w.  The
+    map is self-dual, so the output filter B = (L^dag[S])^(-1/2) is
+    proportional to sqrt(S), whose diagonal 1 +- s is the filter's shape,
+    free of the absolute scale that makes B itself overflow at long times.
+    Either entry of the diagonal may be far below the double range, or -inf.
     """
-    log_q, one_minus_q = _mode_ratio(params, t)
-    _, _, _, r_delta, log_r_gamma = params.decay_rates
-    # 1 +- (gh-gv)/G, the smaller one as (g/G)^2 over the larger (r_gamma^2 + r_delta^2 = 1)
-    log_larger = math.log1p(abs(r_delta))
-    log_smaller = 2.0 * log_r_gamma - log_larger
-    log_plus_delta, log_minus_delta = (
-        (log_larger, log_smaller) if r_delta >= 0.0 else (log_smaller, log_larger)
-    )
-    # the logs of sqrt(H), H = ((1 - r_delta) + q (1 + r_delta)) / 2, of sqrt(V),
-    # V = ((1 + r_delta) + q (1 - r_delta)) / 2, and of h = (g/G) (1 - q) / 2
-    log_root_h = 0.5 * (_log_add(log_minus_delta, log_q + log_plus_delta) - _LN2)
-    log_root_v = 0.5 * (_log_add(log_plus_delta, log_q + log_minus_delta) - _LN2)
-    log_cross = log_r_gamma + _log(one_minus_q) - _LN2
+    log_root_h, log_root_v = 0.5 * log_hh, 0.5 * log_vv
     # log 2 - log(sqrt(H) + sqrt(V))
     log_scale = _LN2 - _log_add(log_root_h, log_root_v)
     log_plus_s = log_scale + log_root_v
     log_minus_s = log_scale + log_root_h
-    log_w = _log_add(log_root_h + log_root_v, log_cross)
+    log_w = _log_add(log_root_h + log_root_v, log_hv)
     return log_plus_s, log_minus_s, log_minus_s + log_w, log_plus_s + log_w
-
-
-def log_fixed_point_diagonal(params: ChannelParams, t: float) -> tuple[float, float]:
-    """Logs (log(1 + s), log(1 - s)) of the diagonal of the fixed point S = I + s sigma_z.
-
-    The map is self-dual, so L^dag[S] is proportional to S^-1 and the output
-    filter B = (L^dag[S])^(-1/2) to sqrt(S): this is the filter's shape,
-    free of the absolute scale that makes B itself overflow at long times.
-    Either entry may be far below the double range, or -inf.
-    """
-    return _fixed_point(params, t)[:2]
 
 
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
@@ -264,13 +227,15 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
 
     Both filters are diagonal, (a_h, a_v) and (b_h, b_v), and a diagonal
     filter X scales the matrix unit |i><j| by x_i x_j, so upsilon is formed
-    on the matrix units of the map over its slow mode (superop_over_slow),
-    with B taken over the slow mode too: each entry is a product of
-    positive numbers, and the transfer matrix sums them with signs.  It is
-    verified against diag(1, lx, ly, lz) to NORMAL_FORM_TOL before returning.
+    on the matrix units of the map over its slow mode (dynamics._entry_logs),
+    with B taken over the slow mode too: each of its five entries is the
+    exponential of a sum of logs, and the transfer matrix sums them with
+    signs.  It is verified against diag(1, lx, ly, lz) to NORMAL_FORM_TOL
+    before returning.
     """
-    slow, x = superop_over_slow(params, t)
-    log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(params, t)
+    slow, log_q, _, one_minus_q = decay_modes(params, t)
+    log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
+    log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(log_hh, log_vv, log_hv)
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
     if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
@@ -280,24 +245,21 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         )
     lam_x, lam_y, lam_z = unital_lambdas(params, t)
     # s = (V - H) / (sqrt(H) + sqrt(V))^2, with V - H = r_delta (1 - q), which does not cancel
-    roots = math.sqrt(x[0, 0]) + math.sqrt(x[3, 3])
-    s = params.decay_rates[3] * _mode_ratio(params, t)[1] / (roots * roots)
+    roots = math.exp(0.5 * log_hh) + math.exp(0.5 * log_vv)
+    s = params.decay_rates[3] * one_minus_q / (roots * roots)
 
-    a_h, a_v = math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
-    b_h, b_v = 1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)
-    # F_X scales x's row-major vec'd unit |i><j| by x_i x_j; B is taken over
-    # the slow mode, as x is
-    a = (a_h, a_v)
-    b = (math.exp(-0.5 * log_eig_h), math.exp(-0.5 * log_eig_v))
-    scale_a = np.array([[a[i] * a[j]] for i in (0, 1) for j in (0, 1)])
-    scale_b = np.array([b[i] * b[j] for i in (0, 1) for j in (0, 1)])
-    units = scale_a * x * scale_b
-    hh, hv, vh, vv = units[0, 0], units[0, 3], units[3, 0], units[3, 3]
+    # F_X scales the unit |i><j| by x_i x_j, with a_{h,v}^2 = 1 +- s and,
+    # over the slow mode, b_{h,v}^2 = 1 / eig_{h,v}
+    hh = math.exp(log_plus_s + log_hh - log_eig_h)
+    hv = math.exp(log_plus_s + log_hv - log_eig_v)
+    vh = math.exp(log_minus_s + log_hv - log_eig_h)
+    vv = math.exp(log_minus_s + log_vv - log_eig_v)
+    coherence = math.exp(0.5 * (log_plus_s + log_minus_s - log_eig_h - log_eig_v) + log_c)
     upsilon = np.array(
         [
             [0.5 * (hh + hv + vh + vv), 0.0, 0.0, 0.5 * (hh - hv + vh - vv)],
-            [0.0, units[1, 1], 0.0, 0.0],
-            [0.0, 0.0, units[2, 2], 0.0],
+            [0.0, coherence, 0.0, 0.0],
+            [0.0, 0.0, coherence, 0.0],
             [0.5 * (hh + hv - vh - vv), 0.0, 0.0, 0.5 * (hh - hv - vh + vv)],
         ]
     )
@@ -309,10 +271,11 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )
     flat = np.array([1.0, 0.0, 0.0, 0.0])
+    a_h, a_v = math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
     return SinkhornDecomposition(
         s=s,
         a_op=np.diag([a_h, a_v]).astype(complex),
-        b_op=np.diag([b_h, b_v]).astype(complex),
+        b_op=np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex),
         lambda_x=lam_x,
         lambda_y=lam_y,
         lambda_z=lam_z,
@@ -320,7 +283,6 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         residuals={
             "trace_preserving": float(abs(upsilon[0] - flat).max()),
             "unital": float(abs(upsilon[:, 0] - flat).max()),
-            "round_trip": float(abs(units / scale_a / scale_b - x).max()),
             "self_check": residual,
         },
     )

@@ -66,7 +66,7 @@ def suite_ptm_oracle() -> SuiteResult:
 
 
 def suite_sinkhorn() -> SuiteResult:
-    """Normal form: closed-form fixed point, unitality, and round trip."""
+    """Normal form: closed-form fixed point against iteration, and decompose's residuals."""
     cases = [
         (params, t) for params in iter_params(require_depolarization=True) for t in TIME_GRID
     ]

@@ -16,10 +16,18 @@ import numpy as np
 import pytest
 
 from qsink import entanglement
-from qsink.dynamics import ChannelParams, decay_modes, ptm_at
+from qsink.dynamics import (
+    ChannelParams,
+    _entry_logs,
+    _log,
+    _log_add,
+    _mode_ratio,
+    decay_modes,
+    ptm_at,
+)
 from qsink.entanglement import negativity
 from qsink.linalg import PD_MIN_EIG, PSD_TOL, SIGMA, hermitian_part
-from qsink.sinkhorn import NORMAL_FORM_TOL, _log, _log_add, unital_lambdas
+from qsink.sinkhorn import NORMAL_FORM_TOL, unital_lambdas
 
 _SIG = np.stack(SIGMA)
 
@@ -278,20 +286,46 @@ def width_fixed_point(
     return s, log_plus_s, log_minus_s, log_eig_h, log_eig_v
 
 
-def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
-    """width_fixed_point's formula at 60 digits: (s, log(1 + s), log(1 - s), log eig_h, log eig_v).
+def entry_logs_at(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
+    """dynamics._entry_logs at time t: (log H, log V, log h, log c) over the slow mode."""
+    return _entry_logs(params, *_mode_ratio(params, t))
 
-    The line's ratios g/G and (gh - gv)/G and the time's log q are taken as
-    exact, so the reference and the package share their inputs.  Every
-    quantity is a sum of positive terms, so 60 digits hold wherever it lies
-    in the decimal exponent range.
+
+def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
+    """width_fixed_point's formula and the map's entries at 60 digits.
+
+    Returns (s, fixed, entries): fixed holds (log(1 + s), log(1 - s),
+    log eig_h, log eig_v), and entries holds the logs (log H, log V,
+    log h, log c) of the map's entries over its slow mode, H = lower,
+    V = upper, h = half_gap and c = q^((1 + g/G) / 2).  The line's ratios
+    g/G and (gh - gv)/G and the time's log q are taken as exact, so the
+    reference and the package share their inputs; where g/G is below the
+    normal doubles, it is taken as the exponential of the line's log(g/G),
+    which keeps its digits there.  1 - q is summed as a series where q is
+    within 1e-6 of 1.  Every quantity is a sum of positive terms, so 60
+    digits hold wherever it lies in the decimal exponent range; the
+    entries are summed in logs, so they hold for every log q.  A log is
+    -Infinity where its quantity is 0.
     """
-    _, log_q, _, _, r_gamma, r_delta, _ = decay_modes(params, t)
+    log_q = _mode_ratio(params, t)[0]
+    _, _, r_gamma, r_delta, log_r_gamma, _, _ = params.decay_rates
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         D = decimal.Decimal
-        q = D(log_q).exp()
-        one_minus_q = 1 - q
+        minus_inf = D("-Infinity")
+
+        def ln(x):
+            return x.ln() if x > 0 else minus_inf
+
+        def ln_add(a, b):
+            high, low = max(a, b), min(a, b)
+            return high if low == minus_inf else high + (1 + (low - high).exp()).ln()
+
+        x = D(log_q)
+        q = x.exp()
+        one_minus_q = -(x + x * x / 2 + x**3 / 6 + x**4 / 24) if abs(x) < D("1e-6") else 1 - q
+        if r_gamma < sys.float_info.min and log_r_gamma > -math.inf:
+            r_gamma = D(log_r_gamma).exp()
         r_gamma, r_delta = D(r_gamma), D(r_delta)
         larger = 1 + abs(r_delta)
         smaller = r_gamma * r_gamma / larger
@@ -305,9 +339,16 @@ def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
         minus_s = 2 * (lower + width) / denom
         eig_h = plus_s * lower + minus_s * half_gap
         eig_v = minus_s * upper + plus_s * half_gap
+        log_plus_half, log_minus_half = ln(plus_delta / 2), ln(minus_delta / 2)
         return (
             r_delta * one_minus_q / denom,
-            *(x.ln() if x > 0 else D("-Infinity") for x in (plus_s, minus_s, eig_h, eig_v)),
+            tuple(ln(value) for value in (plus_s, minus_s, eig_h, eig_v)),
+            (
+                ln_add(log_minus_half, x + log_plus_half),
+                ln_add(log_plus_half, x + log_minus_half),
+                ln(half_gap),
+                x * (1 + r_gamma) / 2,
+            ),
         )
 
 
@@ -325,7 +366,10 @@ def einsum_decompose(params: ChannelParams, t: float) -> dict:
     residuals.
     """
     slow, *modes = decay_modes(params, t)
-    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = width_fixed_point(*modes)
+    _, _, r_gamma, r_delta, log_r_gamma, _, _ = params.decay_rates
+    s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = width_fixed_point(
+        *modes, r_gamma, r_delta, log_r_gamma
+    )
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)
     if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):

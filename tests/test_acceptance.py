@@ -77,8 +77,8 @@ def test_criterion_2_semigroup(capsys):
 
 
 def test_criterion_3_normal_form(capsys):
-    # closed-form fixed point against iteration, unital/trace residuals,
-    # round trip and signal-parameter ordering
+    # closed-form fixed point against iteration, the trace, unital and
+    # self-check residuals decompose returns, and signal-parameter ordering
     report(capsys, 3, *check_suite(suite_sinkhorn(), 1e-9, 240))
 
 

@@ -311,10 +311,10 @@ def test_evolve_custom_state_output_is_pinned(capsys, tmp_path):
     assert out == """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal,negativity_custom,detection_prob_custom
 0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002,0.078143390310021432,1
-0.12369726688068892,0.2989294076141501,0.2824522759681023,0.53091285682875689,0.35879468987157032,0.0030006257057505971,0.53817118590659085
-0.24739453376137785,0.13128367574185779,0.18416675274053532,0.32908348856777825,0.15675697684551038,0,0.32382690354738319
-0.37109180064206676,0.02645864705399241,0.078607251071763362,0.21971910369808109,0.082443281481377834,0,0.20830228091569625
-0.4947890675227557,0,0,0.15119331063379823,0.049378689405089479,0,0.13908663343499078
+0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.35879468987157037,0.0030006257057505763,0.53817118590659085
+0.24739453376137785,0.13128367574185779,0.18416675274053532,0.3290834885677783,0.1567569768455104,0,0.32382690354738319
+0.37109180064206676,0.026458647053992375,0.078607251071763334,0.21971910369808109,0.082443281481377834,0,0.20830228091569625
+0.4947890675227557,0,0,0.15119331063379821,0.049378689405089479,0,0.13908663343499078
 0.61848633440344458,0,0,0.1052303257467421,0.031861173101082434,0,0.094804516419184429
 0.74218360128413352,0,0,0.073546470477888398,0.021371879619046401,0,0.065370024229789075
 0.86588086816482246,0,0,0.051480211473282779,0.014623796058117259,0,0.045371249915092123
@@ -565,10 +565,10 @@ tau,psi0_re,psi0_im,psi1_re,psi1_im,psi2_re,psi2_im,psi3_re,psi3_im,schmidt_1,sc
         """\
 t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_optimal
 0,0.5,0.33247178515725606,0.99999999999999978,1.0000000000000002
-0.12369726688068892,0.2989294076141501,0.2824522759681023,0.53091285682875689,0.35879468987157032
-0.24739453376137785,0.13128367574185779,0.18416675274053532,0.32908348856777825,0.15675697684551038
-0.37109180064206676,0.02645864705399241,0.078607251071763362,0.21971910369808109,0.082443281481377834
-0.4947890675227557,0,0,0.15119331063379823,0.049378689405089479
+0.12369726688068892,0.2989294076141501,0.28245227596810224,0.53091285682875689,0.35879468987157037
+0.24739453376137785,0.13128367574185779,0.18416675274053532,0.3290834885677783,0.1567569768455104
+0.37109180064206676,0.026458647053992375,0.078607251071763334,0.21971910369808109,0.082443281481377834
+0.4947890675227557,0,0,0.15119331063379821,0.049378689405089479
 0.61848633440344458,0,0,0.1052303257467421,0.031861173101082434
 0.74218360128413352,0,0,0.073546470477888398,0.021371879619046401
 0.86588086816482246,0,0,0.051480211473282779,0.014623796058117259
@@ -593,10 +593,9 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
   "lambda_y": 0.7341254817087135,
   "lambda_z": 0.7274932066305086,
   "residuals": {
-    "trace_preserving": 1.1102230246251565e-16,
-    "unital": 1.1102230246251565e-16,
-    "round_trip": 5.551115123125783e-17,
-    "self_check": 1.1102230246251565e-16
+    "trace_preserving": 0.0,
+    "unital": 0.0,
+    "self_check": 0.0
   }
 }
 """,
@@ -786,9 +785,16 @@ def test_non_finite_or_negative_input_fails_closed(capsys, command, flag, value)
 @pytest.mark.parametrize(
     ("config", "message"),
     [
-        ({"steps": math.inf}, "infinity"),
+        ({"steps": math.inf}, "steps must be an integer, got inf"),
         ({"initial_state": [[math.nan, 0.0]] * 16}, "16 finite"),
         ({"initial_state": [[math.inf, 0.0]] * 16}, "16 finite"),
+        # each rate is checked in the file, also where --g1 and --g2 override it
+        ({"line1": {"gamma": math.inf}}, "line1.gamma must be finite and >= 0, got inf"),
+        ({"line2": {"gamma": math.nan}}, "line2.gamma must be finite and >= 0, got nan"),
+        ({"line1": {"gamma": -1}}, "line1.gamma must be finite and >= 0, got -1"),
+        ({"line2": {"gamma_h": -math.inf}}, "line2.gamma_h must be finite and >= 0, got -inf"),
+        ({"steps": math.nan}, "steps must be an integer, got nan"),
+        ({"line1": {"gamma_v": 10**400}}, "line1.gamma_v must be finite and >= 0, got 1000"),
     ],
 )
 def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     detection_probability,
+    entry_logs_at,
     is_cp,
     is_trace_nonincreasing,
     ptm_to_superop,
@@ -66,8 +67,9 @@ def test_ptm_near_the_double_maximum():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.array_equal(ptm_at(params, 0.0), np.eye(4))
-        _, log_q, _, _, r_gamma, r_delta, _ = decay_modes(params, 1e-308)
+        log_q = decay_modes(params, 1e-308)[1]
     assert abs(log_q + 2.4041630560342615) <= 1e-15
+    _, _, r_gamma, r_delta, _, _, _ = params.decay_rates
     assert r_gamma == r_delta == math.sqrt(0.5)
 
 
@@ -204,12 +206,35 @@ def test_superop_over_slow_on_a_sequence_is_the_stacked_single_calls(params, tim
         assert maps[k].tobytes() == s.tobytes()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        REFERENCE,
+        ChannelParams(3.0, 0.5, 0.0),
+        ChannelParams(0.0, 0.0, 3.0),
+        ChannelParams(1.7e308, 0.0, 1.7e308),
+    ],
+)
+def test_superop_over_slow_entries_are_the_exponentials_of_the_entry_logs(params):
+    # to the bit, alone and stacked: the map holds no second formula for its entries
+    times = [0.0, 1e-300, 0.3, 1.7, 1e3, 1e300]
+    _, maps = superop_over_slow(params, times)
+    for t, stacked in zip(times, maps):
+        log_hh, log_vv, log_hv, log_c = entry_logs_at(params, t)
+        expected = np.zeros((4, 4))
+        expected[0, 0], expected[3, 3] = math.exp(log_hh), math.exp(log_vv)
+        expected[0, 3] = expected[3, 0] = math.exp(log_hv)
+        expected[1, 1] = expected[2, 2] = math.exp(log_c)
+        assert superop_over_slow(params, t)[1].tobytes() == expected.tobytes()
+        assert stacked.tobytes() == expected.tobytes()
+
+
 def test_superop_over_slow_grid_is_pinned_to_the_bit():
     # the bytes of 1000 single-time calls, each formed with math's
     # exponentials: numpy's ufuncs match those only to the last bit
     slows, maps = superop_over_slow(REFERENCE, np.linspace(0.0, 1.0, 1000).tolist())
     digest = hashlib.sha256(slows.tobytes() + maps.tobytes()).hexdigest()
-    assert digest == "1341c452b1dbd6d3f9bb1c0b05cb86b35fb03cad3ad89d56d62c835c9165b24a"
+    assert digest == "bad1c087d1ed47e1222f0750bd3875f5badd056c2699ab8664140983cff74c82"
 
 
 def test_integration_at_zero_is_identity():

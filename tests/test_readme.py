@@ -62,3 +62,34 @@ def test_readme_modules_are_the_package_modules():
     )
     assert sorted(named) == modules
     assert len(named) == len(set(named))
+
+
+def documented_keys(marker: str) -> list[str]:
+    """The keys in the first column of the first table after marker, each written `key`."""
+    after = section("Command line").split(marker, 1)[1]
+    table = after.split("\n\n| key |", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]  # past the header's rest and the rule
+    return [key for row in rows for key in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+
+
+def printed_keys(record: dict, prefix: str = "") -> list[str]:
+    """The keys of a JSON record, a nested object's keys as `outer.inner`."""
+    keys = []
+    for key, value in record.items():
+        if isinstance(value, dict):
+            keys += printed_keys(value, f"{prefix}{key}.")
+        else:
+            keys.append(prefix + key)
+    return keys
+
+
+def test_readme_lists_the_json_keys_the_commands_print(capsys):
+    # a dropped or renamed key must not linger in the docs, nor a new one go unlisted
+    for marker, argv in (
+        ("`lifetime --format json` prints", ["lifetime", "--g1", "1", "--g2", "1",
+                                             "--format", "json"]),
+        ("`sinkhorn` prints", ["sinkhorn", "--gh1", "1", "--gv1", "5", "--g1", "1", "--t", "0.3"]),
+    ):
+        assert main(argv) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        assert documented_keys(marker) == printed_keys(record), argv

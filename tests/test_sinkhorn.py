@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     decimal_fixed_point,
+    entry_logs_at,
     identity_ptm,
     is_cp,
     is_trace_preserving,
@@ -204,8 +205,9 @@ def test_fixed_point_is_the_width_formula_at_60_digits():
     # denominator formula evaluated at 60 digits on the same inputs
     bound = 4 * Decimal(sys.float_info.epsilon)
     for params, t in random_lines_and_times(16, 2000):
-        ref_s, *ref_logs = decimal_fixed_point(params, t)
-        for found, ref in zip(_fixed_point(params, t), ref_logs):
+        ref_s, ref_logs, _ = decimal_fixed_point(params, t)
+        found_logs = _fixed_point(*entry_logs_at(params, t)[:3])
+        for found, ref in zip(found_logs, ref_logs, strict=True):
             if ref.is_infinite():
                 assert found == -math.inf, (params, t)
             else:
