@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -62,7 +61,7 @@ class JobConfig:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps!r}")
-        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max > 0.0):
+        if self.t_max is not None and not 0.0 < self.t_max <= sys.float_info.max:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
@@ -263,12 +262,12 @@ def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
     record = {
         "t": t,
         "s": dec.s,
-        "a_diag": [float(x.real) for x in np.diag(dec.a_op)],
-        "b_diag": [float(x.real) for x in np.diag(dec.b_op)],
+        "a_diag": list(dec.a_diag),
+        "log_b_scale": dec.log_b_scale,
         "lambda_x": dec.lambda_x,
         "lambda_y": dec.lambda_y,
         "lambda_z": dec.lambda_z,
-        "residuals": dec.residuals,
+        "self_check": dec.self_check,
     }
     _write(cfg, record)
     return EXIT_OK
@@ -351,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    # a RuntimeError is decompose's failed self-check
+    except (ValueError, OverflowError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

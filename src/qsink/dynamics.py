@@ -22,12 +22,12 @@ E = exp(-(g + gh + gv) t / 2)):
     c    = exp(-(2 g + gh + gv) t / 2)
 
 Every quantity of this package that depends on the line and the time goes
-through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), the
-mode ratio q = exp(-G t), its log and 1 - q.  The ratios g/G and
+through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), and
+the log of the mode ratio q = exp(-G t) with 1 - q.  The ratios g/G and
 (gh - gv)/G, their logs and the rates in the exponents depend on the line
 alone; ChannelParams.decay_rates forms them once per line.  Per time,
 _mode_ratio(), the core of decay_modes(), forms log q and 1 - q, all the
-signal parameters read, and decay_modes() adds the slow mode and q.
+signal parameters read, and decay_modes() adds the slow mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
@@ -164,16 +164,16 @@ def _mode_ratio(params: ChannelParams, t: float) -> tuple[float, float]:
     return log_q, -math.expm1(log_q)
 
 
-def decay_modes(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
-    """The two decay modes of one line at time t: (slow, log_q, q, one_minus_q).
+def decay_modes(params: ChannelParams, t: float) -> tuple[float, float, float]:
+    """The two decay modes of one line at time t: (slow, log_q, one_minus_q).
 
     slow = exp(-(r - G) t / 2), r = g + gh + gv, is the slower mode, and
-    q = fast / slow = exp(-G t) comes with its log -G t and with 1 - q from
-    expm1, so every ratio of the modes stays exact where the modes
-    underflow.  Per call, only the three exponentials of t are evaluated.
+    the mode ratio q = fast / slow = exp(-G t) is given by its log -G t and
+    by 1 - q from expm1, so every ratio of the modes stays exact where the
+    modes underflow.  Per call, only two exponentials of t are evaluated.
     """
     log_q, one_minus_q = _mode_ratio(params, t)
-    return math.exp(params.decay_rates[1] * t), log_q, math.exp(log_q), one_minus_q
+    return math.exp(params.decay_rates[1] * t), log_q, one_minus_q
 
 
 def _entry_logs(
@@ -216,7 +216,7 @@ def superop_over_slow(params: ChannelParams, t: float | Sequence[float]) -> tupl
     single = np.ndim(t) == 0
     rows = []
     for time in [t] if single else t:
-        slow, log_q, _, one_minus_q = decay_modes(params, time)
+        slow, log_q, one_minus_q = decay_modes(params, time)
         log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
         rows.append((slow, math.exp(log_hh), math.exp(log_vv), math.exp(log_hv), math.exp(log_c)))
     # per row: slow, then H<-H, V<-V, H<-V = V<-H and the two coherences
@@ -233,7 +233,8 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     limit and large G t come out exact; entries may underflow to 0 at times
     where the photon is surely lost.
     """
-    slow, log_q, q, one_minus_q = decay_modes(params, t)
+    slow, log_q, one_minus_q = decay_modes(params, t)
+    q = math.exp(log_q)
     _, _, r_gamma, r_delta, _, _, _ = params.decay_rates
     m = np.zeros((4, 4))
     m[0, 0] = 0.5 * (1.0 + q + r_gamma * one_minus_q)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ChannelParams, _entry_logs, _mode_ratio
-from .linalg import _first_flagged, hermitian_part, partial_transpose_second
-from .sinkhorn import _fixed_point, unital_lambdas
+from .linalg import PSD_TOL, _first_flagged, hermitian_part, partial_transpose_second
+from .sinkhorn import _filter_shape, _fixed_point, unital_lambdas
 
 PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
@@ -43,7 +43,7 @@ def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     low = np.linalg.eigvalsh(rho)[..., 0]
-    bad = _first_flagged(low, low < -1e-9)
+    bad = _first_flagged(low, ~(low >= -PSD_TOL))
     if bad is not None:
         raise ValueError(f"state is not positive semidefinite (min eigenvalue {bad:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
@@ -331,10 +331,7 @@ def optimal_state(
     psi = np.array([amp_h, 0.0, 0.0, amp_v], dtype=complex) / norm
     rho = np.outer(psi, psi.conj())
     coeffs = sorted((amp_h / norm, amp_v / norm), reverse=True)
-    shapes = tuple(
-        (math.sqrt(math.exp(log_h)), math.sqrt(math.exp(log_v)))
-        for log_h, log_v in ((log_h1, log_v1), (log_h2, log_v2))
-    )
     return OptimalState(
-        psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]), filter_shapes=shapes
+        psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]),
+        filter_shapes=(_filter_shape(log_h1, log_v1), _filter_shape(log_h2, log_v2)),
     )

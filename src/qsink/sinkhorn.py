@@ -37,10 +37,10 @@ lx, since
 
 with (sqrt(H V))^2 - h^2 = q.  Nothing cancels in them, however unequal
 the filters; only the transfer matrix's +- sums of the four populations
-subtract, numbers of order 1.  The logs keep the fixed point's diagonal
-1 +- s where one of its entries underflows for a strongly filtering line,
-while the ratio of the two lines' entries, which the optimal state needs,
-does not; only the filter B carries the absolute scale of the map.
+subtract, numbers of order 1.  Both filters have the shape (sqrt(1 + s),
+sqrt(1 - s)), which may underflow: A is it, and B = beta A with log beta =
+-(log slow + log w + log(1 + s) + log(1 - s)) / 2, kept as a log, since
+beta overflows where the slow mode underflows.
 
 The signal parameters take their own route, the independent one that
 decompose's self-check compares upsilon against.  With
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio, decay_modes
+from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
 # The composed map must reproduce diag(1, lx, ly, lz) at least this well.
@@ -73,21 +73,21 @@ FIXED_POINT_MAX_ITER = 10000
 
 @dataclass(frozen=True)
 class SinkhornDecomposition:
-    """One map's normal form: L = F_{a_op^-1} . upsilon . F_{b_op^-1}.
+    """One map's normal form: L = F_{A^-1} . upsilon . F_{B^-1}, with B = exp(log_b_scale) A.
 
-    residuals: upsilon's first row (trace_preserving) and column (unital)
-    against (1, 0, 0, 0), and upsilon against diag(1, lx, ly, lz)
-    (self_check, which decompose holds to NORMAL_FORM_TOL).
+    a_diag is A = sqrt(S) = diag(sqrt(1 + s), sqrt(1 - s)), either entry
+    possibly 0.  self_check is the largest deviation of upsilon from
+    diag(1, lx, ly, lz), which decompose holds to NORMAL_FORM_TOL.
     """
 
     s: float
-    a_op: np.ndarray
-    b_op: np.ndarray
+    a_diag: tuple[float, float]
+    log_b_scale: float
     lambda_x: float
     lambda_y: float
     lambda_z: float
     upsilon: np.ndarray
-    residuals: dict[str, float]
+    self_check: float
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +222,32 @@ def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, fl
     return log_plus_s, log_minus_s, log_minus_s + log_w, log_plus_s + log_w
 
 
+def _filter_shape(log_plus_s: float, log_minus_s: float) -> tuple[float, float]:
+    """(sqrt(1 + s), sqrt(1 - s)) from their logs: the shape of both filters; either may be 0."""
+    return math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
+
+
 def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     """Full normal form of the loss model's map at time t.
 
-    Both filters are diagonal, (a_h, a_v) and (b_h, b_v), and a diagonal
-    filter X scales the matrix unit |i><j| by x_i x_j, so upsilon is formed
-    on the matrix units of the map over its slow mode (dynamics._entry_logs),
-    with B taken over the slow mode too: each of its five entries is the
-    exponential of a sum of logs, and the transfer matrix sums them with
-    signs.  It is verified against diag(1, lx, ly, lz) to NORMAL_FORM_TOL
-    before returning.
+    Both filters are diagonal, and a diagonal filter X scales the matrix
+    unit |i><j| by x_i x_j, so upsilon is formed on the matrix units of the
+    map over its slow mode (dynamics._entry_logs), B taken over it too: each
+    of its five entries is the exponential of a sum of logs.  Raises
+    ValueError where log_b_scale is not finite (a log(1 +- s) of -inf, or a
+    slow mode's log past the double range) and RuntimeError unless upsilon
+    is diag(1, lx, ly, lz) to NORMAL_FORM_TOL.
     """
-    slow, log_q, _, one_minus_q = decay_modes(params, t)
+    log_q, one_minus_q = _mode_ratio(params, t)
     log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
     log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(log_hh, log_vv, log_hv)
-    eig_h = slow * math.exp(log_eig_h)
-    eig_v = slow * math.exp(log_eig_v)
-    if not (eig_h > PD_MIN_EIG and eig_v > PD_MIN_EIG):
+    # log beta, with log eig_h = log(1 - s) + log w; the slow mode is only ever a log here
+    log_slow = params.decay_rates[1] * t
+    log_b_scale = -0.5 * (log_slow + log_plus_s + log_eig_h)
+    if not math.isfinite(log_b_scale):
         raise ValueError(
-            f"degenerate filter: image of the fixed point has eigenvalues "
-            f"({eig_h:.3e}, {eig_v:.3e})"
+            f"degenerate filter B: log_b_scale = {log_b_scale:.6g} from log slow = {log_slow:.6g}, "
+            f"log(1 + s) = {log_plus_s:.6g}, log(1 - s) = {log_minus_s:.6g}"
         )
     lam_x, lam_y, lam_z = unital_lambdas(params, t)
     # s = (V - H) / (sqrt(H) + sqrt(V))^2, with V - H = r_delta (1 - q), which does not cancel
@@ -270,19 +276,13 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
         raise RuntimeError(
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
         )
-    flat = np.array([1.0, 0.0, 0.0, 0.0])
-    a_h, a_v = math.sqrt(math.exp(log_plus_s)), math.sqrt(math.exp(log_minus_s))
     return SinkhornDecomposition(
         s=s,
-        a_op=np.diag([a_h, a_v]).astype(complex),
-        b_op=np.diag([1.0 / math.sqrt(eig_h), 1.0 / math.sqrt(eig_v)]).astype(complex),
+        a_diag=_filter_shape(log_plus_s, log_minus_s),
+        log_b_scale=log_b_scale,
         lambda_x=lam_x,
         lambda_y=lam_y,
         lambda_z=lam_z,
         upsilon=upsilon,
-        residuals={
-            "trace_preserving": float(abs(upsilon[0] - flat).max()),
-            "unital": float(abs(upsilon[:, 0] - flat).max()),
-            "self_check": residual,
-        },
+        self_check=residual,
     )

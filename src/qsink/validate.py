@@ -2,7 +2,7 @@
 
 Used by the command-line `validate` subcommand and by the acceptance gate.
 The oracles: RK4 integration at one shared step, ORACLE_DT, fixed-point
-iteration, and the residuals decompose() returns with each normal form.
+iteration, and the self-check residual decompose() returns with each normal form.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def suite_ptm_oracle() -> SuiteResult:
 
 
 def suite_sinkhorn() -> SuiteResult:
-    """Normal form: closed-form fixed point against iteration, and decompose's residuals."""
+    """Normal form: closed-form fixed point against iteration, and decompose's self-check."""
     cases = [
         (params, t) for params in iter_params(require_depolarization=True) for t in TIME_GRID
     ]
@@ -74,7 +74,7 @@ def suite_sinkhorn() -> SuiteResult:
     worst, worst_case = 0.0, ""
     for (params, t), s_iter in zip(cases, iterated):
         dec = decompose(params, t)
-        devs = [abs(dec.s - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real), *dec.residuals.values()]
+        devs = [abs(dec.s - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real), dec.self_check]
         # lambda_x == lambda_z exactly in exact arithmetic when gh == gv,
         # so the ordering comparison gets one-ulp slack
         ordered = (
@@ -112,9 +112,10 @@ def suite_normal_form_predicates() -> SuiteResult:
     cases, bad = 0, ""
     for params in iter_params(require_depolarization=True):
         for t in TIME_GRID:
-            residuals = decompose(params, t).residuals
+            upsilon = decompose(params, t).upsilon
             cases += 1
-            if not (residuals["trace_preserving"] <= 1e-9 and residuals["unital"] <= 1e-9):
+            # its first row (trace preserving) and column (unital) against (1, 0, 0, 0)
+            if not abs(np.stack((upsilon[0], upsilon[:, 0])) - (1.0, 0.0, 0.0, 0.0)).max() <= 1e-9:
                 bad = f"{params}, t={t}"
     # the family's map is its own dual: its transfer matrix is symmetric
     for params in iter_params():

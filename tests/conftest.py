@@ -359,16 +359,17 @@ def einsum_decompose(params: ChannelParams, t: float) -> dict:
     step for step: the fixed point by its width and denominator
     (width_fixed_point), every filter's transfer matrix by the general
     sandwich, upsilon as their product with the transfer matrix, and the
-    same checks in the same order, with the same errors.  Each filter
-    mixes the identity with sigma_z there, so upsilon's entries cancel
-    where the filters are very unequal, and the self-check may fail where
-    decompose's does not.  Returns s, the filters, upsilon and the
-    residuals.
+    checks decompose made then: the output filter's eigenvalues against
+    the absolute PD_MIN_EIG, which refuses filters whose log scale
+    decompose accepts, and the self-check.  Each filter mixes the identity
+    with sigma_z there, so upsilon's entries cancel where the filters are
+    very unequal, and the self-check may fail where decompose's does not.
+    Returns s, the filters, upsilon and the residuals.
     """
-    slow, *modes = decay_modes(params, t)
+    slow, log_q, one_minus_q = decay_modes(params, t)
     _, _, r_gamma, r_delta, log_r_gamma, _, _ = params.decay_rates
     s, log_plus_s, log_minus_s, log_eig_h, log_eig_v = width_fixed_point(
-        *modes, r_gamma, r_delta, log_r_gamma
+        log_q, math.exp(log_q), one_minus_q, r_gamma, r_delta, log_r_gamma
     )
     eig_h = slow * math.exp(log_eig_h)
     eig_v = slow * math.exp(log_eig_v)

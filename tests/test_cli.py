@@ -1,10 +1,14 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_csv_columns
 from qsink import cli
@@ -413,15 +417,66 @@ def test_sinkhorn_subcommand(capsys):
     assert abs(record["s"] - (-0.289121400671)) <= 1e-9
     assert abs(record["lambda_x"] - 0.734125481709) <= 1e-9
     assert record["lambda_x"] == record["lambda_y"]
-    assert record["b_diag"][1] > record["b_diag"][0]
-    for value in record["residuals"].values():
-        assert value <= 1e-12
+    # the faster-decaying V gets the larger filter entry
+    assert record["a_diag"][1] > record["a_diag"][0]
+    assert record["self_check"] <= 1e-12
+
+
+def test_sinkhorn_reports_the_output_filter_scale_as_its_log(capsys):
+    # pure depolarization plus balanced loss: S = I, and B = e^(t/2) A with
+    # A = I, since L^dag[I] = e^-t I; B's eigenvalues once met an absolute floor
+    code, out, _ = run(capsys, ["sinkhorn", "--gh1", "1", "--gv1", "1", "--g1", "1", "--t", "30"])
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["a_diag"] == [1.0, 1.0]
+    assert abs(record["log_b_scale"] - 15.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sinkhorn", "--gh1", "1e300", "--t", "1e10"],
+         "degenerate filter B: log_b_scale = inf from log slow = -0, "
+         "log(1 + s) = 0.693147, log(1 - s) = -inf"),
+        (["sinkhorn", "--gh1", "1e300", "--gv1", "1e300", "--t", "1e10"],
+         "degenerate filter B: log_b_scale = inf from log slow = -inf, "
+         "log(1 + s) = 0, log(1 - s) = 0"),
+        (["sinkhorn", "--gv1", "1", "--t", "2e7"],
+         "normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = 1.863e-09"),
+    ],
+    ids=["pure-loss-shape-underflow", "slow-mode-log-overflow", "pure-loss-log-rounding"],
+)
+def test_sinkhorn_exit_one_cases_are_the_documented_ones(capsys, argv, message):
+    # the README lists these three, each with this repro
+    assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+# 0, or log-uniform over the positive doubles [5e-324, 1.7e308]
+DOUBLE_RANGE = st.one_of(st.just(0.0), st.floats(-323.3, 308.23).map(lambda e: 10.0**e))
+SINKHORN_REFUSALS = ("error: degenerate filter B: ", "error: normal form self-check failed: ")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(DOUBLE_RANGE, DOUBLE_RANGE, DOUBLE_RANGE, DOUBLE_RANGE)
+def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t):
+    argv = ["sinkhorn", "--gh1", repr(gh), "--gv1", repr(gv), "--g1", repr(g), "--t", repr(t)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_OK:
+        record = json.loads(out.getvalue())
+        values = [record["t"], record["s"], *record["a_diag"], record["log_b_scale"],
+                  record["lambda_x"], record["lambda_y"], record["lambda_z"], record["self_check"]]
+        assert all(math.isfinite(x) for x in values)
+    else:
+        assert (code, out.getvalue()) == (EXIT_USAGE, "")
+        assert err.getvalue().startswith(SINKHORN_REFUSALS), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# valid input that still exits 1 (ROADMAP items 3 and 4), each with the
-# message it exits with; a fix passes the test, and the strict marker then
-# fails it until the marker comes off
+# valid input that exits 0, or still exits 1 (ROADMAP item 3) with the
+# message given; a fix passes the test, and the strict marker then fails
+# it until the marker comes off
 # ---------------------------------------------------------------------------
 
 
@@ -449,11 +504,8 @@ def _known_exit_one(argv, message, reason):
             "detection probability vanished (5.225e-124)",
             "the optimal state's HH amplitude is 6.7e-309",
         ),
-        _known_exit_one(
-            ["sinkhorn", "--gh1", "1", "--gv1", "1", "--g1", "1", "--t", "30"],
-            "degenerate filter: image of the fixed point has eigenvalues (9.358e-14, 9.358e-14)",
-            "the filter's eigenvalues are compared with the absolute PD_MIN_EIG",
-        ),
+        # B = 3.3e6, whose eigenvalues 9.358e-14 met the absolute PD_MIN_EIG
+        (["sinkhorn", "--gh1", "1", "--gv1", "1", "--g1", "1", "--t", "30"], None),
         # filters 1e4 apart, where the Pauli route's self-check cancelled to 4e-9
         (["sinkhorn", "--gh1", "100", "--gv1", "0", "--g1", "0.01", "--t", "1"], None),
     ],
@@ -585,18 +637,11 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
     0.8431361689130942,
     1.1353948214918677
   ],
-  "b_diag": [
-    1.3750387255035277,
-    1.8516722515890602
-  ],
+  "log_b_scale": 0.4891086997894019,
   "lambda_x": 0.7341254817087135,
   "lambda_y": 0.7341254817087135,
   "lambda_z": 0.7274932066305086,
-  "residuals": {
-    "trace_preserving": 0.0,
-    "unital": 0.0,
-    "self_check": 0.0
-  }
+  "self_check": 0.0
 }
 """,
     ),
@@ -795,6 +840,8 @@ def test_non_finite_or_negative_input_fails_closed(capsys, command, flag, value)
         ({"line2": {"gamma_h": -math.inf}}, "line2.gamma_h must be finite and >= 0, got -inf"),
         ({"steps": math.nan}, "steps must be an integer, got nan"),
         ({"line1": {"gamma_v": 10**400}}, "line1.gamma_v must be finite and >= 0, got 1000"),
+        # compared without a float conversion, which would overflow
+        ({"t_max": 10**400}, "t_max must be finite and > 0, got 1000"),
     ],
 )
 def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message):

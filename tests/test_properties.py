@@ -184,20 +184,37 @@ def _assert_decompose_agrees_with_the_pauli_route(params, t):
     try:
         expected = einsum_decompose(params, t)
     except ValueError as error:
-        with pytest.raises(ValueError) as raised:
-            decompose(params, t)
-        assert str(raised.value) == str(error)
+        assert str(error).startswith("degenerate filter: image of the fixed point")
+        # the Pauli route compares the filter's eigenvalues with the absolute
+        # PD_MIN_EIG; decompose refuses only a log scale past the double range.
+        # Upsilon's entries are exponentials of sums of these logs, each off by
+        # its ulps: 4.3e-14 at (0, 1e112, 1), t = 1, where they reach 515
+        logs = (*entry_logs_at(params, t)[:3], *_fixed_point(*entry_logs_at(params, t)[:3]))
+        size = max(1.0, *(abs(x) for x in logs if math.isfinite(x)))
+        try:
+            found = decompose(params, t)
+        except ValueError:
+            _, fixed, _ = decimal_fixed_point(params, t)
+            assert any(x.is_infinite() for x in fixed[:2]) or params.decay_rates[1] * t == -math.inf
+            return
+        except RuntimeError:
+            # pure loss at G t past 2^24, where those ulps pass NORMAL_FORM_TOL
+            assert params.gamma == 0.0 and size >= 2.0**22
+            return
+        assert found.self_check <= 1e-14 * size
         return
     except RuntimeError:
         # the Pauli route's sums cancel where the filters are very unequal
-        assert decompose(params, t).residuals["self_check"] <= 1e-14
+        assert decompose(params, t).self_check <= 1e-14
         return
     found = decompose(params, t)
     assert abs(found.s - expected["s"]) <= 8.9e-16
-    for found_op, expected_op in ((found.a_op, expected["a_op"]), (found.b_op, expected["b_op"])):
-        assert np.all(np.abs(found_op - expected_op) <= 1e-14 * np.abs(expected_op))
+    a_expected, b_expected = (np.diag(expected[op]).real for op in ("a_op", "b_op"))
+    assert np.all(np.abs(np.array(found.a_diag) - a_expected) <= 1e-14 * a_expected)
+    b_found = math.exp(found.log_b_scale) * np.array(found.a_diag)
+    assert np.all(np.abs(b_found - b_expected) <= 1e-14 * b_expected)
     assert np.max(np.abs(found.upsilon - expected["upsilon"])) <= NORMAL_FORM_TOL
-    assert max(found.residuals.values()) <= 1e-14
+    assert found.self_check <= 1e-14
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

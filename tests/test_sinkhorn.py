@@ -234,7 +234,7 @@ def test_lambdas_are_the_identities_on_the_map_entries():
         lam_x, _, lam_z = unital_lambdas(params, t)
         assert abs(coherence / (root + hv) - lam_x) <= 4e-15, (params, t)
         assert abs((root - hv) / (root + hv) - lam_z) <= 4e-15, (params, t)
-        assert abs(root * root - hv * hv - decay_modes(params, t)[2]) <= 4e-15, (params, t)
+        assert abs(root * root - hv * hv - math.exp(decay_modes(params, t)[1])) <= 4e-15, (params, t)
     assert checked >= 1900
 
 
@@ -312,8 +312,8 @@ def test_decompose_at_zero_is_trivial():
     dec = decompose(REFERENCE, 0.0)
     assert dec.s == 0.0
     assert (dec.lambda_x, dec.lambda_y, dec.lambda_z) == (1.0, 1.0, 1.0)
-    assert np.max(np.abs(dec.a_op - np.eye(2))) <= 1e-12
-    assert np.max(np.abs(dec.b_op - np.eye(2))) <= 1e-12
+    assert max(abs(a - 1.0) for a in dec.a_diag) <= 1e-12
+    assert abs(dec.log_b_scale) <= 1e-12
     assert np.max(np.abs(dec.upsilon - identity_ptm())) <= 1e-9
 
 
@@ -333,8 +333,9 @@ def test_decompose_pure_depolarization():
     g, t = 1.2, 0.9
     dec = decompose(ChannelParams(0.0, 0.0, g), t)
     assert dec.s == 0.0
-    assert np.max(np.abs(dec.a_op - np.eye(2))) <= 1e-14
-    assert np.max(np.abs(dec.b_op - np.eye(2))) <= 1e-14
+    # L^dag[I] = I: the slow mode is 1 and so is w
+    assert max(abs(a - 1.0) for a in dec.a_diag) <= 1e-14
+    assert abs(dec.log_b_scale) <= 1e-14
     for lam in (dec.lambda_x, dec.lambda_y, dec.lambda_z):
         assert abs(lam - math.exp(-g * t)) <= 1e-14
 
@@ -369,15 +370,23 @@ def test_decompose_unital_part_properties():
             target = np.diag([1.0, dec.lambda_x, dec.lambda_y, dec.lambda_z])
             assert np.max(np.abs(dec.upsilon - target)) <= NORMAL_FORM_TOL
             # decompose reports the residual of its own self-check
-            assert dec.residuals["self_check"] == np.max(np.abs(dec.upsilon - target))
+            assert dec.self_check == np.max(np.abs(dec.upsilon - target))
+
+
+def b_diag(dec) -> np.ndarray:
+    """The output filter B = exp(log_b_scale) A as its diagonal."""
+    return math.exp(dec.log_b_scale) * np.array(dec.a_diag)
 
 
 def test_decompose_filters_are_positive_diagonal():
-    dec = decompose(REFERENCE, 0.8)
-    for op in (dec.a_op, dec.b_op):
-        assert op[0, 1] == 0.0 and op[1, 0] == 0.0
-        assert op[0, 0].real > 0.0 and op[1, 1].real > 0.0
-        assert op[0, 0].imag == 0.0 and op[1, 1].imag == 0.0
+    for params, t in ((REFERENCE, 0.8), (ChannelParams(0.5, 5.0, 0.5), 2.0)):
+        dec = decompose(params, t)
+        assert min(dec.a_diag) > 0.0 and math.isfinite(dec.log_b_scale)
+        # A = sqrt(S) and B = (L^dag[S])^(-1/2), with S = I + s sigma_z and L^dag = m^T
+        assert np.max(np.abs(np.square(dec.a_diag) - (1.0 + dec.s, 1.0 - dec.s))) <= 1e-15
+        image = ptm_at(params, t).T @ (2.0, 0.0, 0.0, 2.0 * dec.s)
+        eigenvalues = 0.5 * (image[0] + image[3]), 0.5 * (image[0] - image[3])
+        assert np.max(np.abs(b_diag(dec) ** -2 / eigenvalues - 1.0)) <= 1e-14
 
 
 def test_decompose_round_trip():
@@ -385,8 +394,8 @@ def test_decompose_round_trip():
     for params in (REFERENCE, ChannelParams(0.5, 5.0, 0.5)):
         for t in (0.2, 1.0, 2.0):
             dec = decompose(params, t)
-            a_inv = np.diag(1.0 / np.diag(dec.a_op))
-            b_inv = np.diag(1.0 / np.diag(dec.b_op))
+            a_inv = np.diag(1.0 / np.array(dec.a_diag))
+            b_inv = np.diag(1.0 / b_diag(dec))
             rebuilt = sandwich(a_inv) @ (dec.upsilon @ sandwich(b_inv))
             assert np.max(np.abs(rebuilt - ptm_at(params, t))) <= 1e-9
 
@@ -401,10 +410,45 @@ def test_decompose_fixed_point_matches_iteration():
 
 
 def test_decompose_degenerate_filter_raises():
-    with pytest.raises(ValueError):
-        decompose(ChannelParams(1.0, 5.0, 0.0), 200.0)
+    # pure loss with G t = 1e310: the mode ratio's log is -inf, and so is log(1 - s)
+    with pytest.raises(ValueError, match=r"degenerate filter B: .*log\(1 - s\) = -inf"):
+        decompose(ChannelParams(1e300, 0.0, 0.0), 1e10)
+    # balanced loss, so s = 0, but (r - G) t / 2 = 1e310 is past the double range
+    with pytest.raises(ValueError, match="degenerate filter B: log_b_scale = inf from log slow = -inf"):
+        decompose(ChannelParams(1e300, 1e300, 0.0), 1e10)
 
 
-def test_decompose_mode_underflow_raises():
-    with pytest.raises(ValueError):
-        decompose(ChannelParams(1.0, 5.0, 0.0), 800.0)
+def test_decompose_returns_past_mode_underflow():
+    # a strongly filtering pure-loss line: L^dag[S]'s eigenvalues are about
+    # e^-400 at t = 200, and at t = 800 the fast mode and the shape's entry
+    # sqrt(1 + s) underflow to 0; the shape and the scale stay finite logs,
+    # and the unital part is the identity
+    params = ChannelParams(1.0, 5.0, 0.0)
+    eps = sys.float_info.epsilon
+    for t in (200.0, 800.0):
+        dec = decompose(params, t)
+        assert np.max(np.abs(dec.upsilon - identity_ptm())) <= 1e-12
+        _, ref_logs, _ = decimal_fixed_point(params, t)
+        found_logs = _fixed_point(*entry_logs_at(params, t)[:3])
+        for found, ref in zip(found_logs, ref_logs, strict=True):
+            assert abs(Decimal(found) - ref) <= 4 * Decimal(eps) * max(1, abs(ref)), t
+        for found, ref in zip(dec.a_diag, ref_logs[:2]):
+            expected = float((ref / 2).exp())
+            assert abs(found - expected) <= 4 * eps * max(1.0, abs(float(ref))) * expected, t
+        # log beta = -(log slow + log(1 + s) + log eig_h) / 2, the slow mode's log taken as exact
+        log_slow = params.decay_rates[1] * t
+        ref_scale = -(Decimal(log_slow) + ref_logs[0] + ref_logs[2]) / 2
+        terms = abs(Decimal(log_slow)) + abs(ref_logs[0]) + abs(ref_logs[2])
+        assert abs(Decimal(dec.log_b_scale) - ref_scale) <= 4 * Decimal(eps) * terms, t
+    assert dec.a_diag[0] == 0.0
+
+
+def test_decompose_returns_on_ordinary_inputs():
+    # each rate 10^U(-3, 3) and t = 10^U(-2, 1): 222 of these 2000 once
+    # raised "degenerate filter", from an absolute floor on eigenvalues
+    # that scale with the slow mode
+    rng = random.Random(9)
+    for _ in range(2000):
+        params = ChannelParams(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
+        t = 10.0 ** rng.uniform(-2.0, 1.0)
+        assert decompose(params, t).self_check <= 1e-14, (params, t)
