@@ -8,7 +8,7 @@ abbreviated flags): sinkhorn reads line 1 and --t and always prints JSON,
 only evolve reads --steps, and validate takes no flags at all.
 
 Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime (for
-lifetime and optimal-state, below t_max), 3 validation failure.
+lifetime and optimal-state, or one past t_max), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .dynamics import ChannelParams, superop_over_slow
 from .entanglement import (
     PSI_PLUS,
     conditional_state,
+    lifetime_lhs,
     max_lifetime,
     negativity,
     optimal_state,
@@ -168,12 +169,13 @@ def _write(cfg: JobConfig, record: dict, columns: dict[str, list] | None = None)
 
 
 def cmd_lifetime(cfg: JobConfig) -> int:
-    result = max_lifetime(cfg.line1, cfg.line2, cfg.t_max)
-    if result.tau is None:
-        print(
-            f"no finite lifetime up to t = {result.bracket[1]:.6g} (g = {result.residual:.6g} there)",
-            file=sys.stderr,
-        )
+    result = max_lifetime(cfg.line1, cfg.line2)
+    if result.tau is None or (cfg.t_max is not None and result.tau > cfg.t_max):
+        # without a cap, the search's end and g there (inf and 2 without depolarization)
+        end, g_end = result.bracket[1], result.residual
+        if cfg.t_max is not None:
+            end, g_end = cfg.t_max, lifetime_lhs(cfg.line1, cfg.line2, cfg.t_max)
+        print(f"no finite lifetime up to t = {end:.6g} (g = {g_end:.6g} there)", file=sys.stderr)
         return EXIT_NO_LIFETIME
     lam1 = unital_lambdas(cfg.line1, result.tau)
     lam2 = unital_lambdas(cfg.line2, result.tau)
@@ -194,8 +196,8 @@ def cmd_lifetime(cfg: JobConfig) -> int:
 
 
 def cmd_optimal_state(cfg: JobConfig) -> int:
-    result = max_lifetime(cfg.line1, cfg.line2, cfg.t_max)
-    if result.tau is None:
+    result = max_lifetime(cfg.line1, cfg.line2)
+    if result.tau is None or (cfg.t_max is not None and result.tau > cfg.t_max):
         print("no finite lifetime, optimal state undefined", file=sys.stderr)
         return EXIT_NO_LIFETIME
     state = optimal_state(cfg.line1, cfg.line2, result.tau)
@@ -350,8 +352,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
-    # a RuntimeError is decompose's failed self-check
-    except (ValueError, OverflowError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    # a RuntimeError is decompose's failed self-check; a JSONDecodeError is a ValueError
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

@@ -119,8 +119,7 @@ class LifetimeResult:
 
     tau is None when g never crosses zero: at once when neither line
     depolarizes (bracket (0, inf), residual 2, no g evaluation), else only
-    below t_max, the largest double unless given (bracket ends at t_max,
-    residual is g there).
+    below the largest double (bracket ends there, residual is g there).
     evaluations counts the g evaluations of each phase of the search:
     "bracket" (the doubling), "secant" (the secant steps and the two probes
     that end them) and "bisection" (the midpoints no value had settled, and
@@ -142,15 +141,14 @@ def _log1p_g(g: float) -> float:
     return math.log1p(g) if g > -1.0 else -math.inf
 
 
-def max_lifetime(
-    params1: ChannelParams, params2: ChannelParams, t_max: float | None = None
-) -> LifetimeResult:
+def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResult:
     """First root of the lifetime equation via bracket doubling and bisection.
 
     With a depolarizing line g(t) tends to -1, so doubling brackets the
     root unless the depolarization is too weak to act within the double
-    range; t_max, by default (or when infinite) the largest double, caps
-    the search.
+    range: the largest double caps the search.  The doubling starts at
+    1 / (sum of the depolarizing lines' rates); a pure-loss line, whose
+    unital part is the identity, leaves g and the search as they are.
 
     The first root is the only one: g never increases.  For one line with
     depolarization rate gamma and G = sqrt(gamma^2 + (gh - gv)^2) >= gamma,
@@ -185,7 +183,7 @@ def max_lifetime(
     To settle most of them, a secant step on f = log(g + 1), which is
     linear in t for symmetric depolarization, goes before each unsettled
     midpoint, from the last two points evaluated.  Each step stays strictly
-    inside the unsettled interval, hence inside [0, t_max].  Once the last
+    inside the unsettled interval, hence inside the bracket.  Once the last
     two values are so small that the next estimate is within about clear
     of the root, the two points +-1.5 clear / slope around it are probed
     instead, which leaves unsettled only the band where |g| is at most
@@ -198,34 +196,32 @@ def max_lifetime(
     needs about 11 g evaluations per root for rates on [1e-3, 1e3], where
     the plain bisection needs about 36.
     """
-    if t_max is not None and not t_max > 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max!r}")
-    if params1.gamma == 0.0 and params2.gamma == 0.0:
+    depolarizing = [params for params in (params1, params2) if params.gamma > 0.0]
+    if not depolarizing:
         # both unital parts are the identity: g(t) = 2 for every t
         return LifetimeResult(
             tau=None, bracket=(0.0, math.inf), residual=2.0,
             evaluations={"bracket": 0, "secant": 0, "bisection": 0},
         )
-    if t_max is None or t_max == math.inf:
-        # the largest double: a start at 1 / (tiny rates) = inf is capped there
-        t_max = sys.float_info.max
-    total = params1.total_rate + params2.total_rate
+    # a start at 1 / (tiny rates) = inf is capped at the largest double
+    largest = sys.float_info.max
+    total = sum(params.total_rate for params in depolarizing)
     if total == math.inf:
         # rates near the double limit: a start at 1/inf = 0 would never double
-        total = max(params1.max_rate, params2.max_rate)
+        total = max(params.max_rate for params in depolarizing)
     t_start = 1.0 / total
 
     # g(0) = 2 exactly, without an evaluation
-    low, high, g_low = 0.0, min(t_start, t_max), 2.0
+    low, high, g_low = 0.0, min(t_start, largest), 2.0
     g_high = lifetime_lhs(params1, params2, high)
     evals = {"bracket": 1, "secant": 0, "bisection": 0}
     while g_high >= 0.0:
-        if high >= t_max:
+        if high >= largest:
             return LifetimeResult(
                 tau=None, bracket=(low, high), residual=g_high, evaluations=evals
             )
         low, g_low = high, g_high
-        high = min(2.0 * high, t_max)
+        high = min(2.0 * high, largest)
         g_high = lifetime_lhs(params1, params2, high)
         evals["bracket"] += 1
 

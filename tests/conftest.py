@@ -207,12 +207,14 @@ def plain_bisection(
     """
     lifetime_lhs = entanglement.lifetime_lhs
     tol_residual, tol_interval = 1e-10, 1e-12
-    if params1.gamma == 0.0 and params2.gamma == 0.0:
+    # the doubling starts at 1 / (sum of the depolarizing lines' rates)
+    depolarizing = [params for params in (params1, params2) if params.gamma > 0.0]
+    if not depolarizing:
         return None, (0.0, math.inf), 2.0, 0
     t_max = sys.float_info.max
-    total = params1.total_rate + params2.total_rate
+    total = sum(params.total_rate for params in depolarizing)
     if total == math.inf:
-        total = max(params1.max_rate, params2.max_rate)
+        total = max(params.max_rate for params in depolarizing)
     t_start = 1.0 / total
 
     low, high = 0.0, min(t_start, t_max)

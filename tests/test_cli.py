@@ -211,6 +211,33 @@ def test_optimal_state_pure_loss_exit_code(capsys):
 
 
 # ---------------------------------------------------------------------------
+# --t-max of lifetime and optimal-state
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["lifetime", "optimal-state"])
+@pytest.mark.parametrize("t_max", ["0.5", "0.55", "1.0"])
+def test_t_max_below_which_the_lifetime_lies_moves_nothing(capsys, command, t_max):
+    # the cap only refuses a lifetime past it; the search never sees it
+    _, uncapped, _ = run(capsys, [command, *REFERENCE_ARGS])
+    code, capped, _ = run(capsys, [command, *REFERENCE_ARGS, "--t-max", t_max])
+    assert code == EXIT_OK
+    assert capped == uncapped
+
+
+@pytest.mark.parametrize("command, message", [
+    ("lifetime", "no finite lifetime up to t = 0.1 (g = 1.45619 there)"),
+    ("optimal-state", "no finite lifetime, optimal state undefined"),
+])
+def test_lifetime_past_t_max_exits_2(capsys, command, message):
+    # tau = ln 3 / 2 lies past the cap; g is reported at the cap
+    code, out, err = run(capsys, [command, "--g1", "1", "--g2", "1", "--t-max", "0.1"])
+    assert code == EXIT_NO_LIFETIME
+    assert out == ""
+    assert err == message + "\n"
+
+
+# ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
 
@@ -269,8 +296,8 @@ def test_evolve_surely_lost_photons_keep_their_negativity(capsys):
     cols = read_csv_columns(out)
     assert cols["detection_prob_psi_plus"][1:] == [0.0] * 4
     assert cols["detection_prob_optimal"][1:] == [0.0] * 4
-    # the two roots differ in the last digits (the searches start from
-    # 1 / sum of rates), so the grid is pinned by --t-max
+    # the two roots differ in the last digits (each search starts from
+    # 1 / sum of the depolarizing lines' rates), so the grid is pinned by --t-max
     _, lossy_out, _ = run(capsys, ["evolve", *lossy, "--steps", "5", "--t-max", "1100"])
     _, plain_out, _ = run(
         capsys, ["evolve", "--g1", "0.001", "--g2", "0.001", "--steps", "5", "--t-max", "1100"]
@@ -291,7 +318,7 @@ def test_evolve_populations_do_not_cancel(capsys):
     code, out, err = run(capsys, ["evolve", *rates, "--steps", "21"])
     assert code == EXIT_OK, err
     # row 5 is t = 0.5 tau; the reference is the 50-digit value
-    assert abs(read_csv_columns(out)["negativity_optimal"][5] - 0.23134477078770544) <= 1e-15
+    assert abs(read_csv_columns(out)["negativity_optimal"][5] - 0.23134477079882117) <= 1e-15
 
 
 def test_evolve_output_does_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch):
@@ -842,6 +869,7 @@ def test_non_finite_or_negative_input_fails_closed(capsys, command, flag, value)
         ({"line1": {"gamma_v": 10**400}}, "line1.gamma_v must be finite and >= 0, got 1000"),
         # compared without a float conversion, which would overflow
         ({"t_max": 10**400}, "t_max must be finite and > 0, got 1000"),
+        ({"t_max": 0}, "t_max must be finite and > 0, got 0"),
     ],
 )
 def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message):
@@ -883,6 +911,16 @@ def test_config_values_of_the_wrong_type_fail_closed(capsys, tmp_path, config, m
     assert out == ""
     assert message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_file_that_is_not_json_fails_closed(capsys, tmp_path):
+    # json's decode error is a ValueError, reported as bad input
+    path = tmp_path / "job.json"
+    path.write_text('{"line1": ')
+    code, out, err = run(capsys, ["lifetime", "--config", str(path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: Expecting value")
 
 
 def test_whole_numbers_are_integers_in_a_config_file(capsys, tmp_path):

@@ -11,7 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import decimal_fixed_point, einsum_decompose, entry_logs_at, plain_bisection
@@ -144,6 +144,22 @@ MODERATE_LINES = st.builds(
 @given(MODERATE_LINES, MODERATE_LINES)
 def test_max_lifetime_is_the_plain_bisection_on_moderate_rates(params1, params2):
     _assert_same_root_as_plain_bisection(params1, params2)
+
+
+# pure-loss lines: gh and gv each 0 or log-uniform over the positive doubles
+LOSS_RATES = st.one_of(st.just(0.0), st.floats(math.log(5e-324), math.log(1.7e308)).map(math.exp))
+PURE_LOSS_LINES = st.builds(ChannelParams, LOSS_RATES, LOSS_RATES, st.just(0.0))
+DEPOLARIZING_LINES = st.builds(ChannelParams, RATES, RATES, st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PURE_LOSS_LINES, PURE_LOSS_LINES, DEPOLARIZING_LINES)
+@example(ChannelParams(1e300, 0.0, 0.0), ChannelParams(0.0, 0.0, 0.0), ChannelParams(0.0, 0.0, 1.0))
+def test_max_lifetime_does_not_see_a_pure_loss_partner(loss, other_loss, depolarizing):
+    # a pure-loss line's unital part is the identity: it leaves g, and so
+    # tau, bracket, residual and every count of the search, as they are
+    result = max_lifetime(loss, depolarizing)
+    assert result == max_lifetime(other_loss, depolarizing) == max_lifetime(depolarizing, loss)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
