@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ChannelParams, superop_over_slow
+from .dynamics import ChannelParams, entry_logs_over_slow, superop_over_slow
 from .entanglement import (
-    PSI_PLUS,
     conditional_state,
     lifetime_lhs,
     max_lifetime,
     negativity,
     optimal_state,
+    x_state_traces,
 )
 from .sinkhorn import decompose, unital_lambdas
 from .validate import run_all
@@ -225,36 +225,41 @@ def cmd_evolve(cfg: JobConfig) -> int:
     if result.tau is None:
         print("no finite lifetime, nothing to trace out", file=sys.stderr)
         return EXIT_NO_LIFETIME
-    t_max = cfg.t_max if cfg.t_max is not None else 2.0 * result.tau
-    opt = optimal_state(cfg.line1, cfg.line2, result.tau)
-
-    states: list[tuple[str, np.ndarray]] = [
-        ("psi_plus", np.outer(PSI_PLUS, PSI_PLUS.conj())),
-        ("optimal", opt.rho),
-    ]
-    if cfg.initial_state is not None:
-        states.append(("custom", cfg.initial_state))
+    # 2 tau may lie past the double range where tau does not
+    t_max = cfg.t_max if cfg.t_max is not None else min(2.0 * result.tau, sys.float_info.max)
+    # the two standard states a|HH> + b|VV>, each by its log(a^2 / b^2)
+    standard = {
+        "psi_plus": 0.0,
+        "optimal": optimal_state(cfg.line1, cfg.line2, result.tau).log_weight_ratio,
+    }
 
     # Column order is part of the output contract; a custom state appends
     # its two columns after the standard five.
     ordered = ["t", "negativity_psi_plus", "negativity_optimal",
                "detection_prob_psi_plus", "detection_prob_optimal"]
-    if len(states) > 2:
+    if cfg.initial_state is not None:
         ordered += ["negativity_custom", "detection_prob_custom"]
     table: dict[str, list[float]] = {c: [] for c in ordered}
     table["t"] = np.linspace(0.0, t_max, cfg.steps).tolist()
-    # the states (S, 1, 4, 4) against each block's maps (T, 4, 4): (S, T) results
-    initial = np.stack([rho for _, rho in states])[:, None]
     for start in range(0, cfg.steps, EVOLVE_BLOCK):
         block = table["t"][start : start + EVOLVE_BLOCK]
-        slow1, m1 = superop_over_slow(cfg.line1, block)
-        slow2, m2 = superop_over_slow(cfg.line2, block)
-        # the maps over their slow modes give the same conditional state
-        # and stay finite where the photons are surely lost
-        conditional, prob = conditional_state(m1, m2, initial)
-        for (name, _), neg, det in zip(states, negativity(conditional), slow1 * slow2 * prob):
+        entries1 = entry_logs_over_slow(cfg.line1, block)
+        entries2 = entry_logs_over_slow(cfg.line2, block)
+        slow = entries1[0] * entries2[0]
+        for name, log_weight_ratio in standard.items():
+            neg, prob = x_state_traces(log_weight_ratio, entries1[1], entries2[1])
             table[f"negativity_{name}"].extend(neg.tolist())
-            table[f"detection_prob_{name}"].extend(det.tolist())
+            table[f"detection_prob_{name}"].extend((slow * prob).tolist())
+        if cfg.initial_state is not None:
+            # the maps over their slow modes give the same conditional state
+            # and stay finite where the photons are surely lost
+            conditional, prob = conditional_state(
+                superop_over_slow(cfg.line1, block, entries1)[1],
+                superop_over_slow(cfg.line2, block, entries2)[1],
+                cfg.initial_state,
+            )
+            table["negativity_custom"].extend(negativity(conditional).tolist())
+            table["detection_prob_custom"].extend((slow * prob).tolist())
     _write(cfg, table, table)
     return EXIT_OK
 

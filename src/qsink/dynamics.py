@@ -31,11 +31,13 @@ signal parameters read, and decay_modes() adds the slow mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
-non-negative terms, finite where the modes underflow.  superop_over_slow()
-builds the map from them at one time or at a sequence of times, and the
-normal form in sinkhorn.py reads its fixed point, filters and middle map
-off the same logs.  ptm_at() forms the transfer matrix in closed form on
-the Pauli basis and scales it back by the slow mode.
+non-negative terms, finite where the modes underflow.
+entry_logs_over_slow() gathers them with the slow mode over a sequence of
+times, superop_over_slow() builds the map from them at one time or at a
+sequence of times, and the normal form in sinkhorn.py reads its fixed
+point, filters and middle map off the same logs.  ptm_at() forms the
+transfer matrix in closed form on the Pauli basis and scales it back by
+the slow mode.
 ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check.
 """
@@ -201,7 +203,23 @@ def _entry_logs(
     )
 
 
-def superop_over_slow(params: ChannelParams, t: float | Sequence[float]) -> tuple:
+def entry_logs_over_slow(params: ChannelParams, times: Sequence[float]) -> tuple:
+    """The slow modes (T,) and the logs (T, 4) of the map's entries over them, at each of times.
+
+    Row k of the logs is _entry_logs() at times[k]: (log H, log V, log h,
+    log c), each formed by the scalar core exactly as it is alone.
+    """
+    rows = []
+    for time in times:
+        slow, log_q, one_minus_q = decay_modes(params, time)
+        rows.append((slow, *_entry_logs(params, log_q, one_minus_q)))
+    table = np.array(rows).reshape(-1, 5)
+    return table[:, 0], table[:, 1:]
+
+
+def superop_over_slow(
+    params: ChannelParams, t: float | Sequence[float], entry_logs: tuple | None = None
+) -> tuple:
     """The slow mode and the map at time t over it, on the matrix units of |H>, |V>.
 
     The real 4x4 map acts on row-major vec'd |H><H|, |H><V|, |V><H|, |V><V|:
@@ -211,19 +229,18 @@ def superop_over_slow(params: ChannelParams, t: float | Sequence[float]) -> tupl
     lost.  Rescaling a map leaves the conditional state alone, so the
     quotient is all that state needs.  A sequence of times gives the slow
     modes (T,) and a stack (T, 4, 4) of maps, each row formed exactly as it
-    is alone.
+    is alone.  Where entry_logs, the entry_logs_over_slow(params, t) of a
+    sequence of times, is given, the map is built from it instead.
     """
     single = np.ndim(t) == 0
-    rows = []
-    for time in [t] if single else t:
-        slow, log_q, one_minus_q = decay_modes(params, time)
-        log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
-        rows.append((slow, math.exp(log_hh), math.exp(log_vv), math.exp(log_hv), math.exp(log_c)))
-    # per row: slow, then H<-H, V<-V, H<-V = V<-H and the two coherences
-    entries = np.array(rows).reshape(-1, 5)
-    s = np.zeros((len(rows), 4, 4))
-    s[:, [0, 3, 0, 3, 1, 2], [0, 3, 3, 0, 1, 2]] = entries[:, [1, 2, 3, 3, 4, 4]]
-    return (rows[0][0], s[0]) if single else (entries[:, 0], s)
+    if entry_logs is None:
+        entry_logs = entry_logs_over_slow(params, [t] if single else t)
+    slows, logs = entry_logs
+    # per row: H<-H, V<-V, H<-V = V<-H and the two coherences
+    entries = np.array(list(map(math.exp, logs.ravel().tolist()))).reshape(-1, 4)
+    s = np.zeros((len(entries), 4, 4))
+    s[:, [0, 3, 0, 3, 1, 2], [0, 3, 3, 0, 1, 2]] = entries[:, [0, 1, 2, 2, 3, 3]]
+    return (float(slows[0]), s[0]) if single else (slows, s)
 
 
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:

@@ -9,7 +9,10 @@ first root of g is the maximal time up to which *some* initial two-qubit
 state stays entangled conditioned on both photons being detected; past it,
 every initial state comes out separable.  optimal_state() builds the state
 that saturates that bound by undoing the output filters of the two normal
-forms on a maximally entangled pair.
+forms on a maximally entangled pair.  Both that state and the maximally
+entangled pair are a|HH> + b|VV>, whose conditional state is an X-state:
+x_state_traces() forms its negativity and detection probability in closed
+form, while conditional_state() and negativity() take any state.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ import numpy as np
 from .dynamics import ChannelParams, _entry_logs, _mode_ratio
 from .linalg import PSD_TOL, _first_flagged, hermitian_part, partial_transpose_second
 from .sinkhorn import _filter_shape, _fixed_point, unital_lambdas
-
-PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 # Detection probabilities at or below this make the conditional state meaningless.
 MIN_DETECTION_PROB = 1e-14
@@ -104,6 +105,94 @@ def conditional_state(
     if bad is not None:
         raise ValueError(f"detection probability vanished ({bad:.3e})")
     return raw / prob[..., None, None], prob
+
+
+# a|HH> + b|VV> through two maps of the family is an X-state, whose four
+# populations and corner are nine terms: per term, its weight (a^2, b^2 or
+# ab) and the entry it takes from each line (H = H<-H, V = V<-V, h = H<-V
+# or c), as indices into (log a^2, log b^2, log ab) and (H, V, h, c)
+_X_WEIGHT = np.array([0, 1, 0, 1, 0, 1, 0, 1, 2])
+_X_LINE1 = np.array([0, 2, 0, 2, 2, 1, 2, 1, 3])
+_X_LINE2 = np.array([0, 2, 2, 1, 0, 2, 2, 1, 3])
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _largest_population(logs: np.ndarray) -> np.ndarray:
+    """Per time, the largest of the population terms' logs (the first 8 of 9); 0 if all are -inf."""
+    largest = logs[:8].max(axis=0)
+    largest[largest == -np.inf] = 0.0
+    return largest
+
+
+def x_state_traces(
+    log_weight_ratio: float, logs1: np.ndarray, logs2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Negativity and detection probability of a|HH> + b|VV> through two lines, in closed form.
+
+    log_weight_ratio is log(a^2 / b^2), -inf for |VV> and +inf for |HH>;
+    logs1 and logs2 are the two lines' entry logs (T, 4) over their slow
+    modes, (log H, log V, log h, log c) per row
+    (dynamics.entry_logs_over_slow).  Returns the negativity (T,) and the
+    detection probability (T,) over the product of the slow modes, like
+    conditional_state's.  The output is an X-state (Yu and Eberly, Quantum
+    Inf. Comput. 7, 459 (2007)), with unnormalized diagonal
+
+        rho11 = a^2 H1 H2 + b^2 h1 h2,    rho22 = a^2 H1 h2 + b^2 h1 V2,
+        rho33 = a^2 h1 H2 + b^2 V1 h2,    rho44 = a^2 h1 h2 + b^2 V1 V2,
+
+    and corner rho14 = ab c1 c2.  Each term is the exponential of a sum of
+    logs less the largest population term at its time, so neither a weight
+    nor an entry underflows on its own; the sum's rounding error is carried
+    (_two_sum), so a term is as exact as its logs while they stay below
+    about 2^52.  The partial transpose moves rho14 into the (22, 33) block, whose smaller
+    eigenvalue is m - hypot(d, rho14), with m, d = (rho22 +- rho33) / 2
+    (Peres, PRL 77, 1413 (1996)).  The negativity, over the trace, is
+    max(0, hypot(d, rho14) - m), formed as (rho14^2 - rho22 rho33) /
+    (hypot(d, rho14) + m): exactly 0 wherever rho14^2 <= rho22 rho33 comes
+    out.  The detection probability may underflow to 0; it is a value, not
+    an error, and no floor applies to it.
+    """
+    log_a2, log_b2 = min(log_weight_ratio, 0.0), min(-log_weight_ratio, 0.0)
+    weights = np.array([log_a2, log_b2, 0.5 * (log_a2 + log_b2)])[_X_WEIGHT, None]
+    # a term with a log of -inf is 0, its error terms (-inf - -inf) dropped
+    with np.errstate(invalid="ignore"):
+        total, error1 = _two_sum(weights, logs1.T[_X_LINE1])
+        total, error2 = _two_sum(total, logs2.T[_X_LINE2])
+        # scaled by the largest population term at each time
+        scale = _largest_population(total)
+        total, error3 = _two_sum(total, -scale)
+        exponent = np.where(total > -np.inf, total + (error1 + error2 + error3), -np.inf)
+    # the corrections are ulps of the logs: they move the largest term by
+    # more than a factor e only for logs far past 2^52, and such times are
+    # scaled again
+    rescale = _largest_population(exponent)
+    rescale[np.abs(rescale) <= 1.0] = 0.0
+    exponent -= rescale
+    scale += rescale
+    # no term exceeds the largest population term (c^2 <= H V on each line),
+    # and the corner is at most sqrt(rho11 rho44) in every state; logs that
+    # coarse may break both, so exponents are held to 1, where no term
+    # overflows, and the corner to its bound
+    terms = np.exp(np.minimum(exponent, 1.0))
+    populations = terms[:8].reshape(4, 2, -1).sum(axis=1)
+    corner = np.minimum(terms[8], np.sqrt(populations[0]) * np.sqrt(populations[3]))
+    trace = populations.sum(axis=0)
+    # a state whose every term vanishes keeps negativity and probability 0
+    per_trace = 1.0 / np.where(trace > 0.0, trace, 1.0)
+    rho22, rho33 = populations[1] * per_trace, populations[2] * per_trace
+    rho14 = corner * per_trace
+    excess = rho14 * rho14 - rho22 * rho33
+    neg = np.zeros(excess.shape)
+    np.divide(excess, np.hypot(0.5 * (rho22 - rho33), rho14) + 0.5 * (rho22 + rho33),
+              out=neg, where=excess > 0.0)
+    # a^2 + b^2 = 1 + exp(-|log(a^2 / b^2)|), the larger weight being 1
+    return neg, np.exp(scale) * trace / (1.0 + math.exp(-abs(log_weight_ratio)))
 
 
 def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> float:
@@ -239,6 +328,10 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     # (rates far above 1) keep their digits
     while high - low > _ROOT_INTERVAL_TOL * min(high, 1.0):
         mid = 0.5 * (low + high)
+        if mid == math.inf:
+            # the sum overflowed: halved first, which would move the
+            # midpoints of subnormal brackets, but only here
+            mid = 0.5 * low + 0.5 * high
         if mid <= sure_pos:
             low = mid
             continue
@@ -280,6 +373,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
         else:
             high = sure_neg = mid
     if tau is None:
+        # only a bracket below t of about 1e4 gets 1e-12 wide: no overflow
         tau = 0.5 * (low + high)
         residual = lifetime_lhs(params1, params2, tau)
         evals["bisection"] += 1
@@ -292,13 +386,15 @@ class OptimalState:
     """The entanglement-maximizing initial state at the lifetime.
 
     filter_shapes holds each line's (sqrt(1 + s), sqrt(1 - s)): the shape of
-    its output filter B, which is proportional to sqrt(S).
+    its output filter B, which is proportional to sqrt(S).  log_weight_ratio
+    is log(|psi_0|^2 / |psi_3|^2), kept where either amplitude underflows.
     """
 
     psi: np.ndarray
     rho: np.ndarray
     schmidt_coefficients: tuple[float, float]
     filter_shapes: tuple[tuple[float, float], tuple[float, float]]
+    log_weight_ratio: float
 
 
 def optimal_state(
@@ -330,4 +426,5 @@ def optimal_state(
     return OptimalState(
         psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]),
         filter_shapes=(_filter_shape(log_h1, log_v1), _filter_shape(log_h2, log_v2)),
+        log_weight_ratio=2.0 * log_ratio,
     )

@@ -31,6 +31,9 @@ from qsink.sinkhorn import NORMAL_FORM_TOL, unital_lambdas
 
 _SIG = np.stack(SIGMA)
 
+# the maximally entangled pair (|HH> + |VV>) / sqrt(2)
+PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
 # Negativity above this counts as entangled.
 ENTANGLEMENT_TOL = 1e-10
 _FLAT_TOL = 1e-9  # tolerance for the trace-preserving / unital row and column
@@ -228,10 +231,15 @@ def plain_bisection(
         g_high = lifetime_lhs(params1, params2, high)
         evals += 1
 
+    def midpoint(low: float, high: float) -> float:
+        # halved before the sum only where the sum overflows, which keeps
+        # the bits of subnormal brackets
+        return 0.5 * (low + high) if low + high < math.inf else 0.5 * low + 0.5 * high
+
     tau = None
     residual = math.nan
     while high - low > tol_interval * min(high, 1.0):
-        mid = 0.5 * (low + high)
+        mid = midpoint(low, high)
         g_mid = lifetime_lhs(params1, params2, mid)
         evals += 1
         if abs(g_mid) <= tol_residual:
@@ -242,7 +250,7 @@ def plain_bisection(
         else:
             high = mid
     if tau is None:
-        tau = 0.5 * (low + high)
+        tau = midpoint(low, high)
         residual = lifetime_lhs(params1, params2, tau)
         evals += 1
     return tau, (low, high), residual, evals

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from conftest import (
+    PSI_PLUS,
     is_entangled,
     random_density,
     random_pure_density,
@@ -19,7 +20,6 @@ from conftest import (
 from qsink.cli import EXIT_OK, main
 from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
 from qsink.entanglement import (
-    PSI_PLUS,
     conditional_state,
     max_lifetime,
     negativity,

@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    PSI_PLUS,
     apply_two_qubit_oracle,
     identity_ptm,
     is_entangled,
@@ -17,14 +20,15 @@ from conftest import (
     random_separable,
 )
 from qsink import entanglement
-from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
+from qsink.dynamics import ChannelParams, entry_logs_over_slow, ptm_at, superop_over_slow
 from qsink.entanglement import (
-    PSI_PLUS,
+    MIN_DETECTION_PROB,
     conditional_state,
     lifetime_lhs,
     max_lifetime,
     negativity,
     optimal_state,
+    x_state_traces,
 )
 from qsink.sinkhorn import decompose
 
@@ -424,3 +428,89 @@ def test_unital_parts_kill_psi_plus_exactly_at_the_lifetime():
             high = mid
     assert abs(0.5 * (low + high) - tau) <= 1e-8
 
+
+
+# ---------------------------------------------------------------------------
+# the standard states a|HH> + b|VV> in closed form
+# ---------------------------------------------------------------------------
+
+MODERATE_RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+DEPOLARIZING_LINES = st.builds(ChannelParams, MODERATE_RATES, MODERATE_RATES, MODERATE_RATES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DEPOLARIZING_LINES, DEPOLARIZING_LINES, st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6))
+def test_x_state_traces_are_the_general_path(params1, params2, fractions):
+    # on the same maps, wherever the general path defines the conditional state
+    tau = max_lifetime(params1, params2).tau
+    times = [fraction * tau for fraction in fractions]
+    logs1, logs2 = entry_logs_over_slow(params1, times)[1], entry_logs_over_slow(params2, times)[1]
+    maps1, maps2 = superop_over_slow(params1, times)[1], superop_over_slow(params2, times)[1]
+    opt = optimal_state(params1, params2, tau)
+    for log_weight_ratio, rho in ((0.0, RHO_PSI_PLUS), (opt.log_weight_ratio, opt.rho)):
+        neg, prob = x_state_traces(log_weight_ratio, logs1, logs2)
+        for k in range(len(times)):
+            try:
+                out, expected_prob = conditional_state(maps1[k], maps2[k], rho)
+            except ValueError as exc:
+                assert str(exc).startswith("detection probability vanished")
+                assert prob[k] <= MIN_DETECTION_PROB * (1.0 + 1e-13)
+                continue
+            assert abs(neg[k] - negativity(out)) <= 1e-13
+            assert abs(prob[k] - expected_prob) <= 1e-13 * expected_prob
+
+
+@pytest.mark.parametrize("params", [REFERENCE, ChannelParams(0.0, 3.0, 0.5), depolarizing(1.0)])
+def test_x_state_traces_of_the_vv_limit(params):
+    # |VV> is a product state: no negativity at any time, and both photons
+    # are detected with probability (V + h) per line, h the part flipped to H
+    times = np.linspace(0.0, 3.0, 31).tolist()
+    slow1, logs1 = entry_logs_over_slow(params, times)
+    slow2, logs2 = entry_logs_over_slow(depolarizing(0.7), times)
+    neg, prob = x_state_traces(-math.inf, logs1, logs2)
+    assert neg.tolist() == [0.0] * len(times)
+    kept1 = np.exp(logs1[:, 1]) + np.exp(logs1[:, 2])
+    kept2 = np.exp(logs2[:, 1]) + np.exp(logs2[:, 2])
+    expected = slow1 * slow2 * kept1 * kept2
+    assert np.all(np.abs(slow1 * slow2 * prob - expected) <= 1e-15 * expected)
+    # the general path agrees
+    vv = np.zeros((4, 4), dtype=complex)
+    vv[3, 3] = 1.0
+    maps1, maps2 = superop_over_slow(params, times)[1], superop_over_slow(depolarizing(0.7), times)[1]
+    out, general_prob = conditional_state(maps1, maps2, vv)
+    assert np.all(negativity(out) == 0.0)
+    assert np.all(np.abs(prob - general_prob) <= 1e-15 * general_prob)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DEPOLARIZING_LINES, DEPOLARIZING_LINES)
+def test_the_longest_lifetime_needs_no_maximally_entangled_state(params1, params2):
+    # the optimal state is still entangled just before tau; the maximally
+    # entangled pair, entangled only where some a|HH> + b|VV> is, is not at
+    # tau wherever g(tau) <= 0, nor just past it
+    result = max_lifetime(params1, params2)
+    tau = result.tau
+    times = [tau * (1.0 - 1e-6), tau, tau * (1.0 + 1e-6)]
+    logs1, logs2 = entry_logs_over_slow(params1, times)[1], entry_logs_over_slow(params2, times)[1]
+    optimal_neg = x_state_traces(optimal_state(params1, params2, tau).log_weight_ratio, logs1, logs2)[0]
+    psi_plus_neg = x_state_traces(0.0, logs1, logs2)[0]
+    assert optimal_neg[0] > 0.0
+    assert psi_plus_neg[2] == 0.0
+    if result.residual <= 0.0:
+        assert psi_plus_neg[1] == 0.0
+
+
+def test_the_maximally_entangled_pair_dies_first_on_the_reference_line():
+    # the paper's headline on the 5000-row evolve grid of (1, 5, 1): of the
+    # 2500 rows before tau, the maximally entangled pair is entangled on the
+    # first 2113 (it dies at about 0.845 tau), the optimal state on all
+    tau = max_lifetime(REFERENCE, REFERENCE).tau
+    times = np.linspace(0.0, 2.0 * tau, 5000).tolist()
+    logs = entry_logs_over_slow(REFERENCE, times)[1]
+    optimal = optimal_state(REFERENCE, REFERENCE, tau)
+    early = np.array(times) < tau
+    assert early.sum() == 2500
+    for log_weight_ratio, alive in ((0.0, 2113), (optimal.log_weight_ratio, 2500)):
+        neg = x_state_traces(log_weight_ratio, logs, logs)[0]
+        assert np.all(neg[:alive] > 0.0) and np.all(neg[alive:] == 0.0)
+    assert 0.84 < times[2112] / tau < 0.85

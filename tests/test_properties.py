@@ -131,6 +131,11 @@ def _assert_same_root_as_plain_bisection(params1, params2):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(LINES, LINES)
+# a root in the top octave: the sum of the bracket's ends overflows
+@example(ChannelParams(0.0, 0.0, 3.5e-309), ChannelParams(0.0, 0.0, 3.5e-309))
+# a subnormal root, where halving each end first would move the midpoints
+@example(ChannelParams(0.0, 0.0, 6.777124934631928e306),
+         ChannelParams(3.476211696946881e307, 0.0, 1.3660504799215283e308))
 def test_max_lifetime_is_the_plain_bisection_over_the_double_range(params1, params2):
     _assert_same_root_as_plain_bisection(params1, params2)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PSI_PLUS,
     apply,
     apply_two_qubit_oracle,
     choi,
@@ -21,7 +22,7 @@ from conftest import (
     vec,
 )
 from qsink.dynamics import ChannelParams, ptm_at
-from qsink.entanglement import PSI_PLUS, conditional_state, negativity
+from qsink.entanglement import conditional_state, negativity
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
