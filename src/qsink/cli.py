@@ -60,8 +60,9 @@ class JobConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps!r}")
+        # no array holds more than sys.maxsize bytes, so no grid of more 8-byte times
+        if not 2 <= self.steps <= sys.maxsize // 8:
+            raise ValueError(f"steps must be >= 2 and <= {sys.maxsize // 8}, got {self.steps!r}")
         if self.t_max is not None and not 0.0 < self.t_max <= sys.float_info.max:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
@@ -357,8 +358,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
-    # a RuntimeError is decompose's failed self-check; a JSONDecodeError is a ValueError
-    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
+    # a RuntimeError is decompose's failed self-check; a JSONDecodeError is a ValueError;
+    # a MemoryError is a grid of more steps than memory holds
+    except (ValueError, OverflowError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")

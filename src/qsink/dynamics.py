@@ -62,6 +62,8 @@ MAX_RK4_STEPS = 10**7
 # r + G is at most 4.5 times a line's largest rate, so it stays finite up to
 # this rate; a line with a larger one is formed at an eighth of its rates.
 _UNSCALED_RATE_MAX = 2.0**1020
+# Where G is subnormal, g and gh - gv are too: scaled by this, exactly, they are normal.
+_SUBNORMAL_SCALE = 2.0**1000
 
 _LN2 = math.log(2.0)
 
@@ -101,7 +103,10 @@ class ChannelParams:
         r = g + gh + gv:
 
         * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
-          as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0;
+          as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0.
+          Where G is subnormal, so are g and gh - gv, and G keeps too few
+          digits for a unit vector: the ratios are formed with both scaled
+          by _SUBNORMAL_SCALE, exactly;
         * log_r_gamma = log(g / G), -inf exactly when g = 0.  It is taken as
           log g - log G where g / G is below the normal doubles, so a line
           whose depolarization is tiny against its loss asymmetry keeps it;
@@ -115,7 +120,9 @@ class ChannelParams:
         even where G is not.  A line with a rate above _UNSCALED_RATE_MAX is
         formed at an eighth of its rates, where G and r + G stay finite: the
         ratios do not see a power-of-two scale, and the halves are scaled
-        back exactly.  Every other line is formed unscaled.
+        back exactly.  Where g loses digits to the eighth, or rounds to 0,
+        log(g / G) is taken from the unscaled g.  Every other line is formed
+        unscaled.
         """
         scale = 8.0 if self.max_rate > _UNSCALED_RATE_MAX else 1.0
         gh, gv, g = self.gamma_h / scale, self.gamma_v / scale, self.gamma / scale
@@ -129,14 +136,21 @@ class ChannelParams:
             if total > 0.0
             else 0.0
         )
-        if big_g > 0.0:
+        if big_g >= sys.float_info.min:
             r_gamma, r_delta = g / big_g, delta / big_g
+        elif big_g > 0.0:
+            # a subnormal G keeps too few digits for a unit vector
+            g_up, delta_up = g * _SUBNORMAL_SCALE, delta * _SUBNORMAL_SCALE
+            norm = math.hypot(g_up, delta_up)
+            r_gamma, r_delta = g_up / norm, delta_up / norm
         else:
             r_gamma, r_delta = 1.0, 0.0
         if r_gamma >= sys.float_info.min:
             log_r_gamma = math.log(r_gamma)
-        elif g > 0.0:
-            log_r_gamma = math.log(g) - math.log(big_g)
+        elif self.gamma > 0.0:
+            # log g from the unscaled g where the eighth cost it digits, or all of them
+            log_g = math.log(g) if g * scale == self.gamma else math.log(self.gamma) - math.log(scale)
+            log_r_gamma = log_g - math.log(big_g)
         else:
             log_r_gamma = -math.inf
         log_larger = math.log1p(abs(r_delta))

@@ -27,23 +27,26 @@ time, and the fixed point, both filters and upsilon are read off them:
     1 + s = 2 sqrt(V) / (sqrt(H) + sqrt(V)),   1 - s = 2 sqrt(H) / (sqrt(H) + sqrt(V)),
     L^dag[S] = w (I - s sigma_z),   w = sqrt(H V) + h.
 
-With B taken over the slow mode, upsilon's entries on the units are
-products of positive numbers, a_h^2 H b_h^2, a_h^2 h b_v^2, a_v^2 h b_h^2,
-a_v^2 V b_v^2 and a_h a_v c b_h b_v, each formed as the exponential of a
-sum of logs.  They are (1 + lz)/2, (1 - lz)/2 twice, (1 + lz)/2 again and
-lx, since
+With B taken over the slow mode, b_{h,v}^2 = 1 / ((1 -+ s) w), and the
+filters cancel from upsilon's entries on the units: a_h^2 H b_h^2 =
+a_v^2 V b_v^2 = sqrt(H V) / w, a_h^2 h b_v^2 = a_v^2 h b_h^2 = h / w and
+a_h a_v c b_h b_v = c / w.  Upsilon is therefore read off the map's
+entries and w alone, each ratio the exponential of a difference of two
+logs, and its transfer matrix is diag(1, lx, lx, lz) with
 
     lx = c / (sqrt(H V) + h),   lz = (sqrt(H V) - h) / (sqrt(H V) + h),
 
-with (sqrt(H V))^2 - h^2 = q.  Nothing cancels in them, however unequal
-the filters; only the transfer matrix's +- sums of the four populations
-subtract, numbers of order 1.  Both filters have the shape (sqrt(1 + s),
+since (sqrt(H V))^2 - h^2 = q.  No filter log enters upsilon, so however
+unequal the filters, or however large their logs, upsilon keeps the
+digits of the entries.  Both filters have the shape (sqrt(1 + s),
 sqrt(1 - s)), which may underflow: A is it, and B = beta A with log beta =
 -(log slow + log w + log(1 + s) + log(1 - s)) / 2, kept as a log, since
 beta overflows where the slow mode underflows.
 
 The signal parameters take their own route, the independent one that
-decompose's self-check compares upsilon against.  With
+decompose's self-check compares upsilon against; the self-check compares
+the filters' shape squared against s, which decompose forms apart from
+the shape's logs, as r_delta (1 - q) / (sqrt(H) + sqrt(V))^2.  With
 A = asinh((g/G) sinh(G t / 2)) they are
 
     lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
@@ -64,7 +67,7 @@ import numpy as np
 from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
-# The composed map must reproduce diag(1, lx, ly, lz) at least this well.
+# Upsilon must be diag(1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
 NORMAL_FORM_TOL = 1e-9
 
 FIXED_POINT_TOL = 1e-12
@@ -76,8 +79,9 @@ class SinkhornDecomposition:
     """One map's normal form: L = F_{A^-1} . upsilon . F_{B^-1}, with B = exp(log_b_scale) A.
 
     a_diag is A = sqrt(S) = diag(sqrt(1 + s), sqrt(1 - s)), either entry
-    possibly 0.  self_check is the largest deviation of upsilon from
-    diag(1, lx, ly, lz), which decompose holds to NORMAL_FORM_TOL.
+    possibly 0.  self_check is the larger of two deviations, that of
+    upsilon from diag(1, lx, ly, lz) and that of a_diag's squares from
+    1 +- s, which decompose holds to NORMAL_FORM_TOL.
     """
 
     s: float
@@ -200,26 +204,23 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     return lam_x, lam_x, math.exp(-2.0 * big_a)
 
 
-def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, float, float, float]:
-    """(log(1 + s), log(1 - s), log eig_h, log eig_v) from the logs of the map's entries.
+def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, float, float]:
+    """(log(1 + s), log(1 - s), log w) from the logs of the map's entries.
 
     log_hh, log_vv and log_hv are the logs of H = H<-H, V = V<-V and
-    h = H<-V over the slow mode (dynamics._entry_logs); eig_h, eig_v are
-    the eigenvalues of L^dag[S] over the slow mode.  1 -+ s =
-    2 sqrt(H or V) / (sqrt(H) + sqrt(V)) and L^dag[S] = w (I - s sigma_z)
-    with w = sqrt(H V) + h, so log eig_{h,v} = log(1 -+ s) + log w.  The
-    map is self-dual, so the output filter B = (L^dag[S])^(-1/2) is
-    proportional to sqrt(S), whose diagonal 1 +- s is the filter's shape,
-    free of the absolute scale that makes B itself overflow at long times.
-    Either entry of the diagonal may be far below the double range, or -inf.
+    h = H<-V over the slow mode (dynamics._entry_logs).  1 -+ s =
+    2 sqrt(H or V) / (sqrt(H) + sqrt(V)), and L^dag[S] = w (I - s sigma_z)
+    over the slow mode, with w = sqrt(H V) + h.  The map is self-dual, so
+    the output filter B = (L^dag[S])^(-1/2) is proportional to sqrt(S),
+    whose diagonal 1 +- s is the filter's shape, free of the absolute
+    scale that makes B itself overflow at long times.  Either entry of the
+    diagonal may be far below the double range, or -inf.
     """
     log_root_h, log_root_v = 0.5 * log_hh, 0.5 * log_vv
     # log 2 - log(sqrt(H) + sqrt(V))
     log_scale = _LN2 - _log_add(log_root_h, log_root_v)
-    log_plus_s = log_scale + log_root_v
-    log_minus_s = log_scale + log_root_h
     log_w = _log_add(log_root_h + log_root_v, log_hv)
-    return log_plus_s, log_minus_s, log_minus_s + log_w, log_plus_s + log_w
+    return log_scale + log_root_v, log_scale + log_root_h, log_w
 
 
 def _filter_shape(log_plus_s: float, log_minus_s: float) -> tuple[float, float]:
@@ -231,19 +232,21 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     """Full normal form of the loss model's map at time t.
 
     Both filters are diagonal, and a diagonal filter X scales the matrix
-    unit |i><j| by x_i x_j, so upsilon is formed on the matrix units of the
-    map over its slow mode (dynamics._entry_logs), B taken over it too: each
-    of its five entries is the exponential of a sum of logs.  Raises
-    ValueError where log_b_scale is not finite (a log(1 +- s) of -inf, or a
-    slow mode's log past the double range) and RuntimeError unless upsilon
-    is diag(1, lx, ly, lz) to NORMAL_FORM_TOL.
+    unit |i><j| by x_i x_j, so upsilon is read off the map's entries over
+    its slow mode (dynamics._entry_logs), B taken over it too: it is
+    diag(root + cross, c/w, c/w, root - cross), with root = sqrt(H V) / w
+    and cross = h / w.  Raises ValueError where log_b_scale is not finite
+    (a log(1 +- s) of -inf, or a slow mode's log past the double range)
+    and RuntimeError unless upsilon is diag(1, lx, ly, lz) and the
+    filters' shape squared is 1 +- s, both to NORMAL_FORM_TOL.
     """
     log_q, one_minus_q = _mode_ratio(params, t)
     log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
-    log_plus_s, log_minus_s, log_eig_h, log_eig_v = _fixed_point(log_hh, log_vv, log_hv)
-    # log beta, with log eig_h = log(1 - s) + log w; the slow mode is only ever a log here
+    log_plus_s, log_minus_s, log_w = _fixed_point(log_hh, log_vv, log_hv)
+    # log beta = -(log slow + log(1 + s) + log eig_h) / 2, with eig_h = (1 - s) w the
+    # eigenvalue of L^dag[S] over the slow mode; the slow mode is only ever a log here
     log_slow = params.decay_rates[1] * t
-    log_b_scale = -0.5 * (log_slow + log_plus_s + log_eig_h)
+    log_b_scale = -0.5 * (log_slow + log_plus_s + (log_minus_s + log_w))
     if not math.isfinite(log_b_scale):
         raise ValueError(
             f"degenerate filter B: log_b_scale = {log_b_scale:.6g} from log slow = {log_slow:.6g}, "
@@ -254,31 +257,27 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     roots = math.exp(0.5 * log_hh) + math.exp(0.5 * log_vv)
     s = params.decay_rates[3] * one_minus_q / (roots * roots)
 
-    # F_X scales the unit |i><j| by x_i x_j, with a_{h,v}^2 = 1 +- s and,
-    # over the slow mode, b_{h,v}^2 = 1 / eig_{h,v}
-    hh = math.exp(log_plus_s + log_hh - log_eig_h)
-    hv = math.exp(log_plus_s + log_hv - log_eig_v)
-    vh = math.exp(log_minus_s + log_hv - log_eig_h)
-    vv = math.exp(log_minus_s + log_vv - log_eig_v)
-    coherence = math.exp(0.5 * (log_plus_s + log_minus_s - log_eig_h - log_eig_v) + log_c)
-    upsilon = np.array(
-        [
-            [0.5 * (hh + hv + vh + vv), 0.0, 0.0, 0.5 * (hh - hv + vh - vv)],
-            [0.0, coherence, 0.0, 0.0],
-            [0.0, 0.0, coherence, 0.0],
-            [0.5 * (hh + hv - vh - vv), 0.0, 0.0, 0.5 * (hh - hv - vh + vv)],
-        ]
-    )
+    # F_X scales the unit |i><j| by x_i x_j, with a_{h,v}^2 = 1 +- s and, over
+    # the slow mode, b_{h,v}^2 = 1 / ((1 -+ s) w): both diagonal units become
+    # sqrt(H V) / w, both off-diagonal ones h / w, and the coherence c / w
+    root = math.exp(0.5 * (log_hh + log_vv) - log_w)
+    cross = math.exp(log_hv - log_w)
+    coherence = math.exp(log_c - log_w)
+    upsilon = np.diag([root + cross, coherence, coherence, root - cross])
+    a_diag = _filter_shape(log_plus_s, log_minus_s)
 
     target = np.diag([1.0, lam_x, lam_y, lam_z])
-    residual = float(abs(upsilon - target).max())
+    # the filters' shape against s, which is formed apart from the logs the shape comes from
+    shape = np.square(a_diag) - (1.0 + s, 1.0 - s)
+    residual = float(np.maximum(abs(upsilon - target).max(), abs(shape).max()))
     if not residual <= NORMAL_FORM_TOL:
         raise RuntimeError(
-            f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = {residual:.3e}"
+            f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| or "
+            f"|a^2 - (1 +- s)| = {residual:.3e}"
         )
     return SinkhornDecomposition(
         s=s,
-        a_diag=_filter_shape(log_plus_s, log_minus_s),
+        a_diag=a_diag,
         log_b_scale=log_b_scale,
         lambda_x=lam_x,
         lambda_y=lam_y,

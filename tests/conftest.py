@@ -305,14 +305,15 @@ def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
     """width_fixed_point's formula and the map's entries at 60 digits.
 
     Returns (s, fixed, entries): fixed holds (log(1 + s), log(1 - s),
-    log eig_h, log eig_v), and entries holds the logs (log H, log V,
-    log h, log c) of the map's entries over its slow mode, H = lower,
-    V = upper, h = half_gap and c = q^((1 + g/G) / 2).  The line's ratios
-    g/G and (gh - gv)/G and the time's log q are taken as exact, so the
-    reference and the package share their inputs; where g/G is below the
-    normal doubles, it is taken as the exponential of the line's log(g/G),
-    which keeps its digits there.  1 - q is summed as a series where q is
-    within 1e-6 of 1.  Every quantity is a sum of positive terms, so 60
+    log w), w = width + half_gap = sqrt(H V) + h, and entries holds the
+    logs (log H, log V, log h, log c) of the map's entries over its slow
+    mode, H = lower, V = upper, h = half_gap and c = q^((1 + g/G) / 2).
+    The eigenvalues of L^dag[S] over the slow mode are (1 -+ s) w.  The
+    line's ratios g/G and (gh - gv)/G and the time's log q are taken as
+    exact, so the reference and the package share their inputs; where g/G
+    is below the normal doubles, it is taken as the exponential of the
+    line's log(g/G), which keeps its digits there.  1 - q is summed as a
+    series where q is within 1e-6 of 1.  Every quantity is a sum of positive terms, so 60
     digits hold wherever it lies in the decimal exponent range; the
     entries are summed in logs, so they hold for every log q.  A log is
     -Infinity where its quantity is 0.
@@ -347,12 +348,10 @@ def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
         denom = 1 + q + 2 * width
         plus_s = 2 * (upper + width) / denom
         minus_s = 2 * (lower + width) / denom
-        eig_h = plus_s * lower + minus_s * half_gap
-        eig_v = minus_s * upper + plus_s * half_gap
         log_plus_half, log_minus_half = ln(plus_delta / 2), ln(minus_delta / 2)
         return (
             r_delta * one_minus_q / denom,
-            tuple(ln(value) for value in (plus_s, minus_s, eig_h, eig_v)),
+            tuple(ln(value) for value in (plus_s, minus_s, width + half_gap)),
             (
                 ln_add(log_minus_half, x + log_plus_half),
                 ln_add(log_plus_half, x + log_minus_half),

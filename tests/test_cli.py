@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +144,16 @@ def test_lifetime_near_the_double_maximum(capsys):
     expected = 6.282541938536965e-309
     assert abs(record["tau"] - expected) <= 1e-9 * expected
     assert record["lambdas"]["line1"][2] < 0.5
+
+
+def test_lifetime_of_a_huge_line_with_a_tiny_depolarization(capsys):
+    # line 1 is formed at an eighth of its rates, where g = 1e-323 rounds to
+    # 0, but log(g/G) is taken from the unscaled g; line 2 is the identity,
+    # so the root is where A_1 = asinh 1: tau = 2 asinh(G/g)/G (40-digit mpmath)
+    code, out, err = run(capsys, ["lifetime", "--gh1", "2e307", "--g1", "1e-323", "--format", "json"])
+    assert code == EXIT_OK, err
+    expected = 1.4520268426511133e-304
+    assert abs(json.loads(out)["tau"] - expected) <= 1e-9 * expected
 
 
 @pytest.mark.parametrize("rates", [["--g1", "1e-320"], ["--g1", "1e-310", "--g2", "1e-310"]])
@@ -471,23 +483,24 @@ def test_sinkhorn_reports_the_output_filter_scale_as_its_log(capsys):
         (["sinkhorn", "--gh1", "1e300", "--gv1", "1e300", "--t", "1e10"],
          "degenerate filter B: log_b_scale = inf from log slow = -inf, "
          "log(1 + s) = 0, log(1 - s) = 0"),
-        (["sinkhorn", "--gv1", "1", "--t", "2e7"],
-         "normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| = 1.863e-09"),
     ],
-    ids=["pure-loss-shape-underflow", "slow-mode-log-overflow", "pure-loss-log-rounding"],
+    ids=["pure-loss-shape-underflow", "slow-mode-log-overflow"],
 )
 def test_sinkhorn_exit_one_cases_are_the_documented_ones(capsys, argv, message):
-    # the README lists these three, each with this repro
+    # the README lists these two, each with this repro
     assert run(capsys, argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 # 0, or log-uniform over the positive doubles [5e-324, 1.7e308]
 DOUBLE_RANGE = st.one_of(st.just(0.0), st.floats(-323.3, 308.23).map(lambda e: 10.0**e))
-SINKHORN_REFUSALS = ("error: degenerate filter B: ", "error: normal form self-check failed: ")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(DOUBLE_RANGE, DOUBLE_RANGE, DOUBLE_RANGE, DOUBLE_RANGE)
+# pure loss at G t past 2^24, whose filter logs once reached upsilon
+@example(0.0, 1.0, 0.0, 2e7)
+# a subnormal G, whose ratios were once no unit vector
+@example(0.0, 1.04e-322, 5.822e-320, 0.0)
 def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t):
     argv = ["sinkhorn", "--gh1", repr(gh), "--gv1", repr(gv), "--g1", repr(g), "--t", repr(t)]
     out, err = io.StringIO(), io.StringIO()
@@ -500,7 +513,7 @@ def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t
         assert all(math.isfinite(x) for x in values)
     else:
         assert (code, out.getvalue()) == (EXIT_USAGE, "")
-        assert err.getvalue().startswith(SINKHORN_REFUSALS), err.getvalue()
+        assert err.getvalue().startswith("error: degenerate filter B: "), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +533,18 @@ def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t
         ["sinkhorn", "--gh1", "1", "--gv1", "1", "--g1", "1", "--t", "30"],
         # filters 1e4 apart, where the Pauli route's self-check cancelled to 4e-9
         ["sinkhorn", "--gh1", "100", "--gv1", "0", "--g1", "0.01", "--t", "1"],
+        # pure loss at G t past 2^24: upsilon's exponents once summed filter
+        # logs of that size, whose rounding failed the self-check at 1.863e-09
+        ["sinkhorn", "--gv1", "1", "--t", "2e7"],
+        ["sinkhorn", "--gv1", "1", "--t", "1e10"],
     ],
     ids=[
         "evolve-vv-underflow",
         "evolve-hh-underflow",
         "sinkhorn-degenerate-filter",
         "sinkhorn-unequal-filters",
+        "sinkhorn-pure-loss-log-rounding",
+        "sinkhorn-pure-loss-long-time",
     ],
 )
 def test_valid_input_exits_zero(capsys, argv):
@@ -535,6 +554,8 @@ def test_valid_input_exits_zero(capsys, argv):
         cols = read_csv_columns(out)
         for name in ("negativity_psi_plus", "negativity_optimal"):
             assert all(0.0 <= x <= 0.5 for x in cols[name]), name
+    else:
+        assert json.loads(out)["self_check"] <= 1e-15
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -549,6 +570,9 @@ def test_valid_input_exits_zero(capsys, argv):
                     0.0, 1.1433509483471318e-151, 1.241024921706544e-102), 21)
 @example("evolve", (0.0, 6.918980437850887e272, 0.0,
                     481.223336538377, 1.974735499584203, 2.9865216e-317), 6)
+# a subnormal G, whose ratios were once no unit vector: line 1 read a
+# detection probability of 1.0000016 at t = 0
+@example("evolve", (0.0, 1.04e-322, 5.822e-320, 0.0, 0.0, 1.0), 3)
 def test_valid_input_over_the_double_range_exits_zero_or_two(command, rates, steps):
     flags = ("--gh1", "--gv1", "--g1", "--gh2", "--gv2", "--g2")
     argv = [command, *(arg for flag, rate in zip(flags, rates) for arg in (flag, repr(rate))),
@@ -571,6 +595,12 @@ def test_valid_input_over_the_double_range_exits_zero_or_two(command, rates, ste
         # a two-qubit negativity is at most 1/2, here up to the rounding of the entries' logs
         for name in ("negativity_psi_plus", "negativity_optimal"):
             assert all(0.0 <= x <= 0.5 + 1e-15 for x in record[name]), name
+        # a detection probability is at most 1, and both maps are the identity at t = 0
+        eps = sys.float_info.epsilon
+        for name in ("detection_prob_psi_plus", "detection_prob_optimal"):
+            assert all(x <= 1.0 + 4 * eps for x in record[name]), name
+            assert abs(record[name][0] - 1.0) <= 4 * eps, name
+        assert abs(record["negativity_psi_plus"][0] - 0.5) <= 4 * eps
 
 
 def test_a_root_in_the_top_octave_of_the_doubles_is_found():
@@ -711,7 +741,7 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
   "lambda_x": 0.7341254817087135,
   "lambda_y": 0.7341254817087135,
   "lambda_z": 0.7274932066305086,
-  "self_check": 0.0
+  "self_check": 2.220446049250313e-16
 }
 """,
     ),
@@ -776,6 +806,38 @@ def test_steps_below_two_rejected(capsys):
     code, _, err = run(capsys, ["evolve", *REFERENCE_ARGS, "--steps", "1"])
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("steps", [10**30, 2**63], ids=["31-digits", "two-to-the-63"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_steps_past_what_an_array_holds_are_refused_by_name(capsys, tmp_path, steps, where):
+    # numpy once refused the first without naming steps and raised
+    # IndexError on the second; neither is allocated now
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"steps": steps}))
+    extra = ["--steps", str(steps)] if where == "flag" else ["--config", str(path)]
+    code, out, err = run(capsys, ["evolve", "--g1", "1", "--g2", "1", *extra])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: steps must be >= 2 and <= {sys.maxsize // 8}, got {steps}\n"
+
+
+def test_steps_past_memory_exit_one():
+    # 2^59 steps need 4 EiB; the address-space limit keeps any host from
+    # committing what an allocator might try, and one BLAS thread keeps
+    # numpy's own start well inside it
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+        "from qsink.cli import main\n"
+        "sys.exit(main(['evolve', '--g1', '1', '--g2', '1', '--steps', str(2**59)]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src,
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("error: Unable to allocate"), proc.stderr
 
 
 def test_bad_usage_raises_exit_code_one():

@@ -208,8 +208,8 @@ def _assert_decompose_agrees_with_the_pauli_route(params, t):
         assert str(error).startswith("degenerate filter: image of the fixed point")
         # the Pauli route compares the filter's eigenvalues with the absolute
         # PD_MIN_EIG; decompose refuses only a log scale past the double range.
-        # Upsilon's entries are exponentials of sums of these logs, each off by
-        # its ulps: 4.3e-14 at (0, 1e112, 1), t = 1, where they reach 515
+        # Upsilon's entries are exponentials of differences of these logs, and
+        # the signal parameters', each off by its ulps where the logs are large
         logs = (*entry_logs_at(params, t)[:3], *_fixed_point(*entry_logs_at(params, t)[:3]))
         size = max(1.0, *(abs(x) for x in logs if math.isfinite(x)))
         try:
@@ -217,10 +217,6 @@ def _assert_decompose_agrees_with_the_pauli_route(params, t):
         except ValueError:
             _, fixed, _ = decimal_fixed_point(params, t)
             assert any(x.is_infinite() for x in fixed[:2]) or params.decay_rates[1] * t == -math.inf
-            return
-        except RuntimeError:
-            # pure loss at G t past 2^24, where those ulps pass NORMAL_FORM_TOL
-            assert params.gamma == 0.0 and size >= 2.0**22
             return
         assert found.self_check <= 1e-14 * size
         return

@@ -369,8 +369,10 @@ def test_decompose_unital_part_properties():
             assert is_cp(dec.upsilon)
             target = np.diag([1.0, dec.lambda_x, dec.lambda_y, dec.lambda_z])
             assert np.max(np.abs(dec.upsilon - target)) <= NORMAL_FORM_TOL
-            # decompose reports the residual of its own self-check
-            assert dec.self_check == np.max(np.abs(dec.upsilon - target))
+            # decompose reports the residual of its own self-check: upsilon
+            # against the signal parameters, and the filters' shape against s
+            shape = np.square(dec.a_diag) - (1.0 + dec.s, 1.0 - dec.s)
+            assert dec.self_check == max(np.max(np.abs(dec.upsilon - target)), np.max(np.abs(shape)))
 
 
 def b_diag(dec) -> np.ndarray:
@@ -435,10 +437,12 @@ def test_decompose_returns_past_mode_underflow():
         for found, ref in zip(dec.a_diag, ref_logs[:2]):
             expected = float((ref / 2).exp())
             assert abs(found - expected) <= 4 * eps * max(1.0, abs(float(ref))) * expected, t
-        # log beta = -(log slow + log(1 + s) + log eig_h) / 2, the slow mode's log taken as exact
+        # log beta = -(log slow + log(1 + s) + log eig_h) / 2, with log eig_h =
+        # log(1 - s) + log w; the slow mode's log is taken as exact
         log_slow = params.decay_rates[1] * t
-        ref_scale = -(Decimal(log_slow) + ref_logs[0] + ref_logs[2]) / 2
-        terms = abs(Decimal(log_slow)) + abs(ref_logs[0]) + abs(ref_logs[2])
+        log_eig_h = ref_logs[1] + ref_logs[2]
+        ref_scale = -(Decimal(log_slow) + ref_logs[0] + log_eig_h) / 2
+        terms = abs(Decimal(log_slow)) + abs(ref_logs[0]) + abs(log_eig_h)
         assert abs(Decimal(dec.log_b_scale) - ref_scale) <= 4 * Decimal(eps) * terms, t
     assert dec.a_diag[0] == 0.0
 
