@@ -242,10 +242,12 @@ def cmd_evolve(cfg: JobConfig) -> int:
         ordered += ["negativity_custom", "detection_prob_custom"]
     table: dict[str, list[float]] = {c: [] for c in ordered}
     table["t"] = np.linspace(0.0, t_max, cfg.steps).tolist()
+    # equal rates give equal entries and maps: two identical lines are formed once
+    same = cfg.line2 == cfg.line1
     for start in range(0, cfg.steps, EVOLVE_BLOCK):
         block = table["t"][start : start + EVOLVE_BLOCK]
         entries1 = entry_logs_over_slow(cfg.line1, block)
-        entries2 = entry_logs_over_slow(cfg.line2, block)
+        entries2 = entries1 if same else entry_logs_over_slow(cfg.line2, block)
         slow = entries1[0] * entries2[0]
         for name, log_weight_ratio in standard.items():
             neg, prob = x_state_traces(log_weight_ratio, entries1[1], entries2[1])
@@ -254,11 +256,9 @@ def cmd_evolve(cfg: JobConfig) -> int:
         if cfg.initial_state is not None:
             # the maps over their slow modes give the same conditional state
             # and stay finite where the photons are surely lost
-            conditional, prob = conditional_state(
-                superop_over_slow(cfg.line1, block, entries1)[1],
-                superop_over_slow(cfg.line2, block, entries2)[1],
-                cfg.initial_state,
-            )
+            maps1 = superop_over_slow(cfg.line1, block, entries1)[1]
+            maps2 = maps1 if same else superop_over_slow(cfg.line2, block, entries2)[1]
+            conditional, prob = conditional_state(maps1, maps2, cfg.initial_state)
             table["negativity_custom"].extend(negativity(conditional).tolist())
             table["detection_prob_custom"].extend((slow * prob).tolist())
     _write(cfg, table, table)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import decimal
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsink
 from qsink import entanglement
 from qsink.dynamics import (
     ChannelParams,
@@ -426,3 +429,13 @@ def read_csv_columns(text: str) -> dict[str, list[float]]:
         for name, value in zip(header, line.split(",")):
             cols[name].append(float(value))
     return cols
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """os.environ with this tree's qsink on PYTHONPATH, and extra, for a child interpreter.
+
+    pytest's own pythonpath setting reaches only the pytest process; a
+    child started with sys.executable imports qsink through this.
+    """
+    src = str(Path(qsink.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src, **extra}

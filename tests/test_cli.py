@@ -4,18 +4,16 @@ import contextlib
 import io
 import json
 import math
-import os
 import warnings
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_csv_columns
+from conftest import read_csv_columns, subprocess_env
 from qsink import cli
 from qsink.cli import EXIT_NO_LIFETIME, EXIT_OK, EXIT_USAGE, main
 from qsink.dynamics import ChannelParams
@@ -349,6 +347,25 @@ def test_evolve_output_does_not_depend_on_the_block_size(capsys, tmp_path, monke
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("line2, per_block", [(REFERENCE_ARGS[6:], 1),
+                                             (["--gh2", "2", "--gv2", "5", "--g2", "1"], 2)])
+def test_evolve_forms_equal_lines_once(capsys, tmp_path, monkeypatch, line2, per_block):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"initial_state": NON_X_STATE}))
+    calls = {"entry_logs_over_slow": 0, "superop_over_slow": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(cli, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.setattr(cli, "EVOLVE_BLOCK", 4)
+    argv = ["evolve", *REFERENCE_ARGS[:6], *line2, "--steps", "10", "--config", str(path)]
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    # three blocks of at most four rows
+    assert calls == {"entry_logs_over_slow": 3 * per_block, "superop_over_slow": 3 * per_block}
+
+
 def test_evolve_custom_state_output_is_pinned(capsys, tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"initial_state": NON_X_STATE}))
@@ -607,7 +624,7 @@ def test_a_root_in_the_top_octave_of_the_doubles_is_found():
     # the bracket (1.43e308, 1.80e308) once met a midpoint of inf and never shrank
     argv = ["lifetime", "--g1", "3.5e-309", "--g2", "3.5e-309", "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "qsink.cli", *argv],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=subprocess_env())
     assert proc.returncode == EXIT_OK, proc.stderr
     expected = math.log(3.0) / 7e-309
     assert abs(json.loads(proc.stdout)["tau"] - expected) <= 1e-9 * expected
@@ -831,9 +848,7 @@ def test_steps_past_memory_exit_one():
         "from qsink.cli import main\n"
         "sys.exit(main(['evolve', '--g1', '1', '--g2', '1', '--steps', str(2**59)]))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src,
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = subprocess_env(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env=env)
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")

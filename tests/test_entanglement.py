@@ -30,6 +30,7 @@ from qsink.entanglement import (
     optimal_state,
     x_state_traces,
 )
+from qsink.linalg import PSD_TOL, _first_flagged, hermitian_part
 from qsink.sinkhorn import decompose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -173,6 +174,91 @@ def test_stacks_with_one_bad_row_are_rejected():
         conditional_state(maps, maps, RHO_PSI_PLUS)
     with pytest.raises(ValueError, match="not Hermitian"):
         conditional_state(maps[0], maps[0], np.full((4, 4), np.nan))
+
+
+def _eigvalsh_rule(rho: np.ndarray, normalized: bool) -> np.ndarray:
+    """The state check by eigvalsh alone: the reference the Cholesky screen must agree with."""
+    rho = hermitian_part(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
+    low = np.linalg.eigvalsh(rho)[..., 0]
+    bad = _first_flagged(low, ~(low >= -PSD_TOL))
+    if bad is not None:
+        raise ValueError(f"state is not positive semidefinite (min eigenvalue {bad:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if normalized:
+        bad = _first_flagged(tr, np.abs(tr - 1.0) > 1e-10)
+        if bad is not None:
+            raise ValueError(f"state must have unit trace, got {bad!r}")
+    else:
+        bad = _first_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)))
+        if bad is not None:
+            raise ValueError(f"state trace must lie in (0, 1], got {bad!r}")
+    return rho
+
+
+def _verdict(check, rho: np.ndarray, normalized: bool) -> bytes | str:
+    try:
+        return check(rho, normalized).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# least eigenvalues where the screen's shift and PSD_TOL meet, or nearly
+_EDGE_EIGENVALUES = [
+    -PSD_TOL * (1.0 + 1e-6), -PSD_TOL * (1.0 - 1e-6), -0.5 * PSD_TOL,
+    *(-PSD_TOL + k * math.ulp(PSD_TOL) for k in range(-3, 4)),
+]
+
+
+@st.composite
+def _hermitian_stacks(draw) -> np.ndarray:
+    """A 4x4 Hermitian matrix or a stack of them: random, rank 1, or of a set spectrum."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "rank1", "spectrum", "diagonal", "large"]))
+    least = st.one_of(st.sampled_from(_EDGE_EIGENVALUES), st.just(0.0), st.floats(-1e-3, 1e-3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if kind == "random":
+            rows.append(draw(st.floats(1e-3, 1.0)) * (z + z.conj().T))
+        elif kind == "rank1":
+            psi = z[0] / np.linalg.norm(z[0])
+            rows.append(np.outer(psi, psi.conj()))
+        else:
+            # a least eigenvalue and the rest of a unit trace; diagonal keeps it exact
+            low = draw(least)
+            spectrum = np.array([low, *((1.0 - low) * rng.dirichlet(np.ones(3)))])
+            if kind == "large":
+                spectrum *= 10.0 ** draw(st.floats(2.0, 9.0))
+                spectrum[0] = draw(st.sampled_from([spectrum[0], -abs(spectrum[1]), 0.0]))
+            u = np.linalg.qr(z)[0] if kind != "diagonal" else np.eye(4)[rng.permutation(4)]
+            rows.append((u * spectrum) @ u.conj().T)
+    # exactly Hermitian, so hermitian_part refuses none before the PSD check
+    stack = np.stack([0.5 * (m + m.conj().T) for m in rows])
+    return stack[0] if draw(st.booleans()) and len(rows) == 1 else stack
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_hermitian_stacks(), st.booleans())
+def test_state_check_accepts_and_refuses_as_eigvalsh_does(rho, normalized):
+    # the Cholesky screen only skips eigvalsh: the verdict and message stay its own
+    assert _verdict(entanglement._check_state, rho, normalized) == _verdict(
+        _eigvalsh_rule, rho, normalized
+    )
+    symmetric = hermitian_part(rho)
+    if entanglement._passes_screen(symmetric):
+        assert np.linalg.eigvalsh(symmetric)[..., 0].min() >= -PSD_TOL
+
+
+def test_the_screen_passes_states_within_its_size_bound(rng):
+    states = np.stack([random_pure_density(rng, 4), random_density(rng, 4), RHO_PSI_PLUS])
+    assert entanglement._passes_screen(states)
+    maps = superop_over_slow(REFERENCE, np.linspace(0.0, 1.0, 50))[1]
+    assert entanglement._passes_screen(conditional_state(maps, maps, states[1])[0])
+    assert not entanglement._passes_screen(np.diag([0.5, 0.5, -PSD_TOL, 0.0]).astype(complex))
+    # past its size bound the screen decides nothing, even on a state
+    assert not entanglement._passes_screen(2e3 * states)
 
 
 # ---------------------------------------------------------------------------
