@@ -350,20 +350,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate()
         cfg = _load_config(args)
-        if args.command == "lifetime":
-            return cmd_lifetime(cfg)
-        if args.command == "optimal-state":
-            return cmd_optimal_state(cfg)
-        if args.command == "evolve":
-            return cmd_evolve(cfg)
         if args.command == "sinkhorn":
             return cmd_sinkhorn(cfg, args.t)
+        # formed per call from the module's bindings, which perfbench's tracer rebinds
+        jobs = {"lifetime": cmd_lifetime, "optimal-state": cmd_optimal_state, "evolve": cmd_evolve}
+        return jobs[args.command](cfg)
     # a RuntimeError is decompose's failed self-check; a JSONDecodeError is a ValueError;
     # a MemoryError is a grid of more steps than memory holds
     except (ValueError, OverflowError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

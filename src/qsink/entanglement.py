@@ -49,7 +49,7 @@ _SCREEN_MAX_ABS = 1e3
 
 def _passes_screen(rho: np.ndarray) -> bool:
     """True only if every state of rho has no eigenvalue below -PSD_TOL; False decides nothing."""
-    if not np.abs(rho).max() <= _SCREEN_MAX_ABS:
+    if not np.abs(rho).max(initial=0.0) <= _SCREEN_MAX_ABS:
         return False
     try:
         np.linalg.cholesky(rho + _SCREEN_SHIFT * np.eye(4))

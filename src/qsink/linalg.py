@@ -58,8 +58,8 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     m = _as_matrices(m)
     # ndarray methods, cheaper than the numpy functions on 2x2 inputs
     adjoint = m.swapaxes(-1, -2).conj()
-    drift = float(np.abs(m - adjoint).max())
-    # fails closed: a NaN entry gives a NaN drift
+    drift = float(np.abs(m - adjoint).max(initial=0.0))
+    # fails closed: a NaN entry gives a NaN drift; an empty stack has none
     if not drift <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {drift:.3e}")
     return 0.5 * (m + adjoint)

@@ -3,6 +3,8 @@
 Used by the command-line `validate` subcommand and by the acceptance gate.
 The oracles: RK4 integration at one shared step, ORACLE_DT, fixed-point
 iteration, and the self-check residual decompose() returns with each normal form.
+run_all forms the grid's maps and normal forms once, and each suite is a
+verdict on the inputs it is handed.
 """
 
 from __future__ import annotations
@@ -19,20 +21,16 @@ from .sinkhorn import decompose, fixed_point_iterate
 
 RATE_GRID = (0.0, 0.5, 1.0, 5.0)
 TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
+# all rate combinations of the grid, minus the trivial origin
+GRID = tuple(
+    ChannelParams(gh, gv, g) for gh, gv, g in product(RATE_GRID, repeat=3) if gh or gv or g
+)
 
 # Step size for the integration oracle on the grids; small enough that the
 # integrator error sits far below the comparison tolerances.
 ORACLE_DT = 5e-4
-
-
-def iter_params(require_depolarization: bool = False):
-    """All rate combinations of the grid, minus the trivial origin."""
-    for gh, gv, g in product(RATE_GRID, repeat=3):
-        if gh == gv == g == 0.0:
-            continue
-        if require_depolarization and g == 0.0:
-            continue
-        yield ChannelParams(gamma_h=gh, gamma_v=gv, gamma=g)
+# the grid time whose integrated maps are checked for duality
+DUALITY_T = 0.5
 
 
 @dataclass(frozen=True)
@@ -51,29 +49,26 @@ class SuiteResult:
         )
 
 
-def suite_ptm_oracle() -> SuiteResult:
-    """Closed-form transfer matrices against RK4 integration."""
-    grid = list(iter_params())
-    # one stacked oracle call per time; devs[i, j] is line i at TIME_GRID[j]
-    devs = np.empty((len(grid), len(TIME_GRID)))
-    for j, t in enumerate(TIME_GRID):
-        closed = np.stack([ptm_at(params, t) for params in grid])
-        devs[:, j] = np.abs(closed - ptm_via_integration(grid, t, ORACLE_DT)).max(axis=(-2, -1))
+def suite_ptm_oracle(closed: np.ndarray, integrated: np.ndarray) -> SuiteResult:
+    """Closed-form transfer matrices against RK4 integration.
+
+    closed[i, j] and integrated[i, j] are line GRID[i]'s maps at TIME_GRID[j].
+    """
+    devs = np.abs(closed - integrated).max(axis=(-2, -1))
     # the first largest deviation; argmax stops at a NaN, which then fails the suite
     i, j = np.unravel_index(np.argmax(devs), devs.shape)
-    worst, worst_case = float(devs[i, j]), f"{grid[i]}, t={TIME_GRID[j]}"
+    worst, worst_case = float(devs[i, j]), f"{GRID[i]}, t={TIME_GRID[j]}"
     return SuiteResult("ptm-vs-integration", worst <= 1e-8, devs.size, worst, worst_case)
 
 
-def suite_sinkhorn() -> SuiteResult:
-    """Normal form: closed-form fixed point against iteration, and decompose's self-check."""
-    cases = [
-        (params, t) for params in iter_params(require_depolarization=True) for t in TIME_GRID
-    ]
-    iterated = fixed_point_iterate(np.stack([ptm_at(params, t) for params, t in cases]))
+def suite_sinkhorn(cases: list, closed: np.ndarray, normal_forms: list) -> SuiteResult:
+    """Normal form: closed-form fixed point against iteration, and decompose's self-check.
+
+    closed and normal_forms hold each (line, t) case's closed-form map and normal form.
+    """
+    iterated = fixed_point_iterate(closed)
     worst, worst_case = 0.0, ""
-    for (params, t), s_iter in zip(cases, iterated):
-        dec = decompose(params, t)
+    for (params, t), dec, s_iter in zip(cases, normal_forms, iterated, strict=True):
         devs = [abs(dec.s - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real), dec.self_check]
         # lambda_x == lambda_z exactly in exact arithmetic when gh == gv,
         # so the ordering comparison gets one-ulp slack
@@ -107,32 +102,38 @@ def suite_lifetime() -> SuiteResult:
     return SuiteResult("lifetime-closed-forms", passed and worst <= 1e-9, cases, worst, worst_case)
 
 
-def suite_normal_form_predicates() -> SuiteResult:
-    """The composed normal form must be trace preserving and unital."""
-    cases, bad = 0, ""
-    for params in iter_params(require_depolarization=True):
-        for t in TIME_GRID:
-            upsilon = decompose(params, t).upsilon
-            cases += 1
-            # its first row (trace preserving) and column (unital) against (1, 0, 0, 0)
-            if not abs(np.stack((upsilon[0], upsilon[:, 0])) - (1.0, 0.0, 0.0, 0.0)).max() <= 1e-9:
-                bad = f"{params}, t={t}"
+def suite_normal_form_predicates(
+    cases: list, normal_forms: list, integrated: np.ndarray
+) -> SuiteResult:
+    """The composed normal form must be trace preserving and unital, and each map its own dual.
+
+    Duality is read off the integrated maps at DUALITY_T: ptm_at's matrix
+    is symmetric by construction, so only the oracle's can fail the check.
+    """
+    bad = ""
+    for (params, t), dec in zip(cases, normal_forms, strict=True):
+        # Upsilon's first row (trace preserving) and column (unital) against (1, 0, 0, 0)
+        edges = np.stack((dec.upsilon[0], dec.upsilon[:, 0]))
+        if not abs(edges - (1.0, 0.0, 0.0, 0.0)).max() <= 1e-9:
+            bad = f"{params}, t={t}"
     # the family's map is its own dual: its transfer matrix is symmetric
-    for params in iter_params():
-        m = ptm_at(params, 0.7)
-        cases += 1
-        if float(np.max(np.abs(m - m.T))) > 1e-12:
-            bad = f"dual mismatch at {params}"
-    return SuiteResult("normal-form-predicates", not bad, cases, 0.0, bad or "-")
-
-
-ALL_SUITES = (
-    suite_ptm_oracle,
-    suite_sinkhorn,
-    suite_lifetime,
-    suite_normal_form_predicates,
-)
+    for params, m in zip(GRID, integrated[:, TIME_GRID.index(DUALITY_T)], strict=True):
+        if not np.abs(m - m.T).max() <= 1e-12:
+            bad = f"dual mismatch at {params}, t={DUALITY_T}"
+    return SuiteResult("normal-form-predicates", not bad, len(cases) + len(GRID), 0.0, bad or "-")
 
 
 def run_all() -> list[SuiteResult]:
-    return [suite() for suite in ALL_SUITES]
+    """Every suite's verdict, on maps and normal forms that are each formed once."""
+    closed = np.array([[ptm_at(params, t) for t in TIME_GRID] for params in GRID])
+    integrated = np.stack([ptm_via_integration(GRID, t, ORACLE_DT) for t in TIME_GRID], axis=1)
+    # the normal form is checked on the depolarizing lines alone
+    depolarizing = [i for i, params in enumerate(GRID) if params.gamma > 0.0]
+    cases = [(GRID[i], t) for i in depolarizing for t in TIME_GRID]
+    normal_forms = [decompose(params, t) for params, t in cases]
+    return [
+        suite_ptm_oracle(closed, integrated),
+        suite_sinkhorn(cases, closed[depolarizing].reshape(-1, 4, 4), normal_forms),
+        suite_lifetime(),
+        suite_normal_form_predicates(cases, normal_forms, integrated),
+    ]

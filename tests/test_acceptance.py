@@ -8,6 +8,7 @@ the published contract of the package; do not loosen them here.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import (
     PSI_PLUS,
@@ -25,7 +26,7 @@ from qsink.entanglement import (
     negativity,
     optimal_state,
 )
-from qsink.validate import SuiteResult, suite_lifetime, suite_ptm_oracle, suite_sinkhorn
+from qsink.validate import SuiteResult, run_all
 
 SEED = 20260822
 
@@ -44,6 +45,14 @@ def report(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
+@pytest.fixture(scope="module")
+def replay() -> tuple[dict[str, SuiteResult], float]:
+    """Every replay suite's result, by name, from one run_all(), and its time."""
+    started = time.perf_counter()
+    results = {result.name: result for result in run_all()}
+    return results, time.perf_counter() - started
+
+
 def check_suite(result: SuiteResult, tol: float, cases: int) -> tuple[bool, str]:
     """A replay suite passes here only on its own verdict, this gate's
     tolerance and the full case count."""
@@ -55,11 +64,11 @@ def check_suite(result: SuiteResult, tol: float, cases: int) -> tuple[bool, str]
     return ok, detail
 
 
-def test_criterion_1_closed_form_vs_integration(capsys):
-    # closed-form transfer matrices against RK4 integration
-    started = time.perf_counter()
-    ok, detail = check_suite(suite_ptm_oracle(), 1e-8, 315)
-    elapsed = time.perf_counter() - started
+def test_criterion_1_closed_form_vs_integration(capsys, replay):
+    # closed-form transfer matrices against RK4 integration; the time is the
+    # whole replay's, every suite's inputs included
+    results, elapsed = replay
+    ok, detail = check_suite(results["ptm-vs-integration"], 1e-8, 315)
     report(capsys, 1, ok and elapsed < 30.0, f"{detail}, in {elapsed:.2f} s (< 30 s)")
 
 
@@ -76,16 +85,16 @@ def test_criterion_2_semigroup(capsys):
     report(capsys, 2, worst <= 1e-10, f"max semigroup defect = {worst:.3e} <= 1e-10 on 100 samples")
 
 
-def test_criterion_3_normal_form(capsys):
+def test_criterion_3_normal_form(capsys, replay):
     # closed-form fixed point against iteration, the trace, unital and
     # self-check residuals decompose returns, and signal-parameter ordering
-    report(capsys, 3, *check_suite(suite_sinkhorn(), 1e-9, 240))
+    report(capsys, 3, *check_suite(replay[0]["sinkhorn-normal-form"], 1e-9, 240))
 
 
-def test_criterion_4_lifetime_closed_forms(capsys):
+def test_criterion_4_lifetime_closed_forms(capsys, replay):
     # symmetric-depolarization roots against ln(3)/(2 gamma); pure-loss lines
     # must report no finite lifetime
-    report(capsys, 4, *check_suite(suite_lifetime(), 1e-9, 5))
+    report(capsys, 4, *check_suite(replay[0]["lifetime-closed-forms"], 1e-9, 5))
 
 
 def test_criterion_5_crossing_window_early(capsys, tmp_path):

@@ -1018,6 +1018,8 @@ def test_non_finite_config_values_fail_closed(capsys, tmp_path, config, message)
         ({"format": None}, "format must be a string, got None"),
         ({"initial_state": [["1", 0.0]] * 16}, "initial_state needs 16 finite"),
         ({"initial_state": [[True, 0.0]] * 16}, "initial_state needs 16 finite"),
+        # a string, but not a format; the --format flag does not excuse it
+        ({"format": "xml"}, "format must be 'csv' or 'json', got 'xml'"),
     ],
 )
 def test_config_values_of_the_wrong_type_fail_closed(capsys, tmp_path, config, message):

@@ -261,6 +261,22 @@ def test_the_screen_passes_states_within_its_size_bound(rng):
     assert not entanglement._passes_screen(2e3 * states)
 
 
+def test_an_empty_stack_has_no_negativities_and_a_nan_state_is_still_refused():
+    # zero maps give an empty stack of conditional states, which negativity takes as it is
+    empty = np.zeros((0, 4, 4))
+    states = conditional_state(empty, empty, RHO_PSI_PLUS)[0]
+    assert states.shape == hermitian_part(empty).shape == (0, 4, 4)
+    assert entanglement._passes_screen(states)
+    assert negativity(states).shape == (0,)
+    nan_state = RHO_PSI_PLUS.copy()
+    nan_state[0, 0] = np.nan
+    assert not entanglement._passes_screen(nan_state)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity(nan_state)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        negativity(np.stack([RHO_PSI_PLUS, nan_state]))
+
+
 # ---------------------------------------------------------------------------
 # lifetime_lhs / max_lifetime
 # ---------------------------------------------------------------------------

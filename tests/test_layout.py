@@ -1,7 +1,8 @@
-"""Code layout: nothing in src/qsink is there for the tests alone, and nothing is imported unread.
+"""Code layout: nothing in src/qsink is there for the tests alone, and nothing is taken unread.
 
-No function, class or module constant lacks a caller in src/qsink, and no
-module imports a name that it never reads.
+No function, class or module constant lacks a caller in src/qsink, no
+module imports a name that it never reads, and no function takes a
+parameter that its body never reads.
 """
 
 import ast
@@ -97,4 +98,26 @@ def test_every_imported_name_is_read_in_its_module():
                     bound = alias.asname or alias.name.partition(".")[0]
                     if bound not in reads:
                         unread.append(f"{path.stem}: {bound}")
+    assert unread == []
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if arg is not None]
+            # a lambda's body is one expression; a nested function's reads count too
+            body = node.body if isinstance(node.body, list) else [node.body]
+            reads = {
+                name.id
+                for statement in body
+                for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            where = f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+            unread += [f"{where}: {param}" for param in params if param not in reads]
     assert unread == []

@@ -132,6 +132,12 @@ def test_iterate_respects_max_iter(monkeypatch):
         fixed_point_iterate(maps)
 
 
+def test_iterate_rejects_maps_that_are_not_4x4():
+    for shape in ((4,), (3, 3), (4, 5), (2, 3, 3)):
+        with pytest.raises(ValueError, match=r"expected 4x4 transfer matrices, got shape"):
+            fixed_point_iterate(np.zeros(shape))
+
+
 def test_iterate_rejects_non_finite_maps():
     # fails up front, not after max_iter steps of NaN
     for value in (math.nan, math.inf):
