@@ -1,11 +1,9 @@
 """Command-line interface.
 
-Subcommands: lifetime, optimal-state, evolve, sinkhorn, validate.  Channel
+SUBCOMMANDS decides what each subcommand reads: its config keys, and with
+them the flags of FLAGS that set those keys (no abbreviated flags).  Channel
 rates come from flags (--gh1/--gv1/--g1 for line 1 and --gh2/--gv2/--g2 for
 line 2) or from a JSON config file (--config); flags override the file.
-Each subcommand accepts only the flags and config keys it reads (no
-abbreviated flags): sinkhorn reads line 1 and --t and always prints JSON,
-only evolve reads --steps, and validate takes no flags at all.
 
 Exit codes: 0 success, 1 bad usage or input, 2 no finite lifetime (for
 lifetime and optimal-state, or one past t_max), 3 validation failure.
@@ -42,11 +40,28 @@ EXIT_VALIDATION = 3
 # the stacked numpy calls to amortize, few enough to keep the stacks small
 EVOLVE_BLOCK = 256
 
-# the config keys each subcommand reads; any other key in the file is refused
-_JOB_KEYS = {"line1", "line2", "t_max", "output_path", "format"}
-CONFIG_KEYS = {"lifetime": _JOB_KEYS, "optimal-state": _JOB_KEYS,
-               "evolve": _JOB_KEYS | {"steps", "initial_state"},
-               "sinkhorn": {"line1", "output_path"}}
+_JOB_KEYS = ("line1", "line2", "t_max", "output_path", "format")
+# each subcommand's help and the config keys it reads; any other key in the
+# file is refused.  It takes the flags of those keys, --config when it reads
+# any, and sinkhorn also its required --t
+SUBCOMMANDS = {
+    "lifetime": ("maximal conditional entanglement lifetime of the two lines", _JOB_KEYS),
+    "optimal-state": ("initial state that stays entangled the longest", _JOB_KEYS),
+    "evolve": ("negativity and detection probability along a time grid",
+               (*_JOB_KEYS, "steps", "initial_state")),
+    "sinkhorn": ("normal form of line 1 at a given time", ("line1", "output_path")),
+    "validate": ("replay all closed forms against independent checks", ()),
+}
+# the flags that set each key, and their argparse options: a line's three
+# set its gamma_h, gamma_v and gamma, and every other flag's dest is its key
+FLAGS = {
+    "line1": (("--gh1", "--gv1", "--g1"), {"type": float}),
+    "line2": (("--gh2", "--gv2", "--g2"), {"type": float}),
+    "t_max": (("--t-max",), {"type": float}),
+    "output_path": (("--out",), {"dest": "output_path", "metavar": "OUT"}),
+    "format": (("--format",), {"choices": ("csv", "json")}),
+    "steps": (("--steps",), {"type": int}),
+}
 
 
 @dataclass(frozen=True)
@@ -87,11 +102,11 @@ def _parse_custom_state(entries) -> np.ndarray:
     return (values[:, 0] + 1j * values[:, 1]).reshape(4, 4)
 
 
-def _read_keys(entry, keys: set[str], where: str) -> dict:
+def _read_keys(entry, keys: tuple[str, ...], where: str) -> dict:
     """entry, refused unless it is a JSON object whose keys all lie in keys."""
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be a JSON object, got {entry!r}")
-    unread = sorted(set(entry) - keys)
+    unread = sorted(set(entry).difference(keys))
     if unread:
         raise ValueError(f"{where} does not read {unread[0]!r}, only {sorted(keys)}")
     return entry
@@ -99,25 +114,24 @@ def _read_keys(entry, keys: set[str], where: str) -> dict:
 
 def _load_config(args: argparse.Namespace) -> JobConfig:
     raw = json.loads(Path(args.config).read_text()) if args.config is not None else {}
-    raw = _read_keys(raw, CONFIG_KEYS[args.command], f"{args.command} --config")
+    keys = SUBCOMMANDS[args.command][1]
+    raw = _read_keys(raw, keys, f"{args.command} --config")
     # a flag the subcommand does not take is absent from args
     flags = vars(args)
 
-    def line(key: str, suffix: str) -> ChannelParams:
-        entry = dict(_read_keys(raw.get(key, {}), {"gamma_h", "gamma_v", "gamma"}, key))
+    def line(key: str) -> ChannelParams:
+        names = ("gamma_h", "gamma_v", "gamma")
+        entry = dict(_read_keys(raw.get(key, {}), names, key))
         for name, value in entry.items():
             _typed(value, (int, float), "a number", f"{key}.{name}")
             # False for NaN, inf, negatives and ints past the double range alike
             if not 0.0 <= value <= sys.float_info.max:
                 raise ValueError(f"{key}.{name} must be finite and >= 0, got {value!r}")
-        for name, flag in (("gamma_h", "gh"), ("gamma_v", "gv"), ("gamma", "g")):
-            if flags.get(flag + suffix) is not None:
-                entry[name] = flags[flag + suffix]
-        return ChannelParams(
-            gamma_h=float(entry.get("gamma_h", 0.0)),
-            gamma_v=float(entry.get("gamma_v", 0.0)),
-            gamma=float(entry.get("gamma", 0.0)),
-        )
+        # a rate flag's dest is its name: gh1 for --gh1
+        for name, flag in zip(names, FLAGS[key][0]):
+            if flags.get(flag[2:]) is not None:
+                entry[name] = flags[flag[2:]]
+        return ChannelParams(**{name: float(entry.get(name, 0.0)) for name in names})
 
     # every file value is checked, also where a flag overrides it below
     steps = _typed(raw.get("steps", 200), (int, float), "an integer", "steps")
@@ -125,8 +139,8 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         raise ValueError(f"steps must be an integer, got {steps!r}")
     initial_state = raw.get("initial_state")
     cfg = JobConfig(
-        line1=line("line1", "1"),
-        line2=line("line2", "2"),
+        line1=line("line1"),
+        line2=line("line2"),
         t_max=_typed(raw.get("t_max"), (int, float, type(None)), "a number or null", "t_max"),
         steps=int(steps),
         initial_state=None if initial_state is None else _parse_custom_state(initial_state),
@@ -135,10 +149,11 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         ),
         format=_typed(raw.get("format", "csv"), (str,), "a string", "format"),
     )
-    for flag, field in (("t_max", "t_max"), ("steps", "steps"),
-                        ("out", "output_path"), ("format", "format")):
-        if flags.get(flag) is not None:
-            cfg = replace(cfg, **{field: flags[flag]})
+    # a line's flags are read above; one at a time, in the table's order,
+    # so a bad --t-max is named before a bad --steps
+    for key in keys:
+        if flags.get(key) is not None:
+            cfg = replace(cfg, **{key: flags[key]})
     return cfg
 
 
@@ -304,11 +319,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_rates(sub: argparse.ArgumentParser, suffix: str) -> None:
-    for flag in ("--gh", "--gv", "--g"):
-        sub.add_argument(flag + suffix, type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qsink",
@@ -316,30 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement lifetimes under depolarization and polarization-dependent loss.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("lifetime", "maximal conditional entanglement lifetime of the two lines"),
-        ("optimal-state", "initial state that stays entangled the longest"),
-        ("evolve", "negativity and detection probability along a time grid"),
-        ("sinkhorn", "normal form of line 1 at a given time"),
-        ("validate", "replay all closed forms against independent checks"),
-    ):
+    for name, (helptext, keys) in SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=helptext, allow_abbrev=False)
-        # each subcommand takes only the flags it reads; validate runs its
-        # one fixed grid and takes none
-        if name == "validate":
-            continue
-        _add_rates(sub, "1")
-        sub.add_argument("--out", default=None)
-        sub.add_argument("--config", default=None)
+        for flags, options in (FLAGS[key] for key in keys if key in FLAGS):
+            for flag in flags:
+                sub.add_argument(flag, default=None, **options)
+        if keys:
+            sub.add_argument("--config", default=None)
         if name == "sinkhorn":
             # line 1 at one time, always printed as JSON
             sub.add_argument("--t", type=float, required=True)
-            continue
-        _add_rates(sub, "2")
-        sub.add_argument("--t-max", type=float, default=None)
-        sub.add_argument("--format", choices=("csv", "json"), default=None)
-        if name == "evolve":
-            sub.add_argument("--steps", type=int, default=None)
     return parser
 
 

@@ -39,7 +39,9 @@ point, filters and middle map off the same logs.  ptm_at() forms the
 transfer matrix in closed form on the Pauli basis and scales it back by
 the slow mode.
 ptm_via_integration() recomputes the transfer matrix by brute-force
-integration of the master equation, as an independent cross-check.
+integration of the master equation, as an independent cross-check;
+pauli_transfer() puts its result, or any map on the matrix units, on the
+Pauli basis.
 """
 
 from __future__ import annotations
@@ -277,6 +279,20 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     return slow * m
 
 
+# sigma_0..3 vec'd row-major, one per column: a map s on the matrix units
+# takes them to their images s @ PAULI_INPUTS
+PAULI_INPUTS = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
+
+
+def pauli_transfer(images: np.ndarray) -> np.ndarray:
+    """Transfer matrix m[i, j] = tr[sigma_i L[sigma_j]] / 2 from the images of the Pauli inputs.
+
+    Column j of images is L[sigma_j] vec'd row-major; a stack (..., 4, 4)
+    of images gives a stack of transfer matrices.
+    """
+    return (0.5 * (PAULI_INPUTS.conj().T @ images)).real
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracle: integrate the master equation itself.
 # ---------------------------------------------------------------------------
@@ -293,7 +309,7 @@ def ptm_via_integration(
     S with h = t / n, n = ceil(t / dt), and n steps are S^n: each round of
     repeated squaring multiplies S^(2^k) into the state where bit k of n is
     set, about 2 log2(n) products in all.  The state holds the four Pauli
-    inputs vec'd, and m[i, j] = tr[sigma_i rho_j(t)] / 2.
+    inputs vec'd, read off by pauli_transfer().
 
     params may also be a sequence of lines; the result is then a stack
     (N, 4, 4).  All lines share the step dt, so they share n, and each gets
@@ -331,13 +347,12 @@ def ptm_via_integration(
     k4 = gen @ (eye + h * k3)
     power = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    basis = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
-    state = np.broadcast_to(basis, power.shape)
+    state = np.broadcast_to(PAULI_INPUTS, power.shape)
     while n:
         if n % 2:
             state = power @ state
         n //= 2
         if n:
             power = power @ power
-    out = (0.5 * (basis.conj().T @ state)).real
+    out = pauli_transfer(state)
     return out[0] if single else out

@@ -297,14 +297,11 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     two values are so small that the next estimate is within about clear
     of the root, the two points +-1.5 clear / slope around it are probed
     instead, which leaves unsettled only the band where |g| is at most
-    about 1.5 clear, and the secant stops.  The secant steps again only
-    while it gains: right after a midpoint was evaluated, or after a step
-    that at least halved |f|.  Otherwise, and when a step would leave the
+    about 1.5 clear, and the secant stops.  When a step would leave the
     interval, the midpoint is evaluated as the plain bisection evaluates
-    it, and the secant goes on from there.  Between two midpoints the
-    halving bounds the steps (|f| <= 37 for any double g > -1).  The search
-    needs about 11 g evaluations per root for rates on [1e-3, 1e3], where
-    the plain bisection needs about 36.
+    it, and the secant goes on from there.  The search needs about 11 g
+    evaluations per root for rates on [1e-3, 1e3], where the plain
+    bisection needs about 36.
     """
     depolarizing = [params for params in (params1, params2) if params.gamma > 0.0]
     if not depolarizing:
@@ -337,12 +334,11 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
 
     # every midpoint outside (sure_pos, sure_neg) is settled; none lies
     # outside (low, high).  (t0, f0), (t1, f1): the last two points
-    # evaluated, with f = log(g + 1); the secant runs until it converges,
-    # and only while it gains: after a midpoint, or a step that halved |f|
+    # evaluated, with f = log(g + 1); the secant runs until it converges
     clear = _ROOT_RESIDUAL_TOL + _SETTLE_MARGIN
     sure_pos, sure_neg = low, high
     t0, f0, t1, f1 = low, _log1p_g(g_low), high, _log1p_g(g_high)
-    secant = gaining = True
+    secant = True
     tau = None
     residual = math.nan
     # the bracket width is relative below tau = 1, so roots at tiny tau
@@ -359,7 +355,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
         if mid >= sure_neg:
             high = mid
             continue
-        if secant and gaining and f1 != f0:
+        if secant and f1 != f0:
             dt_df = (t1 - t0) / (f1 - f0)
             t = t1 - f1 * dt_df
             if sure_pos < t < sure_neg:
@@ -376,9 +372,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
                         elif g_probe < -clear:
                             sure_neg = probe
                 if secant:
-                    f = _log1p_g(g_probe)
-                    gaining = abs(f) <= 0.5 * abs(f1)
-                    t0, f0, t1, f1 = t1, f1, t, f
+                    t0, f0, t1, f1 = t1, f1, t, _log1p_g(g_probe)
                 # mid may be settled now
                 continue
         g_mid = lifetime_lhs(params1, params2, mid)
@@ -387,7 +381,6 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
             tau, residual = mid, g_mid
             break
         t0, f0, t1, f1 = t1, f1, mid, _log1p_g(g_mid)
-        gaining = True
         # no later midpoint lies outside (low, high), nor may a secant step
         if g_mid > 0.0:
             low = sure_pos = mid

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import subprocess
@@ -768,7 +769,7 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
 [PASS] ptm-vs-integration: 315 cases, max deviation 1.926e-12 (ChannelParams(gamma_h=5.0, gamma_v=5.0, gamma=5.0), t=0.1)
 [PASS] sinkhorn-normal-form: 240 cases, max deviation 8.554e-12 (ChannelParams(gamma_h=0.0, gamma_v=0.5, gamma=0.5), t=0.1)
 [PASS] lifetime-closed-forms: 5 cases, max deviation 3.958e-11 (ChannelParams(gamma_h=0.0, gamma_v=0.0, gamma=0.25))
-[PASS] normal-form-predicates: 303 cases, max deviation 0.000e+00 (-)
+[PASS] normal-form-predicates: 303 cases, max deviation 2.220e-16 (ChannelParams(gamma_h=0.0, gamma_v=5.0, gamma=0.5), t=2.0)
 """,
     ),
 }
@@ -915,11 +916,49 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
     assert named in err
 
 
+# what each subcommand reads, spelled out: its flags and its config keys
+JOB_FLAGS = {"--gh1", "--gv1", "--g1", "--gh2", "--gv2", "--g2", "--t-max", "--out", "--format",
+             "--config"}
+JOB_KEYS = {"line1", "line2", "t_max", "output_path", "format"}
+READS = {
+    "lifetime": (JOB_FLAGS, JOB_KEYS),
+    "optimal-state": (JOB_FLAGS, JOB_KEYS),
+    "evolve": (JOB_FLAGS | {"--steps"}, JOB_KEYS | {"steps", "initial_state"}),
+    "sinkhorn": ({"--gh1", "--gv1", "--g1", "--out", "--config", "--t"}, {"line1", "output_path"}),
+    "validate": (set(), set()),
+}
+# a value of each config key that every subcommand reading it runs with, and one key none reads
+CONFIG_VALUES = {"line1": {"gamma_h": 1.0, "gamma_v": 5.0, "gamma": 1.0},
+                 "line2": {"gamma_h": 1.0, "gamma_v": 5.0, "gamma": 1.0}, "t_max": 1.0,
+                 "output_path": None, "format": "json", "steps": 3,
+                 "initial_state": NON_X_STATE, "tmax": 1.0}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_each_subcommand_reads_exactly_its_flags_and_config_keys(capsys, tmp_path, command):
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == EXIT_OK
+    flags, keys = READS[command]
+    assert set(re.findall(r"--[\w-]+", out)) - {"--help"} == flags
+    # a key is read unless the file holding it is refused by name
+    argv = [command, "--g1", "1", *(["--t", "0.3"] if command == "sinkhorn" else ["--g2", "1"])]
+    read = set()
+    for key, value in CONFIG_VALUES.items() if "--config" in flags else ():
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({key: value}))
+        code, _, err = run(capsys, [*argv, "--config", str(path)])
+        if f"does not read {key!r}" not in err:
+            assert code == EXIT_OK, (key, err)
+            read.add(key)
+    assert read == keys
+
+
 def test_every_config_key_a_subcommand_reads_is_accepted(capsys, tmp_path):
     line = {"gamma_h": 1.0, "gamma_v": 5.0, "gamma": 1.0}
     values = {"line1": line, "line2": line, "t_max": 1.0, "output_path": None,
               "format": "json", "steps": 3, "initial_state": NON_X_STATE}
-    for command, keys in cli.CONFIG_KEYS.items():
+    # validate reads no key, and takes no --config
+    for command, keys in ((name, keys) for name, (_, keys) in cli.SUBCOMMANDS.items() if keys):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({key: values[key] for key in keys}))
         argv = [command, "--config", str(path)] + (["--t", "0.3"] if command == "sinkhorn" else [])

@@ -374,7 +374,7 @@ PINNED_ROOTS = {
         ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", 10),
     "tiny-depolarization": (
         ChannelParams(1.0, 0.0, 1e-200), ChannelParams(1.0, 0.0, 1e-200), "0x1.cc6c43872b000p+9",
-        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 29),
+        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 28),
     "no-root": (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), None,
                 ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", 1),
 }

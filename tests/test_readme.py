@@ -7,7 +7,7 @@ import shlex
 from pathlib import Path
 
 import qsink
-from qsink.cli import EXIT_OK, main
+from qsink.cli import EXIT_OK, SUBCOMMANDS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -93,3 +93,15 @@ def test_readme_lists_the_json_keys_the_commands_print(capsys):
         assert main(argv) == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert documented_keys(marker) == printed_keys(record), argv
+
+
+def test_readme_lists_the_config_keys_each_subcommand_reads():
+    # the table of the config file's section, one row per subcommand or pair of them
+    table = section("Command line").split("| subcommand | config keys |\n", 1)[1]
+    documented = {}
+    for row in table.split("\n\n", 1)[0].splitlines()[1:]:  # past the rule
+        names, keys = row.split("|")[1:3]
+        for name in re.findall(r"`([\w-]+)`", names):
+            documented[name] = re.findall(r"`(\w+)`", keys)
+    # validate reads no key, and so has no row
+    assert documented == {name: list(keys) for name, (_, keys) in SUBCOMMANDS.items() if keys}

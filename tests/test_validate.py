@@ -13,7 +13,7 @@ def test_one_pass_forms_each_map_and_normal_form_once(monkeypatch):
     # counted through every module that binds them, as a call from anywhere counts
     calls = Counter()
     for module in (dynamics, sinkhorn, entanglement, validate):
-        for name in ("ptm_at", "ptm_via_integration", "decompose"):
+        for name in ("ptm_at", "superop_over_slow", "ptm_via_integration", "decompose"):
             if name in vars(module):
                 def counted(*args, _name=name, _call=getattr(module, name)):
                     calls[_name] += 1
@@ -21,7 +21,8 @@ def test_one_pass_forms_each_map_and_normal_form_once(monkeypatch):
 
                 monkeypatch.setattr(module, name, counted)
     results = validate.run_all()
-    assert calls == {"ptm_at": 315, "ptm_via_integration": 5, "decompose": 240}
+    assert calls == {"ptm_at": 315, "superop_over_slow": 63, "ptm_via_integration": 5,
+                     "decompose": 240}
     assert [result.cases for result in results] == [315, 240, 5, 303]
     assert all(result.passed for result in results)
 
@@ -52,6 +53,22 @@ def test_a_corrupted_closed_map_fails_the_oracle_verdict(capsys, monkeypatch):
     assert err == f"validation failed: ptm-vs-integration at {line}, t=1.0\n"
 
 
+def test_a_corrupted_entry_log_map_fails_the_oracle_verdict(capsys, monkeypatch):
+    # log H, which ptm_at never reads, so only the map over the slow mode carries it
+    entry_logs = dynamics._entry_logs
+
+    def doctored(*args):
+        log_hh, *rest = entry_logs(*args)
+        return (log_hh + 1e-6, *rest)
+
+    monkeypatch.setattr(dynamics, "_entry_logs", doctored)
+    code = cli.main(["validate"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == cli.EXIT_VALIDATION
+    assert lines[0].startswith("[FAIL] ptm-vs-integration: 315 cases, max deviation 5.000e-07")
+    assert all(line.startswith("[PASS]") for line in lines[1:])
+
+
 def test_an_upsilon_off_by_a_millionth_fails_the_predicates_verdict(capsys, monkeypatch):
     line = ChannelParams(1.0, 5.0, 1.0)
 
@@ -63,7 +80,7 @@ def test_an_upsilon_off_by_a_millionth_fails_the_predicates_verdict(capsys, monk
     code, lines, err = replay_doctored(capsys, monkeypatch, "decompose", doctor)
     assert code == cli.EXIT_VALIDATION
     assert lines["predicates"] == (
-        f"[FAIL] normal-form-predicates: 303 cases, max deviation 0.000e+00 ({line}, t=0.25)"
+        f"[FAIL] normal-form-predicates: 303 cases, max deviation 1.000e-06 ({line}, t=0.25)"
     )
     assert err == f"validation failed: normal-form-predicates at {line}, t=0.25\n"
 
