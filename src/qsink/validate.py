@@ -7,11 +7,19 @@ RK4 checks both closed forms of each map: ptm_at's Pauli sums and the map
 that evolve and decompose read off the entry logs (superop_over_slow).
 run_all forms the grid's maps and normal forms once, and each suite is a
 verdict on the inputs it is handed.
+
+Every suite reduces to per-case deviations, and one rule (_verdict) turns
+them into PASS or FAIL: a suite passes only when every deviation is <= its
+tolerance, so a NaN fails.  It reports the largest deviation, or the
+largest failing one once any case fails, and names the first case where it
+occurs.  A missing or spurious lifetime root, and lambdas out of order,
+deviate by inf.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
@@ -58,6 +66,22 @@ class SuiteResult:
         )
 
 
+def _verdict(name: str, deviations, tolerances, label: Callable[..., str]) -> SuiteResult:
+    """A suite's verdict on its per-case deviations: the one rule every suite follows.
+
+    It passes only when every deviation is <= its tolerance, so a NaN fails.
+    It reports the largest deviation, or the largest failing one once any
+    case fails (a NaN counts as the largest), and label(*index) names the
+    first case where that deviation occurs; only that case's label is formed.
+    """
+    devs = np.asarray(deviations, dtype=float)
+    within = devs <= tolerances
+    # argmax takes the first largest entry, and the first NaN before any number
+    worst = np.argmax(devs if within.all() else np.where(within, -np.inf, devs))
+    index = np.unravel_index(worst, devs.shape)
+    return SuiteResult(name, bool(within.all()), devs.size, float(devs[index]), label(*index))
+
+
 def suite_ptm_oracle(
     closed: np.ndarray, entry_maps: np.ndarray, integrated: np.ndarray
 ) -> SuiteResult:
@@ -67,51 +91,45 @@ def suite_ptm_oracle(
     maps at TIME_GRID[j]: ptm_at's, the entry logs' and the oracle's.
     """
     devs = np.maximum(abs(closed - integrated), abs(entry_maps - integrated)).max(axis=(-2, -1))
-    # the first largest deviation; argmax stops at a NaN, which then fails the suite
-    i, j = np.unravel_index(np.argmax(devs), devs.shape)
-    worst, worst_case = float(devs[i, j]), f"{GRID[i]}, t={TIME_GRID[j]}"
-    return SuiteResult("ptm-vs-integration", worst <= 1e-8, devs.size, worst, worst_case)
+    return _verdict(
+        "ptm-vs-integration", devs, 1e-8, lambda i, j: f"{GRID[i]}, t={TIME_GRID[j]}"
+    )
 
 
 def suite_sinkhorn(cases: list, closed: np.ndarray, normal_forms: list) -> SuiteResult:
     """Normal form: closed-form fixed point against iteration, and decompose's self-check.
 
-    closed and normal_forms hold each (line, t) case's closed-form map and normal form.
+    closed and normal_forms hold each (line, t) case's closed-form map and
+    normal form.  A case whose lambdas are out of order deviates by inf.
     """
     iterated = fixed_point_iterate(closed)
-    worst, worst_case = 0.0, ""
-    for (params, t), dec, s_iter in zip(cases, normal_forms, iterated, strict=True):
-        devs = [abs(dec.s - 0.5 * (s_iter[0, 0] - s_iter[1, 1]).real), dec.self_check]
-        # lambda_x == lambda_z exactly in exact arithmetic when gh == gv,
-        # so the ordering comparison gets one-ulp slack
-        ordered = (
-            dec.lambda_x == dec.lambda_y
-            and dec.lambda_y >= dec.lambda_z - 1e-12
-            and dec.lambda_z >= 0.0
-        )
-        dev = max(devs) if ordered else math.inf
-        if dev > worst:
-            worst, worst_case = dev, f"{params}, t={t}"
-    return SuiteResult("sinkhorn-normal-form", worst <= 1e-9, len(cases), worst, worst_case)
+    s, self_check, lam_x, lam_y, lam_z = np.array(
+        [(dec.s, dec.self_check, dec.lambda_x, dec.lambda_y, dec.lambda_z) for dec in normal_forms]
+    ).T
+    # lambda_x == lambda_z exactly in exact arithmetic when gh == gv,
+    # so the ordering comparison gets one-ulp slack
+    ordered = (lam_x == lam_y) & (lam_y >= lam_z - 1e-12) & (lam_z >= 0.0)
+    devs = np.maximum(abs(s - 0.5 * (iterated[:, 0, 0] - iterated[:, 1, 1]).real), self_check)
+    return _verdict(
+        "sinkhorn-normal-form", np.where(ordered, devs, math.inf), 1e-9,
+        lambda i: "{}, t={}".format(*cases[i]),
+    )
 
 
 def suite_lifetime() -> SuiteResult:
-    """Lifetime roots against the closed form for symmetric depolarization."""
+    """Lifetime roots against the closed form for symmetric depolarization.
+
+    A depolarizing line without a root, or a pure-loss line with one, deviates by inf.
+    """
     depolarizing = [ChannelParams(0.0, 0.0, g) for g in (0.25, 1.0, 2.0)]
     lossy = [ChannelParams(gh, gv, 0.0) for gh, gv in ((1.0, 5.0), (2.0, 0.5))]
-    worst, worst_case, passed = 0.0, "", True
+    devs = []
     for params in depolarizing:
         tau = max_lifetime(params, params).tau
         expected = math.log(3.0) / (2.0 * params.gamma)
-        if tau is None:
-            passed, worst_case = False, f"no root for {params}"
-        elif abs(tau - expected) / expected > worst:
-            worst, worst_case = abs(tau - expected) / expected, f"{params}"
-    for params in lossy:
-        if max_lifetime(params, params).tau is not None:
-            passed, worst_case = False, f"spurious finite lifetime for {params}"
-    cases = len(depolarizing) + len(lossy)
-    return SuiteResult("lifetime-closed-forms", passed and worst <= 1e-9, cases, worst, worst_case)
+        devs.append(math.inf if tau is None else abs(tau - expected) / expected)
+    devs += [0.0 if max_lifetime(params, params).tau is None else math.inf for params in lossy]
+    return _verdict("lifetime-closed-forms", devs, 1e-9, lambda i: f"{(depolarizing + lossy)[i]}")
 
 
 def suite_normal_form_predicates(
@@ -121,20 +139,19 @@ def suite_normal_form_predicates(
 
     Duality is read off the integrated maps at DUALITY_T: ptm_at's matrix
     is symmetric by construction, so only the oracle's can fail the check.
-    The deviation is the largest of either check, and the largest of a
-    failing one once any fails, each named where it occurs.
     """
-    checks = []  # (deviation, tolerance, case)
-    for (params, t), dec in zip(cases, normal_forms, strict=True):
-        # Upsilon's first row (trace preserving) and column (unital) against (1, 0, 0, 0)
-        edges = np.stack((dec.upsilon[0], dec.upsilon[:, 0]))
-        checks.append((abs(edges - (1.0, 0.0, 0.0, 0.0)).max(), 1e-9, f"{params}, t={t}"))
+    upsilons = np.array([dec.upsilon for dec in normal_forms])
+    # Upsilon's first row (trace preserving) and column (unital) against (1, 0, 0, 0)
+    edges = np.stack((upsilons[:, 0], upsilons[:, :, 0]), axis=1) - (1.0, 0.0, 0.0, 0.0)
     # the family's map is its own dual: its transfer matrix is symmetric
-    for params, m in zip(GRID, integrated[:, TIME_GRID.index(DUALITY_T)], strict=True):
-        checks.append((abs(m - m.T).max(), 1e-12, f"dual mismatch at {params}, t={DUALITY_T}"))
-    failed = [check for check in checks if not check[0] <= check[1]]
-    worst, _, worst_case = max(failed or checks, key=lambda check: check[0])
-    return SuiteResult("normal-form-predicates", not failed, len(checks), float(worst), worst_case)
+    duals = integrated[:, TIME_GRID.index(DUALITY_T)]
+    asymmetry = duals - duals.swapaxes(-1, -2)
+    devs = np.append(abs(edges).max(axis=(-2, -1)), abs(asymmetry).max(axis=(-2, -1)))
+    return _verdict(
+        "normal-form-predicates", devs, np.repeat((1e-9, 1e-12), (len(cases), len(GRID))),
+        lambda i: "{}, t={}".format(*cases[i]) if i < len(cases)
+        else f"dual mismatch at {GRID[i - len(cases)]}, t={DUALITY_T}",
+    )
 
 
 def run_all() -> list[SuiteResult]:

@@ -17,7 +17,7 @@ from conftest import (
     is_unital,
     sandwich,
 )
-from qsink import sinkhorn
+from qsink import cli, sinkhorn
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at, superop_over_slow
 from qsink.linalg import SIGMA
 from qsink.sinkhorn import (
@@ -424,6 +424,20 @@ def test_decompose_degenerate_filter_raises():
     # balanced loss, so s = 0, but (r - G) t / 2 = 1e310 is past the double range
     with pytest.raises(ValueError, match="degenerate filter B: log_b_scale = inf from log slow = -inf"):
         decompose(ChannelParams(1e300, 1e300, 0.0), 1e10)
+
+
+def test_decompose_refuses_a_normal_form_its_self_check_fails(capsys, monkeypatch):
+    # lambdas a millionth off: upsilon no longer matches diag(1, lx, ly, lz)
+    lambdas = sinkhorn.unital_lambdas
+    monkeypatch.setattr(sinkhorn, "unital_lambdas",
+                        lambda *args: tuple(lam * (1.0 + 1e-6) for lam in lambdas(*args)))
+    with pytest.raises(RuntimeError, match="normal form self-check failed"):
+        decompose(REFERENCE, 0.3)
+    code = cli.main(["sinkhorn", "--gh1", "1", "--gv1", "5", "--g1", "1", "--t", "0.3"])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: normal form self-check failed")
 
 
 def test_decompose_returns_past_mode_underflow():

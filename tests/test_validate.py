@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qsink import cli, dynamics, entanglement, sinkhorn, validate
 from qsink.dynamics import ChannelParams
@@ -116,4 +117,70 @@ def test_a_lifetime_off_by_a_millionth_fails_the_lifetime_verdict(capsys, monkey
         "[FAIL] lifetime-closed-forms: 5 cases, max deviation 1.000e-06"
     )
     assert lines["lifetime"].endswith(f"({line})")
+    assert err == f"validation failed: lifetime-closed-forms at {line}\n"
+
+
+
+# the cases the NaN doctors below set: a pure-loss line's map, whose maps enter no
+# normal-form check (a NaN map on a depolarizing line stops fixed_point_iterate first),
+# a depolarizing (line, t) case and a depolarizing line
+NAN_MAP = (ChannelParams(0.5, 1.0, 0.0), 1.0)
+NAN_NORMAL_FORM = (ChannelParams(1.0, 5.0, 1.0), 0.25)
+NAN_LIFETIME = ChannelParams(0.0, 0.0, 1.0)
+
+
+def nan_map(m, params, t):
+    return np.full_like(m, np.nan) if (params, t) == NAN_MAP else m
+
+
+def nan_fixed_point(iterated, closed):
+    # the S iterated from NAN_NORMAL_FORM's map, found by its map
+    at = np.all(closed == dynamics.ptm_at(*NAN_NORMAL_FORM), axis=(-2, -1))
+    assert at.sum() == 1
+    return np.where(at[:, None, None], np.nan, iterated)
+
+
+def nan_lifetime(result, params1, params2):
+    return replace(result, tau=np.nan) if params1 == NAN_LIFETIME else result
+
+
+def nan_upsilon(dec, params, t):
+    if (params, t) != NAN_NORMAL_FORM:
+        return dec
+    return replace(dec, upsilon=np.full_like(dec.upsilon, np.nan))
+
+
+@pytest.mark.parametrize(("name", "doctor", "suite", "header", "case"), [
+    pytest.param("ptm_at", nan_map, "ptm", "ptm-vs-integration: 315 cases",
+                 "{}, t={}".format(*NAN_MAP), id="ptm"),
+    pytest.param("fixed_point_iterate", nan_fixed_point, "sinkhorn",
+                 "sinkhorn-normal-form: 240 cases", "{}, t={}".format(*NAN_NORMAL_FORM),
+                 id="sinkhorn"),
+    pytest.param("max_lifetime", nan_lifetime, "lifetime", "lifetime-closed-forms: 5 cases",
+                 f"{NAN_LIFETIME}", id="lifetime"),
+    pytest.param("decompose", nan_upsilon, "predicates", "normal-form-predicates: 303 cases",
+                 "{}, t={}".format(*NAN_NORMAL_FORM), id="predicates"),
+])
+def test_a_nan_case_fails_its_verdict(capsys, monkeypatch, name, doctor, suite, header, case):
+    code, lines, err = replay_doctored(capsys, monkeypatch, name, doctor)
+    assert code == cli.EXIT_VALIDATION
+    assert lines.pop(suite) == f"[FAIL] {header}, max deviation nan ({case})"
+    assert all(line.startswith("[PASS]") for line in lines.values())
+    assert err == f"validation failed: {header.split(':')[0]} at {case}\n"
+
+
+@pytest.mark.parametrize(("line", "tau"), [
+    pytest.param(ChannelParams(0.0, 0.0, 2.0), None, id="depolarizing-line-without-a-root"),
+    pytest.param(ChannelParams(1.0, 5.0, 0.0), 1.0, id="pure-loss-line-with-a-root"),
+])
+def test_a_missing_or_spurious_root_deviates_by_inf(capsys, monkeypatch, line, tau):
+    def doctor(result, params1, params2):
+        return replace(result, tau=tau) if params1 == line else result
+
+    code, lines, err = replay_doctored(capsys, monkeypatch, "max_lifetime", doctor)
+    assert code == cli.EXIT_VALIDATION
+    assert lines.pop("lifetime") == (
+        f"[FAIL] lifetime-closed-forms: 5 cases, max deviation inf ({line})"
+    )
+    assert all(other.startswith("[PASS]") for other in lines.values())
     assert err == f"validation failed: lifetime-closed-forms at {line}\n"
