@@ -27,7 +27,8 @@ the log of the mode ratio q = exp(-G t) with 1 - q.  The ratios g/G and
 (gh - gv)/G, their logs and the rates in the exponents depend on the line
 alone; ChannelParams.decay_rates forms them once per line.  Per time,
 _mode_ratio(), the core of decay_modes(), forms log q and 1 - q, all the
-signal parameters read, and decay_modes() adds the slow mode.
+signal parameters read (sinkhorn._lambda_xz forms the two in line, on the
+lifetime equation's path), and decay_modes() adds the slow mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
@@ -50,7 +51,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +68,31 @@ _UNSCALED_RATE_MAX = 2.0**1020
 _SUBNORMAL_SCALE = 2.0**1000
 
 _LN2 = math.log(2.0)
+_DOUBLE_MAX = sys.float_info.max
+_DOUBLE_MIN = sys.float_info.min
+
+
+class _formed_once:
+    """functools.cached_property without its lock: formed on first use, then read off the instance.
+
+    The value goes into the instance's __dict__, which this non-data
+    descriptor leaves to answer every later lookup.  Python 3.11's
+    cached_property takes an RLock on each first use; a line's rates are a
+    pure function of its fields, so two threads forming them at once agree.
+    """
+
+    def __init__(self, form):
+        self.form = form
+        self.name = form.__name__
+        self.__doc__ = form.__doc__
+
+    def __get__(self, *instance_owner):
+        # (instance, owner), instance None where the class itself is asked
+        instance = instance_owner[0]
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.form(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -83,9 +108,10 @@ class ChannelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma_h", "gamma_v", "gamma"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
+        rates = (("gamma_h", self.gamma_h), ("gamma_v", self.gamma_v), ("gamma", self.gamma))
+        for name, value in rates:
+            # isfinite(value) and value >= 0, in one chained comparison
+            if not 0.0 <= value <= _DOUBLE_MAX:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
@@ -96,7 +122,7 @@ class ChannelParams:
     def max_rate(self) -> float:
         return max(self.gamma_h, self.gamma_v, self.gamma)
 
-    @cached_property
+    @_formed_once
     def decay_rates(self) -> tuple[float, float, float, float, float, float, float]:
         """The time-independent part of decay_modes() and _entry_logs(), formed once per line.
 
@@ -126,19 +152,23 @@ class ChannelParams:
         log(g / G) is taken from the unscaled g.  Every other line is formed
         unscaled.
         """
-        scale = 8.0 if self.max_rate > _UNSCALED_RATE_MAX else 1.0
-        gh, gv, g = self.gamma_h / scale, self.gamma_v / scale, self.gamma / scale
+        gamma_h, gamma_v, gamma = self.gamma_h, self.gamma_v, self.gamma
+        large = _UNSCALED_RATE_MAX
+        scale = 8.0 if gamma_h > large or gamma_v > large or gamma > large else 1.0
+        gh, gv, g = gamma_h / scale, gamma_v / scale, gamma / scale
         delta = gh - gv
         big_g = math.hypot(g, delta)
         rate = g + gh + gv
         loss = gh + gv
         total = rate + big_g
-        slow_rate = (
-            4.0 * (max(gh, gv) / total) * min(gh, gv) + 2.0 * (max(g, loss) / total) * min(g, loss)
-            if total > 0.0
-            else 0.0
-        )
-        if big_g >= sys.float_info.min:
+        if total > 0.0:
+            # max(gh, gv), min(gh, gv), max(g, loss) and min(g, loss), tie for tie
+            big_loss, small_loss = gv if gv > gh else gh, gv if gv < gh else gh
+            big_mix, small_mix = loss if loss > g else g, loss if loss < g else g
+            slow_rate = 4.0 * (big_loss / total) * small_loss + 2.0 * (big_mix / total) * small_mix
+        else:
+            slow_rate = 0.0
+        if big_g >= _DOUBLE_MIN:
             r_gamma, r_delta = g / big_g, delta / big_g
         elif big_g > 0.0:
             # a subnormal G keeps too few digits for a unit vector
@@ -147,17 +177,20 @@ class ChannelParams:
             r_gamma, r_delta = g_up / norm, delta_up / norm
         else:
             r_gamma, r_delta = 1.0, 0.0
-        if r_gamma >= sys.float_info.min:
+        if r_gamma >= _DOUBLE_MIN:
             log_r_gamma = math.log(r_gamma)
-        elif self.gamma > 0.0:
+        elif gamma > 0.0:
             # log g from the unscaled g where the eighth cost it digits, or all of them
-            log_g = math.log(g) if g * scale == self.gamma else math.log(self.gamma) - math.log(scale)
+            log_g = math.log(g) if g * scale == gamma else math.log(gamma) - math.log(scale)
             log_r_gamma = log_g - math.log(big_g)
         else:
             log_r_gamma = -math.inf
         log_larger = math.log1p(abs(r_delta))
-        log_halves = (log_larger - _LN2, 2.0 * log_r_gamma - log_larger - _LN2)
-        log_plus, log_minus = log_halves if r_delta >= 0.0 else log_halves[::-1]
+        log_half_larger, log_half_smaller = log_larger - _LN2, 2.0 * log_r_gamma - log_larger - _LN2
+        if r_delta >= 0.0:
+            log_plus, log_minus = log_half_larger, log_half_smaller
+        else:
+            log_plus, log_minus = log_half_smaller, log_half_larger
         return (-0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma,
                 log_plus, log_minus)
 
@@ -175,7 +208,8 @@ def _log_add(a: float, b: float) -> float:
 
 def _mode_ratio(params: ChannelParams, t: float) -> tuple[float, float]:
     """(log q, 1 - q) at time t, q = exp(-G t): the part of decay_modes() that lambda reads."""
-    if not (math.isfinite(t) and t >= 0.0):
+    # isfinite(t) and t >= 0, in one chained comparison
+    if not 0.0 <= t <= _DOUBLE_MAX:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     # doubled after the product: G itself may lie past the double range
     log_q = 2.0 * (params.decay_rates[0] * t)

@@ -18,14 +18,13 @@ form, while conditional_state() and negativity() take any state.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ChannelParams, _entry_logs, _mode_ratio
+from .dynamics import _DOUBLE_MAX, ChannelParams, _entry_logs, _mode_ratio
 from .linalg import PSD_TOL, _first_flagged, hermitian_part, partial_transpose_second
-from .sinkhorn import _filter_shape, _fixed_point, unital_lambdas
+from .sinkhorn import _filter_shape, _fixed_point, _lambda_xz
 
 # Detection probabilities at or below this make the conditional state meaningless.
 MIN_DETECTION_PROB = 1e-14
@@ -218,9 +217,10 @@ def x_state_traces(
 
 def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> float:
     """g(t): positive before the lifetime, negative past it, exactly 2 at t = 0."""
-    lam1 = unital_lambdas(params1, t)
-    lam2 = unital_lambdas(params2, t)
-    return lam1[0] * lam2[0] + lam1[1] * lam2[1] + lam1[2] * lam2[2] - 1.0
+    lam_x1, lam_z1 = _lambda_xz(params1, t)
+    lam_x2, lam_z2 = _lambda_xz(params2, t)
+    # lx = ly on each line, so lx1 lx2 + ly1 ly2 is 2 lx1 lx2, to the bit
+    return 2.0 * (lam_x1 * lam_x2) + lam_z1 * lam_z2 - 1.0
 
 
 @dataclass(frozen=True)
@@ -244,11 +244,6 @@ class LifetimeResult:
     @property
     def iterations(self) -> int:
         return sum(self.evaluations.values())
-
-
-def _log1p_g(g: float) -> float:
-    """log(g + 1), the log of the sum of the lambda products; -inf where it underflows."""
-    return math.log1p(g) if g > -1.0 else -math.inf
 
 
 def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResult:
@@ -303,49 +298,65 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     evaluations per root for rates on [1e-3, 1e3], where the plain
     bisection needs about 36.
     """
-    depolarizing = [params for params in (params1, params2) if params.gamma > 0.0]
-    if not depolarizing:
+    # the doubling starts at 1 / (sum of the depolarizing lines' rates)
+    if params1.gamma > 0.0:
+        total = params1.total_rate
+        if params2.gamma > 0.0:
+            total += params2.total_rate
+    elif params2.gamma > 0.0:
+        total = params2.total_rate
+    else:
         # both unital parts are the identity: g(t) = 2 for every t
         return LifetimeResult(
             tau=None, bracket=(0.0, math.inf), residual=2.0,
             evaluations={"bracket": 0, "secant": 0, "bisection": 0},
         )
-    # a start at 1 / (tiny rates) = inf is capped at the largest double
-    largest = sys.float_info.max
-    total = sum(params.total_rate for params in depolarizing)
     if total == math.inf:
         # rates near the double limit: a start at 1/inf = 0 would never double
-        total = max(params.max_rate for params in depolarizing)
+        total = max(params.max_rate for params in (params1, params2) if params.gamma > 0.0)
+    # every step below is float arithmetic on locals: the bounds, the
+    # tolerances and the phase counts, which go into evaluations once.  Each
+    # conditional picks what min() would, and f = log(g + 1) is -inf where
+    # g + 1 underflows.  Only g is looked up, as lifetime_lhs, at every call
+    largest, inf, neg_inf, log1p = _DOUBLE_MAX, math.inf, -math.inf, math.log1p
+    residual_tol, interval_tol = _ROOT_RESIDUAL_TOL, _ROOT_INTERVAL_TOL
     t_start = 1.0 / total
 
-    # g(0) = 2 exactly, without an evaluation
-    low, high, g_low = 0.0, min(t_start, largest), 2.0
+    # g(0) = 2 exactly, without an evaluation; a start at 1 / (tiny rates) = inf
+    # is capped at the largest double
+    low, high, g_low = 0.0, largest if largest < t_start else t_start, 2.0
     g_high = lifetime_lhs(params1, params2, high)
-    evals = {"bracket": 1, "secant": 0, "bisection": 0}
+    n_bracket = 1
     while g_high >= 0.0:
         if high >= largest:
             return LifetimeResult(
-                tau=None, bracket=(low, high), residual=g_high, evaluations=evals
+                tau=None, bracket=(low, high), residual=g_high,
+                evaluations={"bracket": n_bracket, "secant": 0, "bisection": 0},
             )
         low, g_low = high, g_high
-        high = min(2.0 * high, largest)
+        high = 2.0 * high
+        if largest < high:
+            high = largest
         g_high = lifetime_lhs(params1, params2, high)
-        evals["bracket"] += 1
+        n_bracket += 1
 
     # every midpoint outside (sure_pos, sure_neg) is settled; none lies
     # outside (low, high).  (t0, f0), (t1, f1): the last two points
-    # evaluated, with f = log(g + 1); the secant runs until it converges
-    clear = _ROOT_RESIDUAL_TOL + _SETTLE_MARGIN
+    # evaluated; the secant runs until it converges
+    clear = residual_tol + _SETTLE_MARGIN
     sure_pos, sure_neg = low, high
-    t0, f0, t1, f1 = low, _log1p_g(g_low), high, _log1p_g(g_high)
+    t0, f0 = low, log1p(g_low) if g_low > -1.0 else neg_inf
+    t1, f1 = high, log1p(g_high) if g_high > -1.0 else neg_inf
     secant = True
     tau = None
     residual = math.nan
+    n_secant = n_bisection = 0
     # the bracket width is relative below tau = 1, so roots at tiny tau
-    # (rates far above 1) keep their digits
-    while high - low > _ROOT_INTERVAL_TOL * min(high, 1.0):
+    # (rates far above 1) keep their digits; limit follows high
+    limit = interval_tol * (high if high < 1.0 else 1.0)
+    while high - low > limit:
         mid = 0.5 * (low + high)
-        if mid == math.inf:
+        if mid == inf:
             # the sum overflowed: halved first, which would move the
             # midpoints of subnormal brackets, but only here
             mid = 0.5 * low + 0.5 * high
@@ -354,6 +365,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
             continue
         if mid >= sure_neg:
             high = mid
+            limit = interval_tol * (mid if mid < 1.0 else 1.0)
             continue
         if secant and f1 != f0:
             dt_df = (t1 - t0) / (f1 - f0)
@@ -366,33 +378,40 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
                 for probe in (t,) if secant else (t - width, t + width):
                     if sure_pos < probe < sure_neg:
                         g_probe = lifetime_lhs(params1, params2, probe)
-                        evals["secant"] += 1
+                        n_secant += 1
                         if g_probe > clear:
                             sure_pos = probe
                         elif g_probe < -clear:
                             sure_neg = probe
                 if secant:
-                    t0, f0, t1, f1 = t1, f1, t, _log1p_g(g_probe)
+                    t0, f0 = t1, f1
+                    t1, f1 = t, log1p(g_probe) if g_probe > -1.0 else neg_inf
                 # mid may be settled now
                 continue
         g_mid = lifetime_lhs(params1, params2, mid)
-        evals["bisection"] += 1
-        if abs(g_mid) <= _ROOT_RESIDUAL_TOL:
+        n_bisection += 1
+        if -residual_tol <= g_mid <= residual_tol:
             tau, residual = mid, g_mid
             break
-        t0, f0, t1, f1 = t1, f1, mid, _log1p_g(g_mid)
+        t0, f0 = t1, f1
+        t1, f1 = mid, log1p(g_mid) if g_mid > -1.0 else neg_inf
         # no later midpoint lies outside (low, high), nor may a secant step
         if g_mid > 0.0:
             low = sure_pos = mid
         else:
             high = sure_neg = mid
+            limit = interval_tol * (mid if mid < 1.0 else 1.0)
     if tau is None:
         # only a bracket below t of about 1e4 gets 1e-12 wide: no overflow
         tau = 0.5 * (low + high)
         residual = lifetime_lhs(params1, params2, tau)
-        evals["bisection"] += 1
+        n_bisection += 1
 
-    return LifetimeResult(tau=tau, bracket=(low, high), residual=residual, evaluations=evals)
+    # fields by position: a frozen dataclass binds keywords about half a microsecond slower
+    return LifetimeResult(
+        tau, (low, high), residual,
+        {"bracket": n_bracket, "secant": n_secant, "bisection": n_bisection},
+    )
 
 
 @dataclass(frozen=True)
@@ -421,24 +440,27 @@ def optimal_state(
     decays faster.  B is proportional to the square root of the fixed point
     S, so only the diagonals of the two fixed points enter.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
+    # isfinite(tau) and tau > 0, in one chained comparison
+    if not 0.0 < tau <= _DOUBLE_MAX:
         raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     # each fixed point's diagonal log(1 +- s), read off the line's map entries
-    (log_h1, log_v1), (log_h2, log_v2) = (
-        _fixed_point(*_entry_logs(params, *_mode_ratio(params, tau))[:3])[:2]
-        for params in (params1, params2)
-    )
+    log_h1, log_v1, _ = _fixed_point(*_entry_logs(params1, *_mode_ratio(params1, tau))[:3])
+    log_h2, log_v2, _ = _fixed_point(*_entry_logs(params2, *_mode_ratio(params2, tau))[:3])
     # log of amp_h / amp_v = sqrt((1 + s1)(1 + s2) / ((1 - s1)(1 - s2))); the
-    # fixed points' diagonals may underflow where this ratio does not
+    # fixed points' diagonals may underflow where this ratio does not.  The
+    # larger amplitude is exp(0) = 1, the smaller exp(-|log_ratio|)
     log_ratio = 0.5 * ((log_h1 - log_v1) + (log_h2 - log_v2))
-    amp_h = math.exp(min(log_ratio, 0.0))
-    amp_v = math.exp(min(-log_ratio, 0.0))
+    amp_h = 1.0 if log_ratio > 0.0 else math.exp(log_ratio)
+    amp_v = 1.0 if log_ratio < 0.0 else math.exp(-log_ratio)
     norm = math.hypot(amp_h, amp_v)
-    psi = np.array([amp_h, 0.0, 0.0, amp_v], dtype=complex) / norm
-    rho = np.outer(psi, psi.conj())
-    coeffs = sorted((amp_h / norm, amp_v / norm), reverse=True)
+    # psi's amplitudes are the Schmidt coefficients, each rounded once
+    coeff_h, coeff_v = amp_h / norm, amp_v / norm
+    psi = np.array([coeff_h, 0.0, 0.0, coeff_v], dtype=complex)
+    # the fields by position.  psi is real, so rho = psi psi^T has the bits of
+    # the outer product with psi's conjugate
     return OptimalState(
-        psi=psi, rho=rho, schmidt_coefficients=(coeffs[0], coeffs[1]),
-        filter_shapes=(_filter_shape(log_h1, log_v1), _filter_shape(log_h2, log_v2)),
-        log_weight_ratio=2.0 * log_ratio,
+        psi, psi[:, None] * psi,
+        (coeff_h, coeff_v) if coeff_h >= coeff_v else (coeff_v, coeff_h),
+        (_filter_shape(log_h1, log_v1), _filter_shape(log_h2, log_v2)),
+        2.0 * log_ratio,
     )

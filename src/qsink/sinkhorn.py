@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
+from .dynamics import _DOUBLE_MAX, _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
 # Upsilon must be diag(1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
@@ -72,6 +72,8 @@ NORMAL_FORM_TOL = 1e-9
 
 FIXED_POINT_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 10000
+
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -186,11 +188,24 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
     pure polarization-dependent loss.  Only log q and 1 - q depend on t.
     """
-    log_q, one_minus_q = _mode_ratio(params, t)
-    _, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
-    if log_r_gamma == -math.inf or one_minus_q == 0.0:
+    lam_x, lam_z = _lambda_xz(params, t)
+    return lam_x, lam_x, lam_z
+
+
+def _lambda_xz(params: ChannelParams, t: float) -> tuple[float, float]:
+    """(lx, lz) at time t, lx = ly: unital_lambdas' formula, and the lifetime equation's per line.
+
+    log q and 1 - q are formed here as dynamics._mode_ratio forms them,
+    check and message included, which saves a call on every evaluation of g.
+    """
+    if not 0.0 <= t <= _DOUBLE_MAX:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    neg_half_g, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
+    log_q = 2.0 * (neg_half_g * t)
+    one_minus_q = -math.expm1(log_q)
+    if log_r_gamma == _NEG_INF or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
-        return 1.0, 1.0, 1.0
+        return 1.0, 1.0
     # log of (g/G) sinh(G t / 2) = (g/G) (1 - q) / (2 sqrt(q))
     log_sinh = log_r_gamma + math.log(one_minus_q) - _LN2 - 0.5 * log_q
     # asinh(y) = log(2 y) to double precision once y > e^20
@@ -200,8 +215,7 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
     # rounded to 0, g t / 2 is below 1e-323 G t / 2 and is dropped, as
     # 0 times log q = -inf would be NaN.
     half_g_t = r_gamma * (0.5 * log_q) if r_gamma > 0.0 else 0.0
-    lam_x = math.exp(half_g_t - big_a)
-    return lam_x, lam_x, math.exp(-2.0 * big_a)
+    return math.exp(half_g_t - big_a), math.exp(-2.0 * big_a)
 
 
 def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, float, float]:

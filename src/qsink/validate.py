@@ -12,8 +12,8 @@ Every suite reduces to per-case deviations, and one rule (_verdict) turns
 them into PASS or FAIL: a suite passes only when every deviation is <= its
 tolerance, so a NaN fails.  It reports the largest deviation, or the
 largest failing one once any case fails, and names the first case where it
-occurs.  A missing or spurious lifetime root, and lambdas out of order,
-deviate by inf.
+occurs.  A missing or spurious lifetime root, lambdas out of order, and a
+normal form that decompose refuses deviate by inf.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .dynamics import (
     superop_over_slow,
 )
 from .entanglement import max_lifetime
-from .sinkhorn import decompose, fixed_point_iterate
+from .sinkhorn import SinkhornDecomposition, decompose, fixed_point_iterate
 
 RATE_GRID = (0.0, 0.5, 1.0, 5.0)
 TIME_GRID = (0.1, 0.25, 0.5, 1.0, 2.0)
@@ -154,6 +154,22 @@ def suite_normal_form_predicates(
     )
 
 
+# what a case whose normal form decompose refuses stands for: every value it
+# would give deviates by inf, so both suites that read normal forms fail on it
+_REFUSED = SinkhornDecomposition(
+    s=math.inf, a_diag=(math.inf, math.inf), log_b_scale=math.inf, lambda_x=math.inf,
+    lambda_y=math.inf, lambda_z=math.inf, upsilon=np.full((4, 4), math.inf), self_check=math.inf,
+)
+
+
+def _normal_form(params: ChannelParams, t: float) -> SinkhornDecomposition:
+    """decompose's normal form, or _REFUSED where it raises: a failed self-check, a degenerate B."""
+    try:
+        return decompose(params, t)
+    except (RuntimeError, ValueError):
+        return _REFUSED
+
+
 def run_all() -> list[SuiteResult]:
     """Every suite's verdict, on maps and normal forms that are each formed once."""
     closed = np.array([[ptm_at(params, t) for t in TIME_GRID] for params in GRID])
@@ -165,7 +181,7 @@ def run_all() -> list[SuiteResult]:
     # the normal form is checked on the depolarizing lines alone
     depolarizing = [i for i, params in enumerate(GRID) if params.gamma > 0.0]
     cases = [(GRID[i], t) for i in depolarizing for t in TIME_GRID]
-    normal_forms = [decompose(params, t) for params, t in cases]
+    normal_forms = [_normal_form(params, t) for params, t in cases]
     return [
         suite_ptm_oracle(closed, entry_maps, integrated),
         suite_sinkhorn(cases, closed[depolarizing].reshape(-1, 4, 4), normal_forms),

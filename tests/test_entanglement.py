@@ -345,49 +345,54 @@ def test_max_lifetime_reference_pair_regression():
     assert result.evaluations == {"bracket": 4, "secant": 6, "bisection": 1}
 
 
-# (line1, line2) -> tau, bracket and residual as float.hex, and the g evaluations;
-# each figure is the root search's own, to the last bit.  tau, bracket and
-# residual are also those of the plain bisection (conftest.plain_bisection),
-# which took 35, 34, 34, 52, 34, 50, 35, 52 and 1 evaluations
+# (line1, line2) -> tau, bracket and residual as float.hex, and the g evaluations
+# of each phase (bracket, secant, bisection); each figure is the root search's
+# own, to the last bit, so an evaluation moved from one phase to another fails.
+# tau, bracket and residual are also those of the plain bisection
+# (conftest.plain_bisection), which took 35, 34, 34, 52, 34, 50, 35, 52 and 1
+# evaluations
 PINNED_ROOTS = {
     "reference": (REFERENCE, REFERENCE, "0x1.faa9fc3db6db7p-2",
-                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34", 11),
+                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34",
+                  (4, 6, 1)),
     "symmetric-depolarization": (
         depolarizing(1.0), depolarizing(1.0), "0x1.193ea7ab00000p-1",
-        ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", 6),
+        ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", (2, 3, 1)),
     "pure-loss-against-depolarization": (
         ChannelParams(100.0, 0.0, 0.0), depolarizing(0.01), "0x1.b771e5fb30000p+6",
-        ("0x1.b771e5f9a0000p+6", "0x1.b771e5fcc0000p+6"), "-0x1.7e7a800000000p-35", 6),
+        ("0x1.b771e5f9a0000p+6", "0x1.b771e5fcc0000p+6"), "-0x1.7e7a800000000p-35", (2, 3, 1)),
     # one root reached by two search paths: the bisection stops at different points
     "strong-balanced-loss": (
         ChannelParams(1000.0, 1000.0, 0.001), ChannelParams(1000.0, 1000.0, 0.001),
         "0x1.12a72fbc7583cp+9", ("0x1.12a72fb4445d1p+9", "0x1.12a72fc4a6aa6p+9"),
-        "0x1.6fce000000000p-34", 27),
+        "0x1.6fce000000000p-34", (23, 3, 1)),
     "weak-depolarization": (
         depolarizing(0.001), depolarizing(0.001), "0x1.12a72fbcfe000p+9",
-        ("0x1.12a72fbc04000p+9", "0x1.12a72fbdf8000p+9"), "-0x1.7e7b000000000p-35", 6),
+        ("0x1.12a72fbc04000p+9", "0x1.12a72fbdf8000p+9"), "-0x1.7e7b000000000p-35", (2, 3, 1)),
     "depolarization-below-the-ratio-range": (
         ChannelParams(0.0, 0.0, 0.0), ChannelParams(0.0, 1e170, 1e-154), "0x1.c2e6c14bf8776p-555",
-        ("0x1.c2e6c14bf3a2cp-555", "0x1.c2e6c14bfd4c1p-555"), "-0x1.74cac00000000p-35", 31),
+        ("0x1.c2e6c14bf3a2cp-555", "0x1.c2e6c14bfd4c1p-555"), "-0x1.74cac00000000p-35", (12, 11, 8)),
     "near-the-double-maximum": (
         ChannelParams(1.7e308, 0.0, 1.7e308), depolarizing(1.0), "0x0.4848398bb9ed8p-1022",
-        ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", 10),
+        ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", (2, 5, 3)),
     "tiny-depolarization": (
         ChannelParams(1.0, 0.0, 1e-200), ChannelParams(1.0, 0.0, 1e-200), "0x1.cc6c43872b000p+9",
-        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", 28),
+        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", (12, 9, 7)),
     "no-root": (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), None,
-                ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", 1),
+                ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", (1, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("case", list(PINNED_ROOTS))
 def test_max_lifetime_is_pinned_to_the_bit(case):
-    line1, line2, tau, bracket, residual, iterations = PINNED_ROOTS[case]
+    line1, line2, tau, bracket, residual, evaluations = PINNED_ROOTS[case]
     result = max_lifetime(line1, line2)
     assert (None if result.tau is None else result.tau.hex()) == tau
     assert tuple(x.hex() for x in result.bracket) == bracket
     assert result.residual.hex() == residual
-    assert result.iterations == iterations
+    assert result.evaluations == dict(zip(("bracket", "secant", "bisection"), evaluations))
+    assert list(result.evaluations) == ["bracket", "secant", "bisection"]
+    assert result.iterations == sum(evaluations)
 
 
 def test_max_lifetime_needs_few_g_evaluations_per_root():
@@ -447,6 +452,21 @@ def test_optimal_state_shape_and_weights():
     assert abs(sq_sum - 1.0) <= 1e-12
     assert state.schmidt_coefficients[0] >= state.schmidt_coefficients[1]
     assert np.array_equal(state.rho, np.outer(state.psi, state.psi.conj()))
+
+
+def test_optimal_state_amplitudes_are_its_schmidt_coefficients_to_the_bit():
+    # psi is formed from the same rounded amp / norm as the Schmidt coefficients, and
+    # rho is psi's outer product bit for bit, the zero imaginary parts' signs included
+    rng = random.Random(1)
+    for _ in range(300):
+        line1, line2 = (ChannelParams(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
+                        for _ in range(2))
+        state = optimal_state(line1, line2, max_lifetime(line1, line2).tau)
+        amp_h, amp_v = state.psi[[0, 3]].real
+        assert sorted((amp_h, amp_v), reverse=True) == list(state.schmidt_coefficients)
+        assert not state.psi.imag.any() and not state.psi[1:3].any()
+        outer = np.outer(state.psi, state.psi.conj())
+        assert state.rho.tobytes() == outer.tobytes()
 
 
 def test_optimal_state_swap_symmetry():

@@ -184,3 +184,36 @@ def test_a_missing_or_spurious_root_deviates_by_inf(capsys, monkeypatch, line, t
     )
     assert all(other.startswith("[PASS]") for other in lines.values())
     assert err == f"validation failed: lifetime-closed-forms at {line}\n"
+
+
+def test_a_normal_form_that_fails_its_self_check_fails_the_verdicts_that_read_it(
+    capsys, monkeypatch
+):
+    # lambdas a millionth off at one case: decompose's self-check raises there, and
+    # validate still prints every suite, the two that read normal forms failing on it
+    line, t = NAN_NORMAL_FORM
+    lambdas = sinkhorn.unital_lambdas
+
+    def doctored(params, time):
+        lams = lambdas(params, time)
+        return tuple(lam * (1.0 + 1e-6) for lam in lams) if (params, time) == (line, t) else lams
+
+    monkeypatch.setattr(sinkhorn, "unital_lambdas", doctored)
+    with pytest.raises(RuntimeError, match="normal form self-check failed"):
+        sinkhorn.decompose(line, t)
+    code = cli.main(["validate"])
+    captured = capsys.readouterr()
+    lines = dict(zip(("ptm", "sinkhorn", "lifetime", "predicates"), captured.out.splitlines(),
+                     strict=True))
+    assert code == cli.EXIT_VALIDATION
+    assert lines.pop("sinkhorn") == (
+        f"[FAIL] sinkhorn-normal-form: 240 cases, max deviation inf ({line}, t={t})"
+    )
+    assert lines.pop("predicates") == (
+        f"[FAIL] normal-form-predicates: 303 cases, max deviation inf ({line}, t={t})"
+    )
+    assert all(other.startswith("[PASS]") for other in lines.values())
+    assert captured.err == "".join(
+        f"validation failed: {suite} at {line}, t={t}\n"
+        for suite in ("sinkhorn-normal-form", "normal-form-predicates")
+    )
