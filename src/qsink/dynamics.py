@@ -27,8 +27,7 @@ the log of the mode ratio q = exp(-G t) with 1 - q.  The ratios g/G and
 (gh - gv)/G, their logs and the rates in the exponents depend on the line
 alone; ChannelParams.decay_rates forms them once per line.  Per time,
 _mode_ratio(), the core of decay_modes(), forms log q and 1 - q, all the
-signal parameters read (sinkhorn._lambda_xz forms the two in line, on the
-lifetime equation's path), and decay_modes() adds the slow mode.
+signal parameters read, and decay_modes() adds the slow mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
@@ -51,6 +50,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,29 +70,6 @@ _SUBNORMAL_SCALE = 2.0**1000
 _LN2 = math.log(2.0)
 _DOUBLE_MAX = sys.float_info.max
 _DOUBLE_MIN = sys.float_info.min
-
-
-class _formed_once:
-    """functools.cached_property without its lock: formed on first use, then read off the instance.
-
-    The value goes into the instance's __dict__, which this non-data
-    descriptor leaves to answer every later lookup.  Python 3.11's
-    cached_property takes an RLock on each first use; a line's rates are a
-    pure function of its fields, so two threads forming them at once agree.
-    """
-
-    def __init__(self, form):
-        self.form = form
-        self.name = form.__name__
-        self.__doc__ = form.__doc__
-
-    def __get__(self, *instance_owner):
-        # (instance, owner), instance None where the class itself is asked
-        instance = instance_owner[0]
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.form(instance)
-        return value
 
 
 @dataclass(frozen=True)
@@ -122,7 +99,7 @@ class ChannelParams:
     def max_rate(self) -> float:
         return max(self.gamma_h, self.gamma_v, self.gamma)
 
-    @_formed_once
+    @cached_property
     def decay_rates(self) -> tuple[float, float, float, float, float, float, float]:
         """The time-independent part of decay_modes() and _entry_logs(), formed once per line.
 

@@ -352,9 +352,8 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     residual = math.nan
     n_secant = n_bisection = 0
     # the bracket width is relative below tau = 1, so roots at tiny tau
-    # (rates far above 1) keep their digits; limit follows high
-    limit = interval_tol * (high if high < 1.0 else 1.0)
-    while high - low > limit:
+    # (rates far above 1) keep their digits
+    while high - low > interval_tol * (high if high < 1.0 else 1.0):
         mid = 0.5 * (low + high)
         if mid == inf:
             # the sum overflowed: halved first, which would move the
@@ -365,7 +364,6 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
             continue
         if mid >= sure_neg:
             high = mid
-            limit = interval_tol * (mid if mid < 1.0 else 1.0)
             continue
         if secant and f1 != f0:
             dt_df = (t1 - t0) / (f1 - f0)
@@ -400,7 +398,6 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
             low = sure_pos = mid
         else:
             high = sure_neg = mid
-            limit = interval_tol * (mid if mid < 1.0 else 1.0)
     if tau is None:
         # only a bracket below t of about 1e4 gets 1e-12 wide: no overflow
         tau = 0.5 * (low + high)

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _DOUBLE_MAX, _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
+from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
 
 # Upsilon must be diag(1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
@@ -193,16 +193,9 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
 
 
 def _lambda_xz(params: ChannelParams, t: float) -> tuple[float, float]:
-    """(lx, lz) at time t, lx = ly: unital_lambdas' formula, and the lifetime equation's per line.
-
-    log q and 1 - q are formed here as dynamics._mode_ratio forms them,
-    check and message included, which saves a call on every evaluation of g.
-    """
-    if not 0.0 <= t <= _DOUBLE_MAX:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    neg_half_g, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
-    log_q = 2.0 * (neg_half_g * t)
-    one_minus_q = -math.expm1(log_q)
+    """(lx, lz) at time t, lx = ly: unital_lambdas' formula, and the lifetime equation's per line."""
+    log_q, one_minus_q = _mode_ratio(params, t)
+    _, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
     if log_r_gamma == _NEG_INF or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
         return 1.0, 1.0
