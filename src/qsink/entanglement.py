@@ -36,25 +36,35 @@ _ROOT_INTERVAL_TOL = 1e-12
 # its monotonicity by at most a few ulps.
 _SETTLE_MARGIN = 1e-12
 
-# A Cholesky factorization of rho + _SCREEN_SHIFT * I that completes proves
-# rho's least eigenvalue at least -_SCREEN_SHIFT - |dA|, where the backward
-# error dA has entries of about 4 n eps max|rho| (Higham 2002, Thm 10.3).
-# Up to _SCREEN_MAX_ABS its norm, and eigvalsh's own error, stay below
-# 2e-11, far inside the other half of PSD_TOL, so a completed screen implies
-# that eigvalsh finds no eigenvalue below -PSD_TOL.
+# A Cholesky factorization of m + shift * I that completes proves m's least
+# eigenvalue at least -shift - |dA|, where the backward error dA has entries
+# of about 4 n eps max|m| (Higham 2002, Thm 10.3).  Up to _SCREEN_MAX_ABS its
+# norm, and eigvalsh's own error, each stay below 2e-11.  The screen shifts
+# up by half of PSD_TOL, far above both, so a completed screen implies that
+# eigvalsh finds no eigenvalue below -PSD_TOL.  The separability certificate
+# shifts down by twice their sum, so a completed factorization of
+# PT - _SEPARABLE_SHIFT * I implies that eigvalsh finds every eigenvalue of
+# PT positive, and the negativity it gives is exactly 0.
 _SCREEN_SHIFT = 0.5 * PSD_TOL
 _SCREEN_MAX_ABS = 1e3
+_SEPARABLE_SHIFT = 8e-11
+
+
+def _cholesky_completes(m: np.ndarray, shift: float) -> bool:
+    """True if every matrix of m has entries at most _SCREEN_MAX_ABS and m + shift I factors."""
+    if not np.abs(m).max(initial=0.0) <= _SCREEN_MAX_ABS:
+        return False
+    try:
+        # the stacked factorization raises for the whole stack if one matrix fails
+        np.linalg.cholesky(m + shift * np.eye(4))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _passes_screen(rho: np.ndarray) -> bool:
     """True only if every state of rho has no eigenvalue below -PSD_TOL; False decides nothing."""
-    if not np.abs(rho).max(initial=0.0) <= _SCREEN_MAX_ABS:
-        return False
-    try:
-        np.linalg.cholesky(rho + _SCREEN_SHIFT * np.eye(4))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _cholesky_completes(rho, _SCREEN_SHIFT)
 
 
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
@@ -84,14 +94,21 @@ def negativity(rho: np.ndarray) -> np.ndarray:
 
     This is (|PT(rho)|_1 - 1) / 2 for a unit-trace state, without the trace
     subtracted in rounding: a separable state, whose PT has no negative
-    eigenvalue, gets exactly 0.  Subnormalized inputs are normalized first.
+    eigenvalue, gets exactly 0.  A stack whose every PT factors by Cholesky
+    after a shift of -_SEPARABLE_SHIFT gets those zeros without the
+    eigensolve.  Subnormalized inputs are normalized first.
     A single state gives a float, a stack (..., 4, 4) of states an array of
     one per state.
     """
     rho = _check_state(rho, normalized=False)
     rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     # PT keeps an exactly Hermitian rho exactly Hermitian
-    eigenvalues = np.linalg.eigvalsh(partial_transpose_second(rho))
+    pt = partial_transpose_second(rho)
+    if _cholesky_completes(pt, -_SEPARABLE_SHIFT):
+        # every eigenvalue eigvalsh would return is positive: the zeros it
+        # would give, without it ([()] makes one state's a numpy float)
+        return np.zeros(pt.shape[:-2])[()]
+    eigenvalues = np.linalg.eigvalsh(pt)
     return np.sum(np.maximum(0.0, -eigenvalues), axis=-1)
 
 
@@ -180,8 +197,10 @@ def x_state_traces(
     """
     log_a2, log_b2 = min(log_weight_ratio, 0.0), min(-log_weight_ratio, 0.0)
     weights = np.array([log_a2, log_b2, 0.5 * (log_a2 + log_b2)])[_X_WEIGHT, None]
-    # a term with a log of -inf is 0, its error terms (-inf - -inf) dropped
-    with np.errstate(invalid="ignore"):
+    # a term with a log of -inf is 0, its error terms (-inf - -inf) dropped.
+    # Every log is <= 0, so a sum past the doubles is -inf: a zero term, as a
+    # log of -inf already is
+    with np.errstate(invalid="ignore", over="ignore"):
         total, error1 = _two_sum(weights, logs1.T[_X_LINE1])
         total, error2 = _two_sum(total, logs2.T[_X_LINE2])
         # scaled by the largest population term at each time

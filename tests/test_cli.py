@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_csv_columns, subprocess_env
-from qsink import cli
+from qsink import cli, validate
 from qsink.cli import EXIT_NO_LIFETIME, EXIT_OK, EXIT_USAGE, main
 from qsink.dynamics import ChannelParams
 from qsink.validate import SuiteResult
@@ -555,6 +555,10 @@ def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t
         # logs of that size, whose rounding failed the self-check at 1.863e-09
         ["sinkhorn", "--gv1", "1", "--t", "2e7"],
         ["sinkhorn", "--gv1", "1", "--t", "1e10"],
+        # two lines' coherence logs, -(g + G) t / 2 each, summed past the
+        # doubles: the sum overflowed to -inf with a RuntimeWarning
+        ["evolve", "--g1", "1", "--g2", "1", "--steps", "2", "--t-max", "1e308"],
+        ["evolve", "--g1", "2", "--g2", "2", "--t-max", "6e307"],
     ],
     ids=[
         "evolve-vv-underflow",
@@ -563,6 +567,8 @@ def test_sinkhorn_over_the_double_range_exits_zero_or_as_documented(gh, gv, g, t
         "sinkhorn-unequal-filters",
         "sinkhorn-pure-loss-log-rounding",
         "sinkhorn-pure-loss-long-time",
+        "evolve-coherence-log-overflow",
+        "evolve-coherence-log-overflow-full-grid",
     ],
 )
 def test_valid_input_exits_zero(capsys, argv):
@@ -576,27 +582,44 @@ def test_valid_input_exits_zero(capsys, argv):
         assert json.loads(out)["self_check"] <= 1e-15
 
 
+def _t_max_near_the_top(rates: tuple, fraction: float) -> float | None:
+    """A t at which (g + G) t of the faster line is fraction of the largest double; None without rates."""
+    # (g + G) / 4 per line, quartered first: g + G may lie past the double range
+    quarter = max(0.25 * g + math.hypot(0.25 * g, 0.25 * (gh - gv))
+                  for gh, gv, g in (rates[:3], rates[3:]))
+    if quarter == 0.0:
+        return None
+    # above 0.4 fraction for the largest rates, at most the largest double for the smallest
+    return min(fraction * (0.25 * sys.float_info.max) / quarter, sys.float_info.max)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(["lifetime", "optimal-state", "evolve"]),
-       st.tuples(*[DOUBLE_RANGE] * 6), st.integers(2, 21))
+       st.tuples(*[DOUBLE_RANGE] * 6), st.integers(2, 21),
+       st.one_of(st.none(), st.floats(0.25, 2.0)))
 # a root in the top octave of the doubles, and a grid end 2 tau past it
-@example("lifetime", (0.0, 0.0, 3.5e-309, 0.0, 0.0, 3.5e-309), 2)
-@example("evolve", (0.0, 0.0, 3.5e-309, 0.0, 0.0, 3.5e-309), 21)
+@example("lifetime", (0.0, 0.0, 3.5e-309, 0.0, 0.0, 3.5e-309), 2, None)
+@example("evolve", (0.0, 0.0, 3.5e-309, 0.0, 0.0, 3.5e-309), 21, None)
 # loss rate times t past 2^52: the logs of the map's entries are too coarse
 # to keep the corner of the X-state below its bound, or to place its terms
 @example("evolve", (4.190826391620538e75, 0.1230805207438388, 0.0,
-                    0.0, 1.1433509483471318e-151, 1.241024921706544e-102), 21)
+                    0.0, 1.1433509483471318e-151, 1.241024921706544e-102), 21, None)
 @example("evolve", (0.0, 6.918980437850887e272, 0.0,
-                    481.223336538377, 1.974735499584203, 2.9865216e-317), 6)
+                    481.223336538377, 1.974735499584203, 2.9865216e-317), 6, None)
 # a subnormal G, whose ratios were once no unit vector: line 1 read a
 # detection probability of 1.0000016 at t = 0
-@example("evolve", (0.0, 1.04e-322, 5.822e-320, 0.0, 0.0, 1.0), 3)
-def test_valid_input_over_the_double_range_exits_zero_or_two(command, rates, steps):
+@example("evolve", (0.0, 1.04e-322, 5.822e-320, 0.0, 0.0, 1.0), 3, None)
+# both coherence logs near -t: their sum once overflowed with a RuntimeWarning
+@example("evolve", (0.0, 0.0, 1.0, 0.0, 0.0, 1.0), 2, 1.2)
+def test_valid_input_over_the_double_range_exits_zero_or_two(command, rates, steps, fraction):
     flags = ("--gh1", "--gv1", "--g1", "--gh2", "--gv2", "--g2")
     argv = [command, *(arg for flag, rate in zip(flags, rates) for arg in (flag, repr(rate))),
             "--format", "json"]
     if command == "evolve":
         argv += ["--steps", str(steps)]
+    t_max = None if fraction is None else _t_max_near_the_top(rates, fraction)
+    if t_max is not None:
+        argv += ["--t-max", repr(t_max)]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1115,11 +1138,31 @@ def test_validate_subcommand(capsys):
 
 def test_validate_reports_each_failed_suite(capsys, monkeypatch):
     results = [SuiteResult("good", True, 2, 0.0, "-"), SuiteResult("bad", False, 3, 1.0, "t=1")]
-    monkeypatch.setattr(cli, "run_all", lambda: results)
+    monkeypatch.setattr(validate, "run_all", lambda: results)
     code, out, err = run(capsys, ["validate"])
     assert code == cli.EXIT_VALIDATION
     assert out == "".join(result.line() + "\n" for result in results)
     assert err == "validation failed: bad at t=1\n"
+
+
+def test_only_validate_loads_the_replay_suites():
+    # a fresh interpreter: this one has imported qsink.validate already
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import qsink.cli",
+        "loaded = ['qsink.validate' in sys.modules]",
+        "lines = ['--gh1', '1', '--gv1', '5', '--g1', '1', '--gh2', '1', '--gv2', '5', '--g2', '1']",
+        "for argv in (['lifetime', *lines], ['evolve', *lines, '--steps', '5'],",
+        "             ['optimal-state', *lines], ['sinkhorn', *lines[:6], '--t', '0.3'], ['validate']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert qsink.cli.main(argv) == 0, argv",
+        "    loaded.append('qsink.validate' in sys.modules)",
+        "print(loaded)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, False, False, True]\n"
 
 
 def test_validate_is_deterministic(capsys):

@@ -30,7 +30,7 @@ from qsink.entanglement import (
     optimal_state,
     x_state_traces,
 )
-from qsink.linalg import PSD_TOL, _first_flagged, hermitian_part
+from qsink.linalg import PSD_TOL, _first_flagged, hermitian_part, partial_transpose_second
 from qsink.sinkhorn import decompose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -275,6 +275,79 @@ def test_an_empty_stack_has_no_negativities_and_a_nan_state_is_still_refused():
         negativity(nan_state)
     with pytest.raises(ValueError, match="not Hermitian"):
         negativity(np.stack([RHO_PSI_PLUS, nan_state]))
+
+
+def _negativity_by_eigvalsh(rho: np.ndarray) -> np.ndarray:
+    """negativity with eigvalsh on every state: the reference its separability certificate must match."""
+    rho = entanglement._check_state(rho, normalized=False)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_second(rho))
+    return np.sum(np.maximum(0.0, -eigenvalues), axis=-1)
+
+
+def _local_unitary(rng: np.random.Generator) -> np.ndarray:
+    """u1 x u2 for two random qubit unitaries: it leaves PT's spectrum alone."""
+    u1, u2 = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+              for _ in range(2))
+    return np.kron(u1, u2)
+
+
+@st.composite
+def _separable_and_entangled_stacks(draw) -> np.ndarray:
+    """A state or a stack of states, separable, entangled, or with PT's least eigenvalue near 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["separable", "pure", "mixed", "edge"]))
+        if kind == "separable":
+            rho = random_separable(rng)
+        elif kind == "pure":
+            rho = random_pure_density(rng)
+        elif kind == "mixed":
+            rho = random_density(rng, 4)
+        else:
+            # p psi psi^dag + (1 - p) I / 4, psi with Schmidt weights a and 1 - a:
+            # PT's least eigenvalue is (1 - p) / 4 - p sqrt(a (1 - a)), set by p
+            a = draw(st.floats(0.05, 0.5))
+            # about 0, or about the certificate's shift
+            shift = entanglement._SEPARABLE_SHIFT
+            low = draw(st.one_of(st.just(0.0), st.floats(-1e-12, 1e-12),
+                                 st.sampled_from([shift * (1.0 - 1e-3), shift * (1.0 + 1e-3)])))
+            p = (0.25 - low) / (0.25 + math.sqrt(a * (1.0 - a)))
+            psi = _local_unitary(rng) @ np.array([math.sqrt(a), 0.0, 0.0, math.sqrt(1.0 - a)])
+            rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
+        # negativity normalizes a subnormalized state first
+        rows.append(draw(st.sampled_from([1.0, 0.3, 1e-6])) * rho)
+    # exactly Hermitian, as conditional_state's are
+    stack = np.stack([0.5 * (m + m.conj().T) for m in rows])
+    return stack[0] if len(rows) == 1 and draw(st.booleans()) else stack
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_separable_and_entangled_stacks())
+def test_negativity_is_the_eigvalsh_sum_to_the_bit(rho):
+    got, expected = negativity(rho), _negativity_by_eigvalsh(rho)
+    # one state gives a numpy float, a stack an array of one per state
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_a_certified_stack_makes_no_eigvalsh_call(rng, monkeypatch):
+    # past the lifetime every conditional state is separable
+    tau = max_lifetime(REFERENCE, REFERENCE).tau
+    maps = superop_over_slow(REFERENCE, np.linspace(1.5 * tau, 2.0 * tau, 64))[1]
+    states = conditional_state(maps, maps, random_density(rng, 4))[0]
+    stacks = [states, np.stack([random_separable(rng) for _ in range(8)]), states[0]]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    for stack in stacks:
+        assert np.asarray(negativity(stack)).tobytes() == np.zeros(stack.shape[:-2]).tobytes()
+    assert type(negativity(states[0])) is np.float64
+    assert calls == []
+    # one entangled state sends its whole stack to the eigensolve
+    assert negativity(np.stack([states[0], RHO_PSI_PLUS]))[1] == pytest.approx(0.5, abs=1e-15)
+    assert calls == [(2, 4, 4)]
 
 
 # ---------------------------------------------------------------------------
