@@ -42,6 +42,12 @@ ptm_via_integration() recomputes the transfer matrix by brute-force
 integration of the master equation, as an independent cross-check;
 pauli_transfer() puts its result, or any map on the matrix units, on the
 Pauli basis.
+
+The module loads without numpy: ChannelParams, decay_modes() and the
+scalar core are math alone.  The functions that return arrays
+(entry_logs_over_slow, superop_over_slow, ptm_at, pauli_transfer and
+ptm_via_integration) import numpy and linalg in their own bodies, so the
+lifetime and the optimal state never load them.
 """
 
 from __future__ import annotations
@@ -51,10 +57,10 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .linalg import SIGMA
+if TYPE_CHECKING:
+    import numpy as np
 
 # The RK4 step count is capped here, the step enlarged to match: n stays a
 # finite integer however small dt is, and each step's h * G stays far above
@@ -236,6 +242,8 @@ def entry_logs_over_slow(params: ChannelParams, times: Sequence[float]) -> tuple
     Row k of the logs is _entry_logs() at times[k]: (log H, log V, log h,
     log c), each formed by the scalar core exactly as it is alone.
     """
+    import numpy as np
+
     rows = []
     for time in times:
         slow, log_q, one_minus_q = decay_modes(params, time)
@@ -259,6 +267,8 @@ def superop_over_slow(
     is alone.  Where entry_logs, the entry_logs_over_slow(params, t) of a
     sequence of times, is given, the map is built from it instead.
     """
+    import numpy as np
+
     single = np.ndim(t) == 0
     if entry_logs is None:
         entry_logs = entry_logs_over_slow(params, [t] if single else t)
@@ -277,6 +287,8 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     limit and large G t come out exact; entries may underflow to 0 at times
     where the photon is surely lost.
     """
+    import numpy as np
+
     slow, log_q, one_minus_q = decay_modes(params, t)
     q = math.exp(log_q)
     _, _, r_gamma, r_delta, _, _, _ = params.decay_rates
@@ -290,17 +302,14 @@ def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
     return slow * m
 
 
-# sigma_0..3 vec'd row-major, one per column: a map s on the matrix units
-# takes them to their images s @ PAULI_INPUTS
-PAULI_INPUTS = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
-
-
 def pauli_transfer(images: np.ndarray) -> np.ndarray:
     """Transfer matrix m[i, j] = tr[sigma_i L[sigma_j]] / 2 from the images of the Pauli inputs.
 
     Column j of images is L[sigma_j] vec'd row-major; a stack (..., 4, 4)
     of images gives a stack of transfer matrices.
     """
+    from .linalg import PAULI_INPUTS
+
     return (0.5 * (PAULI_INPUTS.conj().T @ images)).real
 
 
@@ -326,6 +335,10 @@ def ptm_via_integration(
     (N, 4, 4).  All lines share the step dt, so they share n, and each gets
     the same products it would get alone.
     """
+    import numpy as np
+
+    from .linalg import PAULI_INPUTS, SIGMA
+
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     single = isinstance(params, ChannelParams)

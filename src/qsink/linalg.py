@@ -14,7 +14,8 @@ need no such check.  X = (c_0 + c . sigma) / 2 has the eigenvalues
 
 SIGMA holds the Pauli matrices in the index order (identity, x, y, z) of
 the transfer matrices m[i, j] = tr[sigma_i L[sigma_j]] / 2; the
-polarization basis |H>, |V> is identified with |0>, |1>.
+polarization basis |H>, |V> is identified with |0>, |1>.  PAULI_INPUTS
+holds the same four vec'd, one per column.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+# sigma_0..3 vec'd row-major, one per column: a map s on the matrix units
+# takes them to their images s @ PAULI_INPUTS
+PAULI_INPUTS = np.stack([s.reshape(-1) for s in SIGMA], axis=1)
 
 # Max allowed |m - m^dag| before an input no longer counts as Hermitian.
 HERMITICITY_TOL = 1e-10

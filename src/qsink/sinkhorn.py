@@ -55,17 +55,22 @@ and A is formed from log q and 1 - q alone (dynamics._mode_ratio), so they
 stay finite and exact at times where the modes themselves underflow; the
 lifetime search probes such times on purpose.  g/G enters through its log
 wherever it multiplies, so it keeps its digits where g/G underflows.
+
+The signal parameters and the fixed point's logs are math alone, and the
+module loads without numpy; decompose, fixed_point_iterate and its
+positivity probe import numpy and linalg in their own bodies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
-from .linalg import PD_MIN_EIG, PSD_TOL, SIGMA, _first_flagged, pauli_eigenvalues, pd_inverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Upsilon must be diag(1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
 NORMAL_FORM_TOL = 1e-9
@@ -111,6 +116,8 @@ def _probe_positivity(m: np.ndarray) -> None:
     # Pauli coefficients: I/2 has (1, 0, 0, 0), so its image is column 0 of
     # m (row 0 for the dual), and (I +- sigma_k)/2 has (1, +-e_k).  Each
     # probe fails closed, so a NaN eigenvalue counts as a violation.
+    from .linalg import PD_MIN_EIG, PSD_TOL, _first_flagged, pauli_eigenvalues
+
     for image in (m[:, :, 0], m[:, 0, :]):
         low = pauli_eigenvalues(image)[0]
         bad = _first_flagged(low, ~(low > PD_MIN_EIG))
@@ -145,6 +152,10 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     largest entry of the 2x2 change D = (d_0 + d . sigma) / 2, which is
     max(|d_0| + |d_z|, |d_x + i d_y|) / 2.
     """
+    import numpy as np
+
+    from .linalg import SIGMA, _first_flagged, pd_inverse
+
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 transfer matrices, got shape {m.shape}")
@@ -247,6 +258,8 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     and RuntimeError unless upsilon is diag(1, lx, ly, lz) and the
     filters' shape squared is 1 +- s, both to NORMAL_FORM_TOL.
     """
+    import numpy as np
+
     log_q, one_minus_q = _mode_ratio(params, t)
     log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
     log_plus_s, log_minus_s, log_w = _fixed_point(log_hh, log_vv, log_hv)

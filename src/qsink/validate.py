@@ -25,15 +25,9 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import (
-    PAULI_INPUTS,
-    ChannelParams,
-    pauli_transfer,
-    ptm_at,
-    ptm_via_integration,
-    superop_over_slow,
-)
+from .dynamics import ChannelParams, pauli_transfer, ptm_at, ptm_via_integration, superop_over_slow
 from .entanglement import max_lifetime
+from .linalg import PAULI_INPUTS
 from .sinkhorn import SinkhornDecomposition, decompose, fixed_point_iterate
 
 RATE_GRID = (0.0, 0.5, 1.0, 5.0)

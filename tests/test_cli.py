@@ -1165,6 +1165,31 @@ def test_only_validate_loads_the_replay_suites():
     assert proc.stdout == "[False, False, False, False, False, True]\n"
 
 
+def test_the_lifetime_and_optimal_state_run_without_numpy():
+    # a fresh interpreter: this one has imported numpy already
+    code = "\n".join([
+        "import sys",
+        "from qsink import dynamics, entanglement, sinkhorn",
+        "P = dynamics.ChannelParams",
+        "for line1, line2 in ((P(1.0, 5.0, 1.0), P(1.0, 5.0, 1.0)),",
+        "                     (P(100.0, 0.0, 0.0), P(0.0, 0.0, 0.01))):",
+        "    for line in (line1, line2):",
+        "        dynamics.decay_modes(line, 0.3)",
+        "        sinkhorn.unital_lambdas(line, 0.3)",
+        "    entanglement.lifetime_lhs(line1, line2, 0.3)",
+        "    state = entanglement.optimal_state(line1, line2, "
+        "entanglement.max_lifetime(line1, line2).tau)",
+        "loaded = ['numpy' in sys.modules]",
+        "state.rho",
+        "loaded.append('numpy' in sys.modules)",
+        "print(loaded)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, True]\n"
+
+
 def test_validate_is_deterministic(capsys):
     first = run(capsys, ["validate"])
     assert first[0] == EXIT_OK

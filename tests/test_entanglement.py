@@ -261,6 +261,11 @@ def test_the_screen_passes_states_within_its_size_bound(rng):
     assert not entanglement._passes_screen(2e3 * states)
 
 
+def test_the_screen_shifts_by_half_of_psd_tol():
+    # written out in entanglement, which loads without linalg
+    assert entanglement._SCREEN_SHIFT == 0.5 * PSD_TOL
+
+
 def test_an_empty_stack_has_no_negativities_and_a_nan_state_is_still_refused():
     # zero maps give an empty stack of conditional states, which negativity takes as it is
     empty = np.zeros((0, 4, 4))
@@ -517,14 +522,17 @@ def test_optimal_state_symmetric_lines_is_maximally_entangled():
 def test_optimal_state_shape_and_weights():
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     state = optimal_state(REFERENCE, REFERENCE, tau)
+    assert type(state.psi) is tuple and len(state.psi) == 4
+    assert all(type(z) is complex for z in state.psi)
+    psi = np.array(state.psi)
     # gv > gh, so the faster-dying polarization gets the larger amplitude
-    assert abs(state.psi[3]) > abs(state.psi[0])
-    assert state.psi[1] == 0.0 and state.psi[2] == 0.0
-    assert abs(np.linalg.norm(state.psi) - 1.0) <= 1e-12
+    assert abs(psi[3]) > abs(psi[0])
+    assert psi[1] == 0.0 and psi[2] == 0.0
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     sq_sum = sum(c * c for c in state.schmidt_coefficients)
     assert abs(sq_sum - 1.0) <= 1e-12
     assert state.schmidt_coefficients[0] >= state.schmidt_coefficients[1]
-    assert np.array_equal(state.rho, np.outer(state.psi, state.psi.conj()))
+    assert np.array_equal(state.rho, np.outer(psi, psi.conj()))
 
 
 def test_optimal_state_amplitudes_are_its_schmidt_coefficients_to_the_bit():
@@ -535,10 +543,13 @@ def test_optimal_state_amplitudes_are_its_schmidt_coefficients_to_the_bit():
         line1, line2 = (ChannelParams(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
                         for _ in range(2))
         state = optimal_state(line1, line2, max_lifetime(line1, line2).tau)
-        amp_h, amp_v = state.psi[[0, 3]].real
+        assert type(state.psi) is tuple and len(state.psi) == 4
+        assert all(type(z) is complex for z in state.psi)
+        psi = np.array(state.psi)
+        amp_h, amp_v = psi[[0, 3]].real
         assert sorted((amp_h, amp_v), reverse=True) == list(state.schmidt_coefficients)
-        assert not state.psi.imag.any() and not state.psi[1:3].any()
-        outer = np.outer(state.psi, state.psi.conj())
+        assert not psi.imag.any() and not psi[1:3].any()
+        outer = np.outer(psi, psi.conj())
         assert state.rho.tobytes() == outer.tobytes()
 
 
