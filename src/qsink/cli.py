@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ FLAGS = {
 }
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class _Job(NamedTuple):
     line1: ChannelParams
     line2: ChannelParams
     t_max: float | None = None
@@ -79,7 +78,14 @@ class JobConfig:
     output_path: str | None = None
     format: str = "csv"
 
-    def __post_init__(self) -> None:
+
+class JobConfig(_Job):
+    """One job's settings, each checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> JobConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # no array holds more than sys.maxsize bytes, so no grid of more 8-byte times
         if not 2 <= self.steps <= sys.maxsize // 8:
             raise ValueError(f"steps must be >= 2 and <= {sys.maxsize // 8}, got {self.steps!r}")
@@ -87,6 +93,7 @@ class JobConfig:
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
+        return self
 
 
 def _typed(value, types: tuple, what: str, where: str):
@@ -155,10 +162,11 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         format=_typed(raw.get("format", "csv"), (str,), "a string", "format"),
     )
     # a line's flags are read above; one at a time, in the table's order,
-    # so a bad --t-max is named before a bad --steps
+    # so a bad --t-max is named before a bad --steps.  Through the
+    # constructor, which checks them: _replace would not
     for key in keys:
         if flags.get(key) is not None:
-            cfg = replace(cfg, **{key: flags[key]})
+            cfg = JobConfig(**{**cfg._asdict(), key: flags[key]})
     return cfg
 
 

@@ -55,9 +55,8 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,24 +77,27 @@ _DOUBLE_MAX = sys.float_info.max
 _DOUBLE_MIN = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Rates of one transmission line: attenuation of H and V, depolarization.
-
-    The three rates are the fields; decay_rates, derived from them on first
-    use and kept on the instance, takes no part in repr, == or hash.
-    """
-
+class _Rates(NamedTuple):
     gamma_h: float
     gamma_v: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        rates = (("gamma_h", self.gamma_h), ("gamma_v", self.gamma_v), ("gamma", self.gamma))
-        for name, value in rates:
+
+class ChannelParams(_Rates):
+    """Rates of one transmission line: attenuation of H and V, depolarization.
+
+    A tuple of its three rates, equal to (gamma_h, gamma_v, gamma) and
+    hashed as it; each is checked on construction.  decay_rates, derived
+    from them on first use and kept on the instance, takes no part in repr,
+    == or hash.
+    """
+
+    def __new__(cls, gamma_h: float, gamma_v: float, gamma: float) -> ChannelParams:
+        for name, value in (("gamma_h", gamma_h), ("gamma_v", gamma_v), ("gamma", gamma)):
             # isfinite(value) and value >= 0, in one chained comparison
             if not 0.0 <= value <= _DOUBLE_MAX:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        return super().__new__(cls, gamma_h, gamma_v, gamma)
 
     @property
     def total_rate(self) -> float:
@@ -135,7 +137,7 @@ class ChannelParams:
         log(g / G) is taken from the unscaled g.  Every other line is formed
         unscaled.
         """
-        gamma_h, gamma_v, gamma = self.gamma_h, self.gamma_v, self.gamma
+        gamma_h, gamma_v, gamma = self
         large = _UNSCALED_RATE_MAX
         scale = 8.0 if gamma_h > large or gamma_v > large or gamma > large else 1.0
         gh, gv, g = gamma_h / scale, gamma_v / scale, gamma / scale

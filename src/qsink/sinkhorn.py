@@ -64,8 +64,7 @@ positivity probe import numpy and linalg in their own bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 
@@ -81,8 +80,7 @@ FIXED_POINT_MAX_ITER = 10000
 _NEG_INF = -math.inf
 
 
-@dataclass(frozen=True)
-class SinkhornDecomposition:
+class SinkhornDecomposition(NamedTuple):
     """One map's normal form: L = F_{A^-1} . upsilon . F_{B^-1}, with B = exp(log_b_scale) A.
 
     a_diag is A = sqrt(S) = diag(sqrt(1 + s), sqrt(1 - s)), either entry

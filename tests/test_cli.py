@@ -849,6 +849,12 @@ def test_steps_below_two_rejected(capsys):
     assert "error:" in err
 
 
+def test_a_bad_t_max_is_named_before_a_bad_steps(capsys):
+    # flags override one at a time, in FLAGS' order, each checked as it is set
+    argv = ["evolve", "--g1", "1", "--t-max", "0", "--steps", "1"]
+    assert run(capsys, argv) == (EXIT_USAGE, "", "error: t_max must be finite and > 0, got 0.0\n")
+
+
 @pytest.mark.parametrize("steps", [10**30, 2**63], ids=["31-digits", "two-to-the-63"])
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_steps_past_what_an_array_holds_are_refused_by_name(capsys, tmp_path, steps, where):
@@ -1179,15 +1185,18 @@ def test_the_lifetime_and_optimal_state_run_without_numpy():
         "    entanglement.lifetime_lhs(line1, line2, 0.3)",
         "    state = entanglement.optimal_state(line1, line2, "
         "entanglement.max_lifetime(line1, line2).tau)",
-        "loaded = ['numpy' in sys.modules]",
+        # dataclasses would load inspect, ast, dis and tokenize with it
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])",
         "state.rho",
-        "loaded.append('numpy' in sys.modules)",
-        "print(loaded)",
+        "print('numpy' in sys.modules)",
+        # numpy loads inspect, but no qsink module loads dataclasses
+        "import qsink.cli, qsink.validate",
+        "print('dataclasses' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, True]\n"
+    assert proc.stdout == "[]\nTrue\nFalse\n"
 
 
 def test_validate_is_deterministic(capsys):

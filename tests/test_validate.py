@@ -1,7 +1,6 @@
 """validate's one pass: each input formed once, and each verdict failing on a doctored input."""
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +75,7 @@ def test_an_upsilon_off_by_a_millionth_fails_the_predicates_verdict(capsys, monk
     def doctor(dec, params, t):
         if (params, t) != (line, 0.25):
             return dec
-        return replace(dec, upsilon=dec.upsilon + np.diag([1e-6, 0.0, 0.0, 0.0]))
+        return dec._replace(upsilon=dec.upsilon + np.diag([1e-6, 0.0, 0.0, 0.0]))
 
     code, lines, err = replay_doctored(capsys, monkeypatch, "decompose", doctor)
     assert code == cli.EXIT_VALIDATION
@@ -109,7 +108,7 @@ def test_a_lifetime_off_by_a_millionth_fails_the_lifetime_verdict(capsys, monkey
     line = ChannelParams(0.0, 0.0, 1.0)
 
     def doctor(result, params1, params2):
-        return replace(result, tau=result.tau * (1.0 + 1e-6)) if params1 == line else result
+        return result._replace(tau=result.tau * (1.0 + 1e-6)) if params1 == line else result
 
     code, lines, err = replay_doctored(capsys, monkeypatch, "max_lifetime", doctor)
     assert code == cli.EXIT_VALIDATION
@@ -141,13 +140,13 @@ def nan_fixed_point(iterated, closed):
 
 
 def nan_lifetime(result, params1, params2):
-    return replace(result, tau=np.nan) if params1 == NAN_LIFETIME else result
+    return result._replace(tau=np.nan) if params1 == NAN_LIFETIME else result
 
 
 def nan_upsilon(dec, params, t):
     if (params, t) != NAN_NORMAL_FORM:
         return dec
-    return replace(dec, upsilon=np.full_like(dec.upsilon, np.nan))
+    return dec._replace(upsilon=np.full_like(dec.upsilon, np.nan))
 
 
 @pytest.mark.parametrize(("name", "doctor", "suite", "header", "case"), [
@@ -175,7 +174,7 @@ def test_a_nan_case_fails_its_verdict(capsys, monkeypatch, name, doctor, suite, 
 ])
 def test_a_missing_or_spurious_root_deviates_by_inf(capsys, monkeypatch, line, tau):
     def doctor(result, params1, params2):
-        return replace(result, tau=tau) if params1 == line else result
+        return result._replace(tau=tau) if params1 == line else result
 
     code, lines, err = replay_doctored(capsys, monkeypatch, "max_lifetime", doctor)
     assert code == cli.EXIT_VALIDATION
