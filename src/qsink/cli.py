@@ -80,7 +80,7 @@ class _Job(NamedTuple):
 
 
 class JobConfig(_Job):
-    """One job's settings, each checked on construction."""
+    """One job's settings, each checked on construction, by _make and _replace too."""
 
     __slots__ = ()
 
@@ -94,6 +94,10 @@ class JobConfig(_Job):
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> JobConfig:
+        return cls(*iterable)
 
 
 def _typed(value, types: tuple, what: str, where: str):
@@ -162,11 +166,11 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
         format=_typed(raw.get("format", "csv"), (str,), "a string", "format"),
     )
     # a line's flags are read above; one at a time, in the table's order,
-    # so a bad --t-max is named before a bad --steps.  Through the
-    # constructor, which checks them: _replace would not
+    # so a bad --t-max is named before a bad --steps.  _replace builds
+    # through the constructor, which checks them
     for key in keys:
         if flags.get(key) is not None:
-            cfg = JobConfig(**{**cfg._asdict(), key: flags[key]})
+            cfg = cfg._replace(**{key: flags[key]})
     return cfg
 
 

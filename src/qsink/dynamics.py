@@ -25,9 +25,10 @@ Every quantity of this package that depends on the line and the time goes
 through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), and
 the log of the mode ratio q = exp(-G t) with 1 - q.  The ratios g/G and
 (gh - gv)/G, their logs and the rates in the exponents depend on the line
-alone; ChannelParams.decay_rates forms them once per line.  Per time,
-_mode_ratio(), the core of decay_modes(), forms log q and 1 - q, all the
-signal parameters read, and decay_modes() adds the slow mode.
+alone; a ChannelParams forms them, as its decay_rates, when it is made.
+Per time, _mode_ratio(), the core of decay_modes(), forms log q and
+1 - q, all the signal parameters read, and decay_modes() adds the slow
+mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
@@ -55,7 +56,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -83,21 +83,108 @@ class _Rates(NamedTuple):
     gamma: float
 
 
+def _decay_rates(
+    gamma_h: float, gamma_v: float, gamma: float
+) -> tuple[float, float, float, float, float, float, float]:
+    """The time-independent part of decay_modes() and _entry_logs(): a line's decay_rates.
+
+    Returns (-G / 2, -(r - G) / 2, r_gamma, r_delta, log_r_gamma,
+    log_plus, log_minus), with G = sqrt(g^2 + (gh - gv)^2) and
+    r = g + gh + gv:
+
+    * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
+      as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0.
+      Where G is subnormal, so are g and gh - gv, and G keeps too few
+      digits for a unit vector: the ratios are formed with both scaled
+      by _SUBNORMAL_SCALE, exactly;
+    * log_r_gamma = log(g / G), -inf exactly when g = 0.  It is taken as
+      log g - log G where g / G is below the normal doubles, so a line
+      whose depolarization is tiny against its loss asymmetry keeps it;
+    * log_plus, log_minus = log((1 +- r_delta) / 2), halved before the
+      log, so the larger is exactly 0 for pure loss; the smaller is
+      r_gamma^2 / (2 (1 + |r_delta|)), which does not cancel.
+
+    r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
+    r + G first, so it neither cancels nor overflows.  G / 2 and
+    (r - G) / 2 are at most the largest rate, so both halves are finite
+    even where G is not.  A line with a rate above _UNSCALED_RATE_MAX is
+    formed at an eighth of its rates, where G and r + G stay finite: the
+    ratios do not see a power-of-two scale, and the halves are scaled
+    back exactly.  Where g loses digits to the eighth, or rounds to 0,
+    log(g / G) is taken from the unscaled g.  Every other line is formed
+    unscaled.
+    """
+    large = _UNSCALED_RATE_MAX
+    scale = 8.0 if gamma_h > large or gamma_v > large or gamma > large else 1.0
+    gh, gv, g = gamma_h / scale, gamma_v / scale, gamma / scale
+    delta = gh - gv
+    big_g = math.hypot(g, delta)
+    rate = g + gh + gv
+    loss = gh + gv
+    total = rate + big_g
+    if total > 0.0:
+        # max(gh, gv), min(gh, gv), max(g, loss) and min(g, loss), tie for tie
+        big_loss, small_loss = gv if gv > gh else gh, gv if gv < gh else gh
+        big_mix, small_mix = loss if loss > g else g, loss if loss < g else g
+        slow_rate = 4.0 * (big_loss / total) * small_loss + 2.0 * (big_mix / total) * small_mix
+    else:
+        slow_rate = 0.0
+    if big_g >= _DOUBLE_MIN:
+        r_gamma, r_delta = g / big_g, delta / big_g
+    elif big_g > 0.0:
+        # a subnormal G keeps too few digits for a unit vector
+        g_up, delta_up = g * _SUBNORMAL_SCALE, delta * _SUBNORMAL_SCALE
+        norm = math.hypot(g_up, delta_up)
+        r_gamma, r_delta = g_up / norm, delta_up / norm
+    else:
+        r_gamma, r_delta = 1.0, 0.0
+    if r_gamma >= _DOUBLE_MIN:
+        log_r_gamma = math.log(r_gamma)
+    elif gamma > 0.0:
+        # log g from the unscaled g where the eighth cost it digits, or all of them
+        log_g = math.log(g) if g * scale == gamma else math.log(gamma) - math.log(scale)
+        log_r_gamma = log_g - math.log(big_g)
+    else:
+        log_r_gamma = -math.inf
+    log_larger = math.log1p(abs(r_delta))
+    log_half_larger, log_half_smaller = log_larger - _LN2, 2.0 * log_r_gamma - log_larger - _LN2
+    if r_delta >= 0.0:
+        log_plus, log_minus = log_half_larger, log_half_smaller
+    else:
+        log_plus, log_minus = log_half_smaller, log_half_larger
+    return (-0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma,
+            log_plus, log_minus)
+
+
 class ChannelParams(_Rates):
     """Rates of one transmission line: attenuation of H and V, depolarization.
 
     A tuple of its three rates, equal to (gamma_h, gamma_v, gamma) and
-    hashed as it; each is checked on construction.  decay_rates, derived
-    from them on first use and kept on the instance, takes no part in repr,
-    == or hash.
+    hashed as it; each is checked on construction.  decay_rates, the
+    _decay_rates() of them, is formed on construction too and kept on the
+    instance; it takes no part in repr, == or hash.  _make, and with it
+    _replace, builds through the constructor, and so do copy and pickle.
     """
 
+    decay_rates: tuple[float, float, float, float, float, float, float]
+
     def __new__(cls, gamma_h: float, gamma_v: float, gamma: float) -> ChannelParams:
-        for name, value in (("gamma_h", gamma_h), ("gamma_v", gamma_v), ("gamma", gamma)):
-            # isfinite(value) and value >= 0, in one chained comparison
-            if not 0.0 <= value <= _DOUBLE_MAX:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        return super().__new__(cls, gamma_h, gamma_v, gamma)
+        # isfinite(rate) and rate >= 0 for all three rates, in one chained comparison
+        if not 0.0 <= gamma_h <= _DOUBLE_MAX >= gamma_v >= 0.0 <= gamma <= _DOUBLE_MAX:
+            for name, value in (("gamma_h", gamma_h), ("gamma_v", gamma_v), ("gamma", gamma)):
+                if not 0.0 <= value <= _DOUBLE_MAX:
+                    raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        self = tuple.__new__(cls, (gamma_h, gamma_v, gamma))
+        self.decay_rates = _decay_rates(gamma_h, gamma_v, gamma)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> ChannelParams:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle, at every protocol, rebuild a line from its rates
+        return type(self), tuple(self)
 
     @property
     def total_rate(self) -> float:
@@ -106,78 +193,6 @@ class ChannelParams(_Rates):
     @property
     def max_rate(self) -> float:
         return max(self.gamma_h, self.gamma_v, self.gamma)
-
-    @cached_property
-    def decay_rates(self) -> tuple[float, float, float, float, float, float, float]:
-        """The time-independent part of decay_modes() and _entry_logs(), formed once per line.
-
-        Returns (-G / 2, -(r - G) / 2, r_gamma, r_delta, log_r_gamma,
-        log_plus, log_minus), with G = sqrt(g^2 + (gh - gv)^2) and
-        r = g + gh + gv:
-
-        * r_gamma = g / G and r_delta = (gh - gv) / G, a unit vector, taken
-          as (1, 0) when G = 0, where it only ever multiplies 1 - q = 0.
-          Where G is subnormal, so are g and gh - gv, and G keeps too few
-          digits for a unit vector: the ratios are formed with both scaled
-          by _SUBNORMAL_SCALE, exactly;
-        * log_r_gamma = log(g / G), -inf exactly when g = 0.  It is taken as
-          log g - log G where g / G is below the normal doubles, so a line
-          whose depolarization is tiny against its loss asymmetry keeps it;
-        * log_plus, log_minus = log((1 +- r_delta) / 2), halved before the
-          log, so the larger is exactly 0 for pure loss; the smaller is
-          r_gamma^2 / (2 (1 + |r_delta|)), which does not cancel.
-
-        r - G is formed as (r^2 - G^2) / (r + G), each product scaled by
-        r + G first, so it neither cancels nor overflows.  G / 2 and
-        (r - G) / 2 are at most the largest rate, so both halves are finite
-        even where G is not.  A line with a rate above _UNSCALED_RATE_MAX is
-        formed at an eighth of its rates, where G and r + G stay finite: the
-        ratios do not see a power-of-two scale, and the halves are scaled
-        back exactly.  Where g loses digits to the eighth, or rounds to 0,
-        log(g / G) is taken from the unscaled g.  Every other line is formed
-        unscaled.
-        """
-        gamma_h, gamma_v, gamma = self
-        large = _UNSCALED_RATE_MAX
-        scale = 8.0 if gamma_h > large or gamma_v > large or gamma > large else 1.0
-        gh, gv, g = gamma_h / scale, gamma_v / scale, gamma / scale
-        delta = gh - gv
-        big_g = math.hypot(g, delta)
-        rate = g + gh + gv
-        loss = gh + gv
-        total = rate + big_g
-        if total > 0.0:
-            # max(gh, gv), min(gh, gv), max(g, loss) and min(g, loss), tie for tie
-            big_loss, small_loss = gv if gv > gh else gh, gv if gv < gh else gh
-            big_mix, small_mix = loss if loss > g else g, loss if loss < g else g
-            slow_rate = 4.0 * (big_loss / total) * small_loss + 2.0 * (big_mix / total) * small_mix
-        else:
-            slow_rate = 0.0
-        if big_g >= _DOUBLE_MIN:
-            r_gamma, r_delta = g / big_g, delta / big_g
-        elif big_g > 0.0:
-            # a subnormal G keeps too few digits for a unit vector
-            g_up, delta_up = g * _SUBNORMAL_SCALE, delta * _SUBNORMAL_SCALE
-            norm = math.hypot(g_up, delta_up)
-            r_gamma, r_delta = g_up / norm, delta_up / norm
-        else:
-            r_gamma, r_delta = 1.0, 0.0
-        if r_gamma >= _DOUBLE_MIN:
-            log_r_gamma = math.log(r_gamma)
-        elif gamma > 0.0:
-            # log g from the unscaled g where the eighth cost it digits, or all of them
-            log_g = math.log(g) if g * scale == gamma else math.log(gamma) - math.log(scale)
-            log_r_gamma = log_g - math.log(big_g)
-        else:
-            log_r_gamma = -math.inf
-        log_larger = math.log1p(abs(r_delta))
-        log_half_larger, log_half_smaller = log_larger - _LN2, 2.0 * log_r_gamma - log_larger - _LN2
-        if r_delta >= 0.0:
-            log_plus, log_minus = log_half_larger, log_half_smaller
-        else:
-            log_plus, log_minus = log_half_smaller, log_half_larger
-        return (-0.5 * big_g * scale, -0.5 * slow_rate * scale, r_gamma, r_delta, log_r_gamma,
-                log_plus, log_minus)
 
 
 def _log(x: float) -> float:

@@ -364,6 +364,24 @@ def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:
         )
 
 
+def decimal_lambdas(params: ChannelParams, t: float) -> tuple:
+    """(lx, lz) of unital_lambdas at 60 digits, from the rates and t taken as exact.
+
+    A = asinh((g/G) sinh(G t / 2)), with asinh y = ln(y + sqrt(y^2 + 1)),
+    lx = exp(-g t / 2 - A) and lz = exp(-2 A).  A line needs g > 0, and
+    G t / 2 within decimal's exponent range, where exp cannot overflow:
+    rates and t on [1e-3, 1e3] keep it below 1e6.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        gamma_h, gamma_v, gamma, t = (decimal.Decimal(x) for x in (*params, t))
+        big_g = (gamma * gamma + (gamma_h - gamma_v) ** 2).sqrt()
+        x = big_g * t / 2
+        y = gamma / big_g * (x.exp() - (-x).exp()) / 2
+        big_a = (y + (y * y + 1).sqrt()).ln()
+        return (-gamma * t / 2 - big_a).exp(), (-2 * big_a).exp()
+
+
 def einsum_decompose(params: ChannelParams, t: float) -> dict:
     """decompose's normal form on the Pauli route: filters by the general sandwich.
 

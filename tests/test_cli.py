@@ -849,6 +849,17 @@ def test_steps_below_two_rejected(capsys):
     assert "error:" in err
 
 
+def test_a_replaced_or_made_config_is_checked():
+    line = ChannelParams(1.0, 5.0, 1.0)
+    cfg = cli.JobConfig(line, line)
+    message = rf"^steps must be >= 2 and <= {sys.maxsize // 8}, got 1$"
+    with pytest.raises(ValueError, match=message):
+        cfg._replace(steps=1)
+    with pytest.raises(ValueError, match=message):
+        cli.JobConfig._make([line, line, None, 1, None, None, "csv"])
+    assert cfg._replace(steps=3) == cli.JobConfig(line, line, steps=3)
+
+
 def test_a_bad_t_max_is_named_before_a_bad_steps(capsys):
     # flags override one at a time, in FLAGS' order, each checked as it is set
     argv = ["evolve", "--g1", "1", "--t-max", "0", "--steps", "1"]

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -46,13 +48,53 @@ def test_params_validation():
 
 def test_params_identity_ignores_the_derived_rates():
     # validate prints lines by repr, and lines are compared and hashed by
-    # their three rates alone, whether or not decay_rates was formed
+    # their three rates alone; decay_rates is there from construction on
     used, fresh = ChannelParams(1.0, 5.0, 2.0), ChannelParams(1.0, 5.0, 2.0)
+    assert "decay_rates" in vars(fresh)
     decay_modes(used, 0.3)
-    assert "decay_rates" in vars(used) and "decay_rates" not in vars(fresh)
+    assert vars(used) == vars(fresh)
     assert repr(used) == repr(fresh) == "ChannelParams(gamma_h=1.0, gamma_v=5.0, gamma=2.0)"
     assert used == fresh
     assert hash(used) == hash(fresh) == hash((1.0, 5.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        ((math.nan, 1.0, 1.0), "gamma_h must be finite and >= 0, got nan"),
+        ((1.0, math.inf, 1.0), "gamma_v must be finite and >= 0, got inf"),
+        ((1.0, 1.0, -math.inf), "gamma must be finite and >= 0, got -inf"),
+        ((1.0, 1.0, -0.5), "gamma must be finite and >= 0, got -0.5"),
+        ((1.0, -1e-300, 1.0), "gamma_v must be finite and >= 0, got -1e-300"),
+        ((1.0, 2.0, 10**309), f"gamma must be finite and >= 0, got {10**309!r}"),
+        # several bad rates: the first in (gamma_h, gamma_v, gamma) order is named
+        ((-1.0, math.nan, -2.0), "gamma_h must be finite and >= 0, got -1.0"),
+        ((0.0, math.nan, -2.0), "gamma_v must be finite and >= 0, got nan"),
+        ((0.0, math.inf, math.nan), "gamma_v must be finite and >= 0, got inf"),
+    ],
+)
+def test_params_name_the_first_bad_rate(rates, message):
+    with pytest.raises(ValueError) as error:
+        ChannelParams(*rates)
+    assert str(error.value) == message
+
+
+def test_a_replaced_or_made_line_is_checked():
+    with pytest.raises(ValueError, match=r"^gamma must be finite and >= 0, got -1\.0$"):
+        REFERENCE._replace(gamma=-1.0)
+    with pytest.raises(ValueError, match=r"^gamma_h must be finite and >= 0, got nan$"):
+        ChannelParams._make([math.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_line_is_checked_when_it_is_loaded(protocol):
+    # the pickle of (1, 5, 1), its gamma_v made -5: protocols 0 and 1
+    # rebuild a tuple subclass without its constructor unless it says how
+    data = pickle.dumps(REFERENCE, protocol)
+    five, minus_five = (b"F5.0", b"F-5.0") if protocol == 0 else (struct.pack(">d", 5.0), struct.pack(">d", -5.0))
+    assert data.count(five) == 1
+    with pytest.raises(ValueError, match=r"^gamma_v must be finite and >= 0, got -5\.0$"):
+        pickle.loads(data.replace(five, minus_five))
 
 
 def test_abcd_at_zero_is_exact():

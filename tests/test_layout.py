@@ -80,6 +80,21 @@ def test_every_definition_is_referenced_in_src():
     assert unreferenced == []
 
 
+def test_every_record_with_a_constructor_makes_copies_through_it():
+    # NamedTuple's _make, which _replace calls, builds the tuple without
+    # calling __new__, so a record that checks its fields in __new__ must
+    # define _make to build through it
+    unchecked = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"qsink.{path.stem}")
+        for name, value in vars(module).items():
+            record = isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+            if record and value.__module__ == module.__name__ and "__new__" in vars(value):
+                if "_make" not in vars(value):
+                    unchecked.append(f"{path.stem}.{name}")
+    assert unchecked == []
+
+
 def test_every_imported_name_is_read_in_its_module():
     unread = []
     for path in sorted(SRC.glob("*.py")):
