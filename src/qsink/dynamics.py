@@ -25,10 +25,9 @@ Every quantity of this package that depends on the line and the time goes
 through decay_modes(): the slow mode exp(-((g + gh + gv - G) t / 2)), and
 the log of the mode ratio q = exp(-G t) with 1 - q.  The ratios g/G and
 (gh - gv)/G, their logs and the rates in the exponents depend on the line
-alone; a ChannelParams forms them, as its decay_rates, when it is made.
-Per time, _mode_ratio(), the core of decay_modes(), forms log q and
-1 - q, all the signal parameters read, and decay_modes() adds the slow
-mode.
+alone; ChannelParams.decay_rates holds them, formed with the line.  Per
+time, _mode_ratio(), the core of decay_modes(), forms log q and 1 - q,
+all the signal parameters read, and decay_modes() adds the slow mode.
 _entry_logs() forms, from log q and 1 - q, the logs of the map's distinct
 entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
@@ -160,20 +159,16 @@ class ChannelParams(_Rates):
     """Rates of one transmission line: attenuation of H and V, depolarization.
 
     A tuple of its three rates, equal to (gamma_h, gamma_v, gamma) and
-    hashed as it; each is checked on construction.  decay_rates, the
-    _decay_rates() of them, is formed on construction too and kept on the
-    instance; it takes no part in repr, == or hash.  _make, and with it
-    _replace, builds through the constructor, and so do copy and pickle.
+    hashed as it; each is checked on construction, by _make and _replace
+    too.  decay_rates, their _decay_rates(), is set on construction and
+    takes no part in repr, == or hash.
     """
 
-    decay_rates: tuple[float, float, float, float, float, float, float]
-
     def __new__(cls, gamma_h: float, gamma_v: float, gamma: float) -> ChannelParams:
-        # isfinite(rate) and rate >= 0 for all three rates, in one chained comparison
-        if not 0.0 <= gamma_h <= _DOUBLE_MAX >= gamma_v >= 0.0 <= gamma <= _DOUBLE_MAX:
-            for name, value in (("gamma_h", gamma_h), ("gamma_v", gamma_v), ("gamma", gamma)):
-                if not 0.0 <= value <= _DOUBLE_MAX:
-                    raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name, value in (("gamma_h", gamma_h), ("gamma_v", gamma_v), ("gamma", gamma)):
+            # isfinite(value) and value >= 0, in one chained comparison
+            if not 0.0 <= value <= _DOUBLE_MAX:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         self = tuple.__new__(cls, (gamma_h, gamma_v, gamma))
         self.decay_rates = _decay_rates(gamma_h, gamma_v, gamma)
         return self
@@ -181,10 +176,6 @@ class ChannelParams(_Rates):
     @classmethod
     def _make(cls, iterable) -> ChannelParams:
         return cls(*iterable)
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle, at every protocol, rebuild a line from its rates
-        return type(self), tuple(self)
 
     @property
     def total_rate(self) -> float:

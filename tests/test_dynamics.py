@@ -2,8 +2,6 @@
 
 import hashlib
 import math
-import pickle
-import struct
 import warnings
 
 import numpy as np
@@ -84,17 +82,6 @@ def test_a_replaced_or_made_line_is_checked():
         REFERENCE._replace(gamma=-1.0)
     with pytest.raises(ValueError, match=r"^gamma_h must be finite and >= 0, got nan$"):
         ChannelParams._make([math.nan, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-def test_a_pickled_line_is_checked_when_it_is_loaded(protocol):
-    # the pickle of (1, 5, 1), its gamma_v made -5: protocols 0 and 1
-    # rebuild a tuple subclass without its constructor unless it says how
-    data = pickle.dumps(REFERENCE, protocol)
-    five, minus_five = (b"F5.0", b"F-5.0") if protocol == 0 else (struct.pack(">d", 5.0), struct.pack(">d", -5.0))
-    assert data.count(five) == 1
-    with pytest.raises(ValueError, match=r"^gamma_v must be finite and >= 0, got -5\.0$"):
-        pickle.loads(data.replace(five, minus_five))
 
 
 def test_abcd_at_zero_is_exact():
