@@ -298,17 +298,9 @@ def cmd_evolve(cfg: JobConfig) -> int:
 
 
 def cmd_sinkhorn(cfg: JobConfig, t: float) -> int:
-    dec = decompose(cfg.line1, t)
-    record = {
-        "t": t,
-        "s": dec.s,
-        "a_diag": list(dec.a_diag),
-        "log_b_scale": dec.log_b_scale,
-        "lambda_x": dec.lambda_x,
-        "lambda_y": dec.lambda_y,
-        "lambda_z": dec.lambda_z,
-        "self_check": dec.self_check,
-    }
+    # decompose's fields in their order, but upsilon; json writes a_diag's tuple as a list
+    record = {"t": t, **decompose(cfg.line1, t)._asdict()}
+    del record["upsilon"]
     _write(cfg, record)
     return EXIT_OK
 

@@ -76,28 +76,27 @@ def _passes_screen(rho: np.ndarray) -> bool:
 
 
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
-    """rho, or each state of a stack, symmetrized and checked; errors name the first bad one."""
+    """rho, or each state of a stack, symmetrized and checked; errors name the first bad one.
+
+    linalg._refuse_flagged is the one place that applies that rule, for every check on a stack.
+    """
     import numpy as np
 
-    from .linalg import PSD_TOL, _first_flagged, hermitian_part
+    from .linalg import PSD_TOL, _refuse_flagged, hermitian_part
 
     rho = hermitian_part(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     if not _passes_screen(rho):
         low = np.linalg.eigvalsh(rho)[..., 0]
-        bad = _first_flagged(low, ~(low >= -PSD_TOL))
-        if bad is not None:
-            raise ValueError(f"state is not positive semidefinite (min eigenvalue {bad:.3e})")
+        _refuse_flagged(low, ~(low >= -PSD_TOL),
+                        "state is not positive semidefinite (min eigenvalue {:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if normalized:
-        bad = _first_flagged(tr, np.abs(tr - 1.0) > 1e-10)
-        if bad is not None:
-            raise ValueError(f"state must have unit trace, got {bad!r}")
+        _refuse_flagged(tr, np.abs(tr - 1.0) > 1e-10, "state must have unit trace, got {!r}")
     else:
-        bad = _first_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)))
-        if bad is not None:
-            raise ValueError(f"state trace must lie in (0, 1], got {bad!r}")
+        _refuse_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)),
+                        "state trace must lie in (0, 1], got {!r}")
     return rho
 
 
@@ -149,7 +148,7 @@ def conditional_state(
     """
     import numpy as np
 
-    from .linalg import _first_flagged
+    from .linalg import _refuse_flagged
 
     s1, s2 = np.asarray(s1), np.asarray(s2)
     if s1.shape[-2:] != (4, 4) or s2.shape[-2:] != (4, 4):
@@ -158,9 +157,7 @@ def conditional_state(
     # on the reshuffled state the product map is s1 X s2^T
     raw = _reshuffle(s1 @ _reshuffle(initial) @ np.swapaxes(s2, -1, -2))
     prob = np.trace(raw, axis1=-2, axis2=-1).real
-    bad = _first_flagged(prob, prob <= MIN_DETECTION_PROB)
-    if bad is not None:
-        raise ValueError(f"detection probability vanished ({bad:.3e})")
+    _refuse_flagged(prob, prob <= MIN_DETECTION_PROB, "detection probability vanished ({:.3e})")
     return raw / prob[..., None, None], prob
 
 

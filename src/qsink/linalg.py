@@ -43,10 +43,11 @@ PSD_TOL = 1e-9
 _INVERSE_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _first_flagged(values: np.ndarray, flags: np.ndarray) -> float | None:
-    """The first entry of values where flags is set, None if it is set nowhere."""
+def _refuse_flagged(values: np.ndarray, flags: np.ndarray, message: str) -> None:
+    """Raise ValueError(message.format(v)), v the first entry of values where flags is set."""
     hits = np.asarray(values)[flags]
-    return float(hits[0]) if hits.size else None
+    if hits.size:
+        raise ValueError(message.format(float(hits[0])))
 
 
 def _as_matrices(m: np.ndarray) -> np.ndarray:
@@ -104,10 +105,7 @@ def pd_inverse(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     low, high = pauli_eigenvalues(c)
     # fails closed: a NaN eigenvalue is not positive either
-    bad = _first_flagged(low, ~(low > PD_MIN_EIG))
-    if bad is not None:
-        raise ValueError(
-            f"pd_inverse needs a positive definite matrix; smallest eigenvalue is {bad:.3e}"
-        )
+    _refuse_flagged(low, ~(low > PD_MIN_EIG),
+                    "pd_inverse needs a positive definite matrix; smallest eigenvalue is {:.3e}")
     # 2 low and 2 high are c_0 -+ |c| to the bit, since low > PD_MIN_EIG
     return c * (4.0 / ((2.0 * low) * (2.0 * high)))[..., None] * _INVERSE_SIGNS

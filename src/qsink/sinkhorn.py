@@ -114,24 +114,17 @@ def _probe_positivity(m: np.ndarray) -> None:
     # Pauli coefficients: I/2 has (1, 0, 0, 0), so its image is column 0 of
     # m (row 0 for the dual), and (I +- sigma_k)/2 has (1, +-e_k).  Each
     # probe fails closed, so a NaN eigenvalue counts as a violation.
-    from .linalg import PD_MIN_EIG, PSD_TOL, _first_flagged, pauli_eigenvalues
+    from .linalg import PD_MIN_EIG, PSD_TOL, _refuse_flagged, pauli_eigenvalues
 
     for image in (m[:, :, 0], m[:, 0, :]):
         low = pauli_eigenvalues(image)[0]
-        bad = _first_flagged(low, ~(low > PD_MIN_EIG))
-        if bad is not None:
-            raise ValueError(
-                f"map is not strictly positive: identity maps to min eigenvalue {bad:.3e}"
-            )
+        _refuse_flagged(low, ~(low > PD_MIN_EIG),
+                        "map is not strictly positive: identity maps to min eigenvalue {:.3e}")
     for k in (1, 2, 3):
         for sign in (1.0, -1.0):
             low = pauli_eigenvalues(m[:, :, 0] + sign * m[:, :, k])[0]
-            bad = _first_flagged(low, ~(low >= -PSD_TOL))
-            if bad is not None:
-                raise ValueError(
-                    f"map is not positive on a Pauli eigenstate probe "
-                    f"(min eigenvalue {bad:.3e})"
-                )
+            _refuse_flagged(low, ~(low >= -PSD_TOL), "map is not positive on a Pauli "
+                            "eigenstate probe (min eigenvalue {:.3e})")
 
 
 def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
@@ -152,16 +145,14 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    from .linalg import SIGMA, _first_flagged, pd_inverse
+    from .linalg import SIGMA, _refuse_flagged, pd_inverse
 
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 transfer matrices, got shape {m.shape}")
     lead = m.shape[:-2]
     m = m.reshape((-1, 4, 4))
-    bad = _first_flagged(m, ~np.isfinite(m))
-    if bad is not None:
-        raise ValueError(f"map entries must be finite, got {bad!r}")
+    _refuse_flagged(m, ~np.isfinite(m), "map entries must be finite, got {!r}")
     _probe_positivity(m)
     fixed = np.empty((len(m), 4))
     # the rows still moving, with their maps, their duals and their current S

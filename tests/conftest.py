@@ -8,10 +8,12 @@ plain matrix multiplication in a different representation.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,16 @@ from qsink.dynamics import (
 from qsink.entanglement import negativity
 from qsink.linalg import PD_MIN_EIG, PSD_TOL, SIGMA, hermitian_part
 from qsink.sinkhorn import NORMAL_FORM_TOL, unital_lambdas
+
+# hypothesis's pytest plugin imports this module when a property fails.
+# The libcst it loads warns (mypy_extensions.TypedDict is deprecated), and
+# under filterwarnings = ["error"] that warning ends the run in an
+# INTERNALERROR without the falsifying example.  Imported here once, with
+# the warning ignored, it is already loaded then.  Without libcst the
+# plugin skips the import, and so does this.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 _SIG = np.stack(SIGMA)
 

@@ -1204,8 +1204,9 @@ def test_the_lifetime_and_optimal_state_run_without_numpy():
         "import qsink.cli, qsink.validate",
         "print('dataclasses' in sys.modules)",
     ])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                          env=subprocess_env())
+    # every warning an error, as in the test run itself
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\nTrue\nFalse\n"
 

@@ -30,7 +30,7 @@ from qsink.entanglement import (
     optimal_state,
     x_state_traces,
 )
-from qsink.linalg import PSD_TOL, _first_flagged, hermitian_part, partial_transpose_second
+from qsink.linalg import PSD_TOL, _refuse_flagged, hermitian_part, partial_transpose_second
 from qsink.sinkhorn import decompose
 
 REFERENCE = ChannelParams(1.0, 5.0, 1.0)
@@ -182,18 +182,14 @@ def _eigvalsh_rule(rho: np.ndarray, normalized: bool) -> np.ndarray:
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     low = np.linalg.eigvalsh(rho)[..., 0]
-    bad = _first_flagged(low, ~(low >= -PSD_TOL))
-    if bad is not None:
-        raise ValueError(f"state is not positive semidefinite (min eigenvalue {bad:.3e})")
+    _refuse_flagged(low, ~(low >= -PSD_TOL),
+                    "state is not positive semidefinite (min eigenvalue {:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if normalized:
-        bad = _first_flagged(tr, np.abs(tr - 1.0) > 1e-10)
-        if bad is not None:
-            raise ValueError(f"state must have unit trace, got {bad!r}")
+        _refuse_flagged(tr, np.abs(tr - 1.0) > 1e-10, "state must have unit trace, got {!r}")
     else:
-        bad = _first_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)))
-        if bad is not None:
-            raise ValueError(f"state trace must lie in (0, 1], got {bad!r}")
+        _refuse_flagged(tr, ~((MIN_DETECTION_PROB < tr) & (tr <= 1.0 + 1e-12)),
+                        "state trace must lie in (0, 1], got {!r}")
     return rho
 
 

@@ -2,11 +2,14 @@
 
 No function, class or module constant lacks a caller in src/qsink, no
 module imports a name that it never reads, and no function takes a
-parameter that its body never reads.
+parameter that its body never reads.  A check that refuses the first bad
+entry of a stack does so through linalg._refuse_flagged, not through a
+value it tests against None and raises on.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -136,3 +139,17 @@ def test_every_parameter_is_read_in_its_function():
             where = f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
             unread += [f"{where}: {param}" for param in params if param not in reads]
     assert unread == []
+
+
+def test_every_stack_refusal_raises_from_the_one_helper():
+    # `if <name> is not None:` with a lone raise as its body
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If)
+        and re.fullmatch(r"\w+ is not None", ast.unparse(node.test))
+        and len(node.body) == 1
+        and isinstance(node.body[0], ast.Raise)
+    ]
+    assert found == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian, random_pd
+from qsink.entanglement import conditional_state, negativity
 from qsink.linalg import (
     SIGMA,
     hermitian_part,
@@ -11,6 +12,7 @@ from qsink.linalg import (
     pauli_eigenvalues,
     pd_inverse,
 )
+from qsink.sinkhorn import fixed_point_iterate
 
 PSI_PLUS_RHO = 0.5 * np.array(
     [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
@@ -142,3 +144,64 @@ def test_pd_inverse_rejects_nan():
     # fails closed: a NaN eigenvalue is not positive
     with pytest.raises(ValueError, match="nan"):
         pd_inverse(np.full(4, np.nan))
+
+
+def _stack(*entries) -> np.ndarray:
+    return np.stack([np.asarray(entry, dtype=float) for entry in entries])
+
+
+_MIXED = np.eye(4) / 4.0
+_VANISHING = _stack(np.eye(4), 1e-8 * np.eye(4), np.zeros((4, 4)))
+# the identity maps to (1, 0, 0, 3), with eigenvalues -1 and 2
+_SKEWED = np.eye(4)
+_SKEWED[3, 0] = 3.0
+# (I + sigma_x) / 2 maps to (1, 2, 0, 0), with eigenvalues -0.5 and 1.5
+_STRETCHED = np.diag([1.0, 2.0, 1.0, 1.0])
+
+# Each refusal of a stack, reached through a public function, and its exact
+# message.  Entry 0 of each stack is good and entries 1 and 2 are bad in
+# different ways, so the message must name entry 1's value.
+_REFUSALS = {
+    "pd_inverse": (
+        lambda: pd_inverse(_stack([2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 3.0], np.zeros(4))),
+        "pd_inverse needs a positive definite matrix; smallest eigenvalue is -1.000e+00",
+    ),
+    "state_not_psd": (
+        lambda: negativity(_stack(_MIXED, np.diag([0.5, 0.6, -0.1, 0.0]),
+                                  np.diag([0.6, 0.6, -0.2, 0.0]))),
+        "state is not positive semidefinite (min eigenvalue -1.000e-01)",
+    ),
+    "state_not_unit_trace": (
+        lambda: conditional_state(np.eye(4), np.eye(4),
+                                  _stack(_MIXED, 0.5 * _MIXED, 3.0 * _MIXED)),
+        "state must have unit trace, got 0.5",
+    ),
+    "state_trace_outside_unit_interval": (
+        lambda: negativity(_stack(_MIXED, 1.5 * _MIXED, 2.0 * _MIXED)),
+        "state trace must lie in (0, 1], got 1.5",
+    ),
+    "detection_vanished": (
+        lambda: conditional_state(_VANISHING, _VANISHING, _MIXED),
+        "detection probability vanished (1.000e-16)",
+    ),
+    "map_not_strictly_positive": (
+        lambda: fixed_point_iterate(_stack(np.eye(4), _SKEWED, np.zeros((4, 4)))),
+        "map is not strictly positive: identity maps to min eigenvalue -1.000e+00",
+    ),
+    "map_not_positive_on_probe": (
+        lambda: fixed_point_iterate(_stack(np.eye(4), _STRETCHED, 2.0 * _STRETCHED - np.eye(4))),
+        "map is not positive on a Pauli eigenstate probe (min eigenvalue -5.000e-01)",
+    ),
+    "map_not_finite": (
+        lambda: fixed_point_iterate(_stack(np.eye(4), np.full((4, 4), np.inf),
+                                           np.full((4, 4), np.nan))),
+        "map entries must be finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS.values(), ids=list(_REFUSALS))
+def test_every_stack_refusal_names_its_first_bad_entry(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -7,9 +7,12 @@ range; the invariants below must hold everywhere regardless.
 
 import copy
 import math
+import os
 import pickle
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from conftest import (
     einsum_decompose,
     entry_logs_at,
     plain_bisection,
+    subprocess_env,
 )
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
@@ -290,3 +294,23 @@ def test_decompose_agrees_with_the_pauli_route(params, t):
 def test_decompose_agrees_with_the_pauli_route_on_moderate_rates(params, t):
     # rates and times of everyday size, which the double range rarely draws
     _assert_decompose_agrees_with_the_pauli_route(params, t)
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # a failing property fails its test and prints its example; it does not
+    # end the run in an INTERNALERROR that hides both and skips the other tests
+    (tmp_path / "test_fail.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(x):\n"
+        "    assert False\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tests), env["PYTHONPATH"]])
+    argv = ["-p", "conftest", "-c", str(tests.parent / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "test_fail.py"]
+    proc = subprocess.run([sys.executable, "-m", "pytest", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
