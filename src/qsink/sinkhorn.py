@@ -51,10 +51,15 @@ A = asinh((g/G) sinh(G t / 2)) they are
 
     lx = ly = exp(-g t / 2 - A),    lz = exp(-2 A),
 
-and A is formed from log q and 1 - q alone (dynamics._mode_ratio), so they
-stay finite and exact at times where the modes themselves underflow; the
-lifetime search probes such times on purpose.  g/G enters through its log
-wherever it multiplies, so it keeps its digits where g/G underflows.
+and one helper, _signal_exponents, forms -g t / 2 and A, for
+unital_lambdas and for the lifetime equation (entanglement.lifetime_lhs)
+alike.  Below G t / 2 = 20, where g/G is a normal double, A is asinh of
+(g/G) sinh(G t / 2) as written: no log of g/G or of 1 - q enters, and the
+one rounding it amplifies is that of G t, by up to x coth x at x = G t / 2.
+Elsewhere A is formed from log q and 1 - q (dynamics._mode_ratio), with
+g/G through its log, so the parameters stay finite and exact at times
+where the modes themselves underflow, which the lifetime search probes on
+purpose, and where g/G underflows.
 
 The signal parameters and the fixed point's logs are math alone, and the
 module loads without numpy; decompose, fixed_point_iterate and its
@@ -66,7 +71,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dynamics import _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
+from .dynamics import _DOUBLE_MIN, _LN2, ChannelParams, _entry_logs, _log_add, _mode_ratio
 
 if TYPE_CHECKING:
     import numpy as np
@@ -186,19 +191,35 @@ def unital_lambdas(params: ChannelParams, t: float) -> tuple[float, float, float
 
     Finite and well conditioned for every t >= 0, including times where the
     decay modes underflow; (1, 1, 1) exactly at t = 0 and identically for
-    pure polarization-dependent loss.  Only log q and 1 - q depend on t.
+    pure polarization-dependent loss.  lx = ly = exp(-g t / 2 - A) and
+    lz = exp(-2 A), from _signal_exponents.
     """
-    lam_x, lam_z = _lambda_xz(params, t)
-    return lam_x, lam_x, lam_z
+    half_g_t, big_a = _signal_exponents(params, t)
+    lam_x = math.exp(half_g_t - big_a)
+    return lam_x, lam_x, math.exp(-2.0 * big_a)
 
 
-def _lambda_xz(params: ChannelParams, t: float) -> tuple[float, float]:
-    """(lx, lz) at time t, lx = ly: unital_lambdas' formula, and the lifetime equation's per line."""
+def _signal_exponents(params: ChannelParams, t: float) -> tuple[float, float]:
+    """(-g t / 2, A) at time t, A = asinh((g/G) sinh(G t / 2)): the one form of both.
+
+    unital_lambdas and the lifetime equation read the signal parameters
+    off these two.  Below G t / 2 = 20, where g/G is a normal double, A is
+    asinh of (g/G) sinh(G t / 2) as it stands.  Elsewhere (g/G) sinh(G t /
+    2) = (g/G) (1 - q) / (2 sqrt(q)) is taken through its log, with g/G's
+    log, so A stays finite where q underflows or g/G is subnormal.  Both
+    are 0 for pure loss and at t = 0.
+    """
+    half_log_q = params.decay_rates[0] * t
+    r_gamma = params.decay_rates[2]
+    # G t / 2 < 20, t >= 0 and g/G normal.  Each comparison fails on NaN, so a t
+    # that is NaN, negative or infinite takes the log form, whose _mode_ratio refuses it
+    if half_log_q > -20.0 and t >= 0.0 and r_gamma >= _DOUBLE_MIN:
+        return r_gamma * half_log_q, math.asinh(r_gamma * math.sinh(-half_log_q))
     log_q, one_minus_q = _mode_ratio(params, t)
-    _, _, r_gamma, _, log_r_gamma, _, _ = params.decay_rates
+    log_r_gamma = params.decay_rates[4]
     if log_r_gamma == _NEG_INF or one_minus_q == 0.0:
         # pure loss (or t = 0): the unital part is the identity map
-        return 1.0, 1.0
+        return 0.0, 0.0
     # log of (g/G) sinh(G t / 2) = (g/G) (1 - q) / (2 sqrt(q))
     log_sinh = log_r_gamma + math.log(one_minus_q) - _LN2 - 0.5 * log_q
     # asinh(y) = log(2 y) to double precision once y > e^20
@@ -207,8 +228,7 @@ def _lambda_xz(params: ChannelParams, t: float) -> tuple[float, float]:
     # subnormal g/G cannot round to 0 against log q = -inf.  Where g/G
     # rounded to 0, g t / 2 is below 1e-323 G t / 2 and is dropped, as
     # 0 times log q = -inf would be NaN.
-    half_g_t = r_gamma * (0.5 * log_q) if r_gamma > 0.0 else 0.0
-    return math.exp(half_g_t - big_a), math.exp(-2.0 * big_a)
+    return (r_gamma * (0.5 * log_q) if r_gamma > 0.0 else 0.0), big_a
 
 
 def _fixed_point(log_hh: float, log_vv: float, log_hv: float) -> tuple[float, float, float]:

@@ -1,5 +1,6 @@
 """Lifetime equation, conditional states, and the optimal initial state."""
 
+import hashlib
 import math
 import random
 import sys
@@ -414,7 +415,7 @@ def test_max_lifetime_reference_pair_regression():
     result = max_lifetime(REFERENCE, REFERENCE)
     assert result.tau == 0.4947890675227557
     assert result.bracket == (0.4947890673897096, 0.4947890676558018)
-    assert result.residual == -8.83324524636464e-11
+    assert result.residual == -8.833234144134394e-11
     assert result.iterations == 11
     assert result.evaluations == {"bracket": 4, "secant": 6, "bisection": 1}
 
@@ -427,14 +428,14 @@ def test_max_lifetime_reference_pair_regression():
 # evaluations
 PINNED_ROOTS = {
     "reference": (REFERENCE, REFERENCE, "0x1.faa9fc3db6db7p-2",
-                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d800000000p-34",
+                  ("0x1.faa9fc3b6db6ep-2", "0x1.faa9fc4000000p-2"), "-0x1.847d600000000p-34",
                   (4, 6, 1)),
     "symmetric-depolarization": (
         depolarizing(1.0), depolarizing(1.0), "0x1.193ea7ab00000p-1",
         ("0x1.193ea7aa00000p-1", "0x1.193ea7ac00000p-1"), "-0x1.7e7b000000000p-35", (2, 3, 1)),
     "pure-loss-against-depolarization": (
         ChannelParams(100.0, 0.0, 0.0), depolarizing(0.01), "0x1.b771e5fb30000p+6",
-        ("0x1.b771e5f9a0000p+6", "0x1.b771e5fcc0000p+6"), "-0x1.7e7a800000000p-35", (2, 3, 1)),
+        ("0x1.b771e5f9a0000p+6", "0x1.b771e5fcc0000p+6"), "-0x1.7e7b000000000p-35", (2, 3, 1)),
     # one root reached by two search paths: the bisection stops at different points
     "strong-balanced-loss": (
         ChannelParams(1000.0, 1000.0, 0.001), ChannelParams(1000.0, 1000.0, 0.001),
@@ -451,7 +452,7 @@ PINNED_ROOTS = {
         ("0x0.4848398b9816cp-1022", "0x0.4848398bdbc44p-1022"), "0x1.6ab2000000000p-36", (2, 5, 3)),
     "tiny-depolarization": (
         ChannelParams(1.0, 0.0, 1e-200), ChannelParams(1.0, 0.0, 1e-200), "0x1.cc6c43872b000p+9",
-        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395dc00000000p-34", (12, 9, 7)),
+        ("0x1.cc6c43872a000p+9", "0x1.cc6c43872c000p+9"), "0x1.395d800000000p-34", (12, 9, 7)),
     "no-root": (depolarizing(1e-320), ChannelParams(0.0, 0.0, 0.0), None,
                 ("0x0.0p+0", "0x1.fffffffffffffp+1023"), "0x1.fffffffffa120p+0", (1, 0, 0)),
 }
@@ -467,6 +468,46 @@ def test_max_lifetime_is_pinned_to_the_bit(case):
     assert result.evaluations == dict(zip(("bracket", "secant", "bisection"), evaluations))
     assert list(result.evaluations) == ["bracket", "secant", "bisection"]
     assert result.iterations == sum(evaluations)
+
+
+def _scan_like_pairs(seed: int, count: int) -> list:
+    """Rate pairs drawn as the benchmark's scan draws them.
+
+    Each rate is 0 with probability 1/4, else log-uniform on [1e-3, 1e3].
+    Of every 10 pairs, one is symmetric pure depolarization and one pure
+    loss against pure depolarization, in either order.
+    """
+    rng = random.Random(seed)
+
+    def log_uniform():
+        return 10.0 ** rng.uniform(-3.0, 3.0)
+
+    def rate():
+        return 0.0 if rng.random() < 0.25 else log_uniform()
+
+    pairs = []
+    for k in range(count):
+        if k % 10 == 0:
+            pairs.append((depolarizing(log_uniform()),) * 2)
+        elif k % 10 == 1:
+            pair = ChannelParams(rate(), rate(), 0.0), depolarizing(log_uniform())
+            pairs.append(pair[::-1] if rng.random() < 0.5 else pair)
+        else:
+            pairs.append(tuple(ChannelParams(rate(), rate(), rate()) for _ in range(2)))
+    return pairs
+
+
+def test_tau_and_psi_are_pinned_over_a_scan_like_sample():
+    # float.hex of tau and of psi on 300 pairs, 283 with a root: a change to how g is
+    # evaluated that moves any root, by a single bit, fails here
+    digest = hashlib.sha256()
+    for line1, line2 in _scan_like_pairs(2024, 300):
+        tau = max_lifetime(line1, line2).tau
+        digest.update(repr(None if tau is None else tau.hex()).encode())
+        if tau is not None:
+            psi = optimal_state(line1, line2, tau).psi
+            digest.update(repr([(z.real.hex(), z.imag.hex()) for z in psi]).encode())
+    assert digest.hexdigest() == "90d348cded4436664772ce0d021f0fc61781df49826e13d418f11074cd7d2530"
 
 
 def test_max_lifetime_needs_few_g_evaluations_per_root():
