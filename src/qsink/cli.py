@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,12 +38,13 @@ EXIT_VALIDATION = 3
 
 # evolve works through its time grid this many rows at a time: enough for
 # the stacked numpy calls to amortize, few enough to keep the stacks small.
-# Larger blocks save per-call costs in x_state_traces, but negativity's
-# separability certificate clears only whole blocks: on 5000 rows with a
-# custom state, blocks of 1024 cleared 2952 rows (256: 3208), and the
-# evolve child took no less time (median 202-204 ms against 200 ms, 60
-# alternating runs) and peaked 1.3 MiB higher (36.1 MiB against 34.8), on
-# a shared 2-vCPU VM
+# Larger blocks save per-call costs, but negativity's separability
+# certificate clears only whole blocks: on 5000 rows with a custom state,
+# blocks of 1024 cleared 2952 rows (256: 3208).  There, blocks of 1024
+# saved 1.5 ms of a 41.6 ms pass in process, but nothing in the evolve
+# child (medians 165.9 ms against 166.9 ms, paired median -0.8 ms, faster
+# in 32 of 60 alternating pairs), which peaked 1.3 MiB higher (35.1 MiB
+# against 33.8), on a shared 2-vCPU VM with one BLAS thread
 EVOLVE_BLOCK = 256
 
 _JOB_KEYS = ("line1", "line2", "t_max", "output_path", "format")
@@ -186,10 +188,14 @@ def _write(cfg: JobConfig, record: dict, columns: dict[str, list] | None = None)
         # NaN and Infinity are not JSON: refuse them instead of printing them
         text = json.dumps(record, indent=2, allow_nan=False) + "\n"
     else:
-        rows = list(zip(*columns.values()))
-        # each column's format from its first value; %.17g is format(x, ".17g")
-        row_format = ",".join("%.17g" if isinstance(x, float) else "%d" for x in rows[0])
-        text = "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n"
+        # each column's format from its first value; %.17g is format(x, ".17g").
+        # The body is one % over every value, row after row
+        row_format = ",".join(
+            "%.17g" if isinstance(values[0], float) else "%d" for values in columns.values()
+        )
+        rows = len(next(iter(columns.values())))
+        body = "\n".join([row_format] * rows) % tuple(chain.from_iterable(zip(*columns.values())))
+        text = f"{','.join(columns)}\n{body}\n"
     if cfg.output_path is None:
         sys.stdout.write(text)
     else:
@@ -261,10 +267,8 @@ def cmd_evolve(cfg: JobConfig) -> int:
     # 2 tau may lie past the double range where tau does not
     t_max = cfg.t_max if cfg.t_max is not None else min(2.0 * result.tau, sys.float_info.max)
     # the two standard states a|HH> + b|VV>, each by its log(a^2 / b^2)
-    standard = {
-        "psi_plus": 0.0,
-        "optimal": optimal_state(cfg.line1, cfg.line2, result.tau).log_weight_ratio,
-    }
+    standard = ("psi_plus", "optimal")
+    ratios = (0.0, optimal_state(cfg.line1, cfg.line2, result.tau).log_weight_ratio)
 
     # Column order is part of the output contract; a custom state appends
     # its two columns after the standard five.
@@ -281,10 +285,14 @@ def cmd_evolve(cfg: JobConfig) -> int:
         entries1 = entry_logs_over_slow(cfg.line1, block)
         entries2 = entries1 if same else entry_logs_over_slow(cfg.line2, block)
         slow = entries1[0] * entries2[0]
-        for name, log_weight_ratio in standard.items():
-            neg, prob = x_state_traces(log_weight_ratio, entries1[1], entries2[1])
-            table[f"negativity_{name}"].extend(neg.tolist())
-            table[f"detection_prob_{name}"].extend((slow * prob).tolist())
+        # one call for both standard states.  slow * prob is the detection
+        # probability; where no photon is lost its rounding may pass 1, so
+        # it is held to 1
+        negs, probs = x_state_traces(ratios, entries1[1], entries2[1])
+        probs = np.minimum(slow * probs, 1.0)
+        for name, neg, prob in zip(standard, negs.tolist(), probs.tolist()):
+            table[f"negativity_{name}"].extend(neg)
+            table[f"detection_prob_{name}"].extend(prob)
         if cfg.initial_state is not None:
             # the maps over their slow modes give the same conditional state
             # and stay finite where the photons are surely lost
@@ -292,7 +300,7 @@ def cmd_evolve(cfg: JobConfig) -> int:
             maps2 = maps1 if same else superop_over_slow(cfg.line2, block, entries2)[1]
             conditional, prob = conditional_state(maps1, maps2, cfg.initial_state)
             table["negativity_custom"].extend(negativity(conditional).tolist())
-            table["detection_prob_custom"].extend((slow * prob).tolist())
+            table["detection_prob_custom"].extend(np.minimum(slow * prob, 1.0).tolist())
     _write(cfg, table, table)
     return EXIT_OK
 

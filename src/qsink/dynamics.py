@@ -252,11 +252,12 @@ def entry_logs_over_slow(params: ChannelParams, times: Sequence[float]) -> tuple
     """
     import numpy as np
 
-    rows = []
+    # one flat list of the rows' five values, which numpy reads faster than tuples
+    flat = []
     for time in times:
         slow, log_q, one_minus_q = decay_modes(params, time)
-        rows.append((slow, *_entry_logs(params, log_q, one_minus_q)))
-    table = np.array(rows).reshape(-1, 5)
+        flat += (slow, *_entry_logs(params, log_q, one_minus_q))
+    table = np.array(flat).reshape(-1, 5)
     return table[:, 0], table[:, 1:]
 
 

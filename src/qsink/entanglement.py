@@ -23,6 +23,7 @@ and OptimalState.rho) import numpy and linalg in their own bodies.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dynamics import _DOUBLE_MAX, ChannelParams, _entry_logs, _mode_ratio
@@ -154,8 +155,14 @@ def conditional_state(
     if s1.shape[-2:] != (4, 4) or s2.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 maps, got shapes {s1.shape} and {s2.shape}")
     initial = _check_state(initial, normalized=True)
-    # on the reshuffled state the product map is s1 X s2^T
-    raw = _reshuffle(s1 @ _reshuffle(initial) @ np.swapaxes(s2, -1, -2))
+    # on the reshuffled state the product map is s1 X s2^T.  One X for a
+    # stack of maps: s1 X as one 2-D product over the stacked rows of s1
+    x = _reshuffle(initial)
+    if x.ndim == 2:
+        s1_x = (s1.reshape(-1, 4) @ x).reshape(s1.shape[:-2] + (4, 4))
+    else:
+        s1_x = s1 @ x
+    raw = _reshuffle(s1_x @ np.swapaxes(s2, -1, -2))
     prob = np.trace(raw, axis1=-2, axis2=-1).real
     _refuse_flagged(prob, prob <= MIN_DETECTION_PROB, "detection probability vanished ({:.3e})")
     return raw / prob[..., None, None], prob
@@ -178,14 +185,14 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _largest_population(logs: np.ndarray) -> np.ndarray:
-    """Per time, the largest of the population terms' logs (the first 8 of 9); 0 if all are -inf."""
-    largest = logs[:8].max(axis=0)
+    """Per state and time, the largest population term's log (of the first 8); 0 if all are -inf."""
+    largest = logs[:, :8].max(axis=1)
     largest[largest == -math.inf] = 0.0
     return largest
 
 
 def x_state_traces(
-    log_weight_ratio: float, logs1: np.ndarray, logs2: np.ndarray
+    log_weight_ratio: float | Sequence[float], logs1: np.ndarray, logs2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Negativity and detection probability of a|HH> + b|VV> through two lines, in closed form.
 
@@ -194,7 +201,10 @@ def x_state_traces(
     modes, (log H, log V, log h, log c) per row
     (dynamics.entry_logs_over_slow).  Returns the negativity (T,) and the
     detection probability (T,) over the product of the slow modes, like
-    conditional_state's.  The output is an X-state (Yu and Eberly, Quantum
+    conditional_state's.  A sequence of S ratios gives (S, T) of each, row
+    k the bits of the call with ratio k alone: every step below acts per
+    element, and each sum over terms adds them in the same order.  The
+    output is an X-state (Yu and Eberly, Quantum
     Inf. Comput. 7, 459 (2007)), with unnormalized diagonal
 
         rho11 = a^2 H1 H2 + b^2 h1 h2,    rho22 = a^2 H1 h2 + b^2 h1 V2,
@@ -214,8 +224,16 @@ def x_state_traces(
     """
     import numpy as np
 
-    log_a2, log_b2 = min(log_weight_ratio, 0.0), min(-log_weight_ratio, 0.0)
-    weights = np.array([log_a2, log_b2, 0.5 * (log_a2 + log_b2)])[_X_WEIGHT, None]
+    single = np.ndim(log_weight_ratio) == 0
+    ratios = [log_weight_ratio] if single else list(log_weight_ratio)
+    # per state (log a^2, log b^2, log ab), the larger weight being 1, and
+    # a^2 + b^2 = 1 + exp(-|log(a^2 / b^2)|)
+    weight_logs, norms = [], []
+    for ratio in ratios:
+        log_a2, log_b2 = min(ratio, 0.0), min(-ratio, 0.0)
+        weight_logs.append((log_a2, log_b2, 0.5 * (log_a2 + log_b2)))
+        norms.append(1.0 + math.exp(-abs(ratio)))
+    weights = np.array(weight_logs).reshape(-1, 3)[:, _X_WEIGHT, None]
     # a term with a log of -inf is 0, its error terms (-inf - -inf) dropped.
     # Every log is <= 0, so a sum past the doubles is -inf: a zero term, as a
     # log of -inf already is
@@ -224,33 +242,34 @@ def x_state_traces(
         total, error2 = _two_sum(total, logs2.T[_X_LINE2])
         # scaled by the largest population term at each time
         scale = _largest_population(total)
-        total, error3 = _two_sum(total, -scale)
+        total, error3 = _two_sum(total, -scale[:, None])
         exponent = np.where(total > -np.inf, total + (error1 + error2 + error3), -np.inf)
     # the corrections are ulps of the logs: they move the largest term by
     # more than a factor e only for logs far past 2^52, and such times are
     # scaled again
     rescale = _largest_population(exponent)
     rescale[np.abs(rescale) <= 1.0] = 0.0
-    exponent -= rescale
+    exponent -= rescale[:, None]
     scale += rescale
     # no term exceeds the largest population term (c^2 <= H V on each line),
     # and the corner is at most sqrt(rho11 rho44) in every state; logs that
     # coarse may break both, so exponents are held to 1, where no term
     # overflows, and the corner to its bound
     terms = np.exp(np.minimum(exponent, 1.0))
-    populations = terms[:8].reshape(4, 2, -1).sum(axis=1)
-    corner = np.minimum(terms[8], np.sqrt(populations[0]) * np.sqrt(populations[3]))
-    trace = populations.sum(axis=0)
+    # the populations' pairs, and then the trace, summed in order
+    populations = terms[:, 0:8:2] + terms[:, 1:8:2]
+    corner = np.minimum(terms[:, 8], np.sqrt(populations[:, 0]) * np.sqrt(populations[:, 3]))
+    trace = ((populations[:, 0] + populations[:, 1]) + populations[:, 2]) + populations[:, 3]
     # a state whose every term vanishes keeps negativity and probability 0
     per_trace = 1.0 / np.where(trace > 0.0, trace, 1.0)
-    rho22, rho33 = populations[1] * per_trace, populations[2] * per_trace
+    rho22, rho33 = populations[:, 1] * per_trace, populations[:, 2] * per_trace
     rho14 = corner * per_trace
     excess = rho14 * rho14 - rho22 * rho33
     neg = np.zeros(excess.shape)
     np.divide(excess, np.hypot(0.5 * (rho22 - rho33), rho14) + 0.5 * (rho22 + rho33),
               out=neg, where=excess > 0.0)
-    # a^2 + b^2 = 1 + exp(-|log(a^2 / b^2)|), the larger weight being 1
-    return neg, np.exp(scale) * trace / (1.0 + math.exp(-abs(log_weight_ratio)))
+    prob = np.exp(scale) * trace / np.array(norms)[:, None]
+    return (neg[0], prob[0]) if single else (neg, prob)
 
 
 def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> float:

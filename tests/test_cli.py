@@ -353,7 +353,7 @@ def test_evolve_output_does_not_depend_on_the_block_size(capsys, tmp_path, monke
 def test_evolve_forms_equal_lines_once(capsys, tmp_path, monkeypatch, line2, per_block):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"initial_state": NON_X_STATE}))
-    calls = {"entry_logs_over_slow": 0, "superop_over_slow": 0}
+    calls = {"entry_logs_over_slow": 0, "superop_over_slow": 0, "x_state_traces": 0}
     for name in calls:
         def counted(*args, _name=name, _call=getattr(cli, name)):
             calls[_name] += 1
@@ -363,8 +363,31 @@ def test_evolve_forms_equal_lines_once(capsys, tmp_path, monkeypatch, line2, per
     argv = ["evolve", *REFERENCE_ARGS[:6], *line2, "--steps", "10", "--config", str(path)]
     code, _, err = run(capsys, argv)
     assert code == EXIT_OK, err
-    # three blocks of at most four rows
-    assert calls == {"entry_logs_over_slow": 3 * per_block, "superop_over_slow": 3 * per_block}
+    # three blocks of at most four rows, and one closed-form call per block
+    # for both standard states
+    assert calls == {"entry_logs_over_slow": 3 * per_block, "superop_over_slow": 3 * per_block,
+                     "x_state_traces": 3}
+
+
+@pytest.mark.parametrize("lines", [
+    # no line loses photons, then only the second
+    ["--g1", "1", "--g2", "1"],
+    ["--g1", "1"],
+    # equal loss on H and V, then the reference lines' unequal loss
+    ["--gh1", "2", "--gv1", "2", "--g1", "1", "--gh2", "2", "--gv2", "2", "--g2", "1"],
+    REFERENCE_ARGS,
+])
+def test_evolve_detection_probabilities_lie_in_the_unit_interval(capsys, tmp_path, lines):
+    # over the slow modes a probability may round past 1 where nothing is
+    # lost; the printed probability is held to 1
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"initial_state": NON_X_STATE}))
+    argv = ["evolve", *lines, "--steps", "400", "--config", str(path), "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    record = json.loads(out)
+    for name in ("detection_prob_psi_plus", "detection_prob_optimal", "detection_prob_custom"):
+        assert all(0.0 <= p <= 1.0 for p in record[name]), name
 
 
 def test_evolve_custom_state_output_is_pinned(capsys, tmp_path):

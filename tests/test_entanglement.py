@@ -46,6 +46,10 @@ def depolarizing(g: float) -> ChannelParams:
     return ChannelParams(0.0, 0.0, g)
 
 
+MODERATE_RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+DEPOLARIZING_LINES = st.builds(ChannelParams, MODERATE_RATES, MODERATE_RATES, MODERATE_RATES)
+
+
 # ---------------------------------------------------------------------------
 # negativity / is_entangled
 # ---------------------------------------------------------------------------
@@ -152,6 +156,28 @@ def test_stacked_conditional_state_and_negativity_match_single_calls(rng):
             assert np.max(np.abs(states[k] - state)) <= 1e-14
             assert abs(probs[k] - prob) <= 1e-14
             assert abs(negs[k] - negativity(state)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(DEPOLARIZING_LINES, DEPOLARIZING_LINES,
+       st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40),
+       st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32), st.booleans())
+def test_each_row_of_a_stacked_conditional_state_is_that_row_alone(params1, params2, times, entries,
+                                                                   shared_second_map):
+    # bit for bit: one state through a stack of maps is one 2-D product over
+    # the stacked rows, a single pair of maps one 4x4 product
+    a = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
+    initial = a @ a.conj().T + 0.01 * np.eye(4)
+    initial /= np.trace(initial).real
+    maps1 = superop_over_slow(params1, times)[1]
+    maps2 = superop_over_slow(params2, times)[1]
+    if shared_second_map:
+        maps2 = maps2[0]
+    states, probs = conditional_state(maps1, maps2, initial)
+    for k in range(len(times)):
+        state, prob = conditional_state(maps1[k], maps2 if shared_second_map else maps2[k], initial)
+        assert states[k].tobytes() == state.tobytes()
+        assert probs[k].hex() == prob.hex()
 
 
 def test_stacks_with_one_bad_row_are_rejected():
@@ -676,10 +702,6 @@ def test_unital_parts_kill_psi_plus_exactly_at_the_lifetime():
 # ---------------------------------------------------------------------------
 # the standard states a|HH> + b|VV> in closed form
 # ---------------------------------------------------------------------------
-
-MODERATE_RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
-DEPOLARIZING_LINES = st.builds(ChannelParams, MODERATE_RATES, MODERATE_RATES, MODERATE_RATES)
-
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(DEPOLARIZING_LINES, DEPOLARIZING_LINES, st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6))

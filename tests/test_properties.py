@@ -29,8 +29,8 @@ from conftest import (
     plain_bisection,
     subprocess_env,
 )
-from qsink.dynamics import ChannelParams, decay_modes, ptm_at
-from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state
+from qsink.dynamics import ChannelParams, decay_modes, entry_logs_over_slow, ptm_at
+from qsink.entanglement import lifetime_lhs, max_lifetime, optimal_state, x_state_traces
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
     _fixed_point,
@@ -277,6 +277,27 @@ def test_optimal_state_is_a_unit_vector_wherever_a_lifetime_exists(params1, para
     psi = optimal_state(params1, params2, tau).psi
     assert np.all(np.isfinite(psi))
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(LINES, LINES, st.lists(TIMES, min_size=1, max_size=8),
+       st.lists(st.floats(allow_nan=False), max_size=3))
+def test_x_state_traces_over_ratios_are_the_one_ratio_calls(params1, params2, times, drawn):
+    # a sequence of S ratios gives (S, T) of each column, row k the bits of
+    # the call with ratio k alone: |VV>, |HH>, the maximally entangled pair,
+    # the optimal state where there is one, and any other ratio
+    ratios = [-math.inf, math.inf, 0.0, *drawn]
+    tau = max_lifetime(params1, params2).tau
+    if tau is not None:
+        ratios.append(optimal_state(params1, params2, tau).log_weight_ratio)
+    logs1, logs2 = entry_logs_over_slow(params1, times)[1], entry_logs_over_slow(params2, times)[1]
+    negs, probs = x_state_traces(ratios, logs1, logs2)
+    assert negs.shape == probs.shape == (len(ratios), len(times))
+    for k, ratio in enumerate(ratios):
+        neg, prob = x_state_traces(ratio, logs1, logs2)
+        assert neg.shape == prob.shape == (len(times),)
+        assert [x.hex() for x in negs[k].tolist()] == [x.hex() for x in neg.tolist()]
+        assert [x.hex() for x in probs[k].tolist()] == [x.hex() for x in prob.tolist()]
 
 
 def _assert_decompose_agrees_with_the_pauli_route(params, t):
