@@ -296,8 +296,8 @@ def cmd_evolve(cfg: JobConfig) -> int:
         if cfg.initial_state is not None:
             # the maps over their slow modes give the same conditional state
             # and stay finite where the photons are surely lost
-            maps1 = superop_over_slow(cfg.line1, block, entries1)[1]
-            maps2 = maps1 if same else superop_over_slow(cfg.line2, block, entries2)[1]
+            maps1 = superop_over_slow(entries1[1])
+            maps2 = maps1 if same else superop_over_slow(entries2[1])
             conditional, prob = conditional_state(maps1, maps2, cfg.initial_state)
             table["negativity_custom"].extend(negativity(conditional).tolist())
             table["detection_prob_custom"].extend(np.minimum(slow * prob, 1.0).tolist())

@@ -33,13 +33,13 @@ entries over its slow mode on the |H>, |V> matrix units: H = H<-H,
 V = V<-V, h = H<-V = V<-H and the coherence c.  Each is a sum of
 non-negative terms, finite where the modes underflow.
 entry_logs_over_slow() gathers them with the slow mode over a sequence of
-times, superop_over_slow() builds the map from them at one time or at a
-sequence of times, and the normal form in sinkhorn.py reads its fixed
-point, filters and middle map off the same logs.  ptm_at() forms the
-transfer matrix in closed form on the Pauli basis and scales it back by
-the slow mode.
-ptm_via_integration() recomputes the transfer matrix by brute-force
-integration of the master equation, as an independent cross-check;
+times, superop_over_slow() builds the maps from that table of logs, and
+the normal form in sinkhorn.py reads its fixed point, filters and middle
+map off the same logs.  ptm_at() forms the transfer matrix in closed form
+on the Pauli basis and scales it back by the slow mode.
+ptm_via_integration() recomputes the transfer matrices of a sequence of
+lines by brute-force integration of the master equation, as an
+independent cross-check;
 pauli_transfer() puts its result, or any map on the matrix units, on the
 Pauli basis.
 
@@ -261,32 +261,24 @@ def entry_logs_over_slow(params: ChannelParams, times: Sequence[float]) -> tuple
     return table[:, 0], table[:, 1:]
 
 
-def superop_over_slow(
-    params: ChannelParams, t: float | Sequence[float], entry_logs: tuple | None = None
-) -> tuple:
-    """The slow mode and the map at time t over it, on the matrix units of |H>, |V>.
+def superop_over_slow(logs: np.ndarray) -> np.ndarray:
+    """The maps (T, 4, 4) over their slow modes, from the entry logs (T, 4) of entry_logs_over_slow.
 
     The real 4x4 map acts on row-major vec'd |H><H|, |H><V|, |V><H|, |V><V|:
     entry [(a b), (i j)] is the part of L[|i><j|] along |a><b|.  Its entries
     are the exponentials of _entry_logs(), at most 1 and finite for every
     t; only the slow mode underflows at times where the photon is surely
     lost.  Rescaling a map leaves the conditional state alone, so the
-    quotient is all that state needs.  A sequence of times gives the slow
-    modes (T,) and a stack (T, 4, 4) of maps, each row formed exactly as it
-    is alone.  Where entry_logs, the entry_logs_over_slow(params, t) of a
-    sequence of times, is given, the map is built from it instead.
+    quotient is all that state needs.  Each row is formed from its own logs
+    alone.
     """
     import numpy as np
 
-    single = np.ndim(t) == 0
-    if entry_logs is None:
-        entry_logs = entry_logs_over_slow(params, [t] if single else t)
-    slows, logs = entry_logs
     # per row: H<-H, V<-V, H<-V = V<-H and the two coherences
     entries = np.array(list(map(math.exp, logs.ravel().tolist()))).reshape(-1, 4)
     s = np.zeros((len(entries), 4, 4))
     s[:, [0, 3, 0, 3, 1, 2], [0, 3, 3, 0, 1, 2]] = entries[:, [0, 1, 2, 2, 3, 3]]
-    return (float(slows[0]), s[0]) if single else (slows, s)
+    return s
 
 
 def ptm_at(params: ChannelParams, t: float) -> np.ndarray:
@@ -327,10 +319,8 @@ def pauli_transfer(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ptm_via_integration(
-    params: ChannelParams | Sequence[ChannelParams], t: float, dt: float
-) -> np.ndarray:
-    """Transfer matrix at time t from RK4 integration of the master equation.
+def ptm_via_integration(params: Sequence[ChannelParams], t: float, dt: float) -> np.ndarray:
+    """Transfer matrices (N, 4, 4) of N lines at time t from RK4 integration of the master equation.
 
     The generator is the literal right-hand side on the four 2x2 matrix
     units: anticommutator and Pauli sandwiches, nothing of the closed form.
@@ -340,9 +330,8 @@ def ptm_via_integration(
     set, about 2 log2(n) products in all.  The state holds the four Pauli
     inputs vec'd, read off by pauli_transfer().
 
-    params may also be a sequence of lines; the result is then a stack
-    (N, 4, 4).  All lines share the step dt, so they share n, and each gets
-    the same products it would get alone.
+    All lines share the step dt, so they share n, and each row gets the
+    products its line would get alone.
     """
     import numpy as np
 
@@ -350,20 +339,18 @@ def ptm_via_integration(
 
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    single = isinstance(params, ChannelParams)
-    cases = [params] if single else list(params)
     if t == 0.0:
-        out = np.tile(np.eye(4), (len(cases), 1, 1))
-        return out[0] if single else out
+        return np.tile(np.eye(4), (len(params), 1, 1))
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
     n = max(1, math.ceil(min(t / dt, MAX_RK4_STEPS)))
     h = t / n
 
-    # each line's rates (N, 1, ...) against the units (4, 2, 2), unit k at divmod(k, 2)
-    rates = np.array([(c.gamma_h, c.gamma_v, c.gamma) for c in cases])
+    # each line's rates (N, 1, ...) against the units (4, 2, 2), unit k at divmod(k, 2);
+    # (N, 3) also where N = 0
+    rates = np.array([(c.gamma_h, c.gamma_v, c.gamma) for c in params]).reshape(-1, 3)
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    loss = np.zeros((len(cases), 1, 2, 2), dtype=complex)
+    loss = np.zeros((len(rates), 1, 2, 2), dtype=complex)
     loss[:, 0, 0, 0], loss[:, 0, 1, 1] = rates[:, 0], rates[:, 1]
     g = rates[:, 2, None, None, None]
     rhs = -0.5 * (loss @ units + units @ loss)
@@ -387,5 +374,4 @@ def ptm_via_integration(
         n //= 2
         if n:
             power = power @ power
-    out = pauli_transfer(state)
-    return out[0] if single else out
+    return pauli_transfer(state)

@@ -16,8 +16,8 @@ form, while conditional_state() and negativity() take any state.
 
 The lifetime and the optimal state are math alone: lifetime_lhs,
 max_lifetime and optimal_state run, and the module loads, without numpy.
-The functions on arrays (negativity, conditional_state, x_state_traces,
-and OptimalState.rho) import numpy and linalg in their own bodies.
+The functions on arrays (negativity, conditional_state and x_state_traces)
+import numpy and linalg in their own bodies.
 """
 
 from __future__ import annotations
@@ -142,26 +142,24 @@ def conditional_state(
     s1 and s2 are the maps of the two lines in the matrix-unit basis: 4x4
     matrices on row-major vec'd 2x2 operators, whose entry [(a b), (i j)]
     is the part of L[|i><j|] along |a><b| (dynamics.superop_over_slow).
-    Applies the product map (s1 on the first qubit, s2 on the second) to a
-    normalized initial state and renormalizes by the surviving trace.  With
-    stacks of maps (..., 4, 4) the result is one state and one probability
-    per map pair.
+    Applies the product map (s1 on the first qubit, s2 on the second) to
+    one normalized initial state and renormalizes by the surviving trace.
+    With stacks of maps (..., 4, 4) the result is one state and one
+    probability per map pair; a stack of initial states is refused.
     """
     import numpy as np
 
     from .linalg import _refuse_flagged
 
-    s1, s2 = np.asarray(s1), np.asarray(s2)
+    s1, s2, initial = np.asarray(s1), np.asarray(s2), np.asarray(initial)
     if s1.shape[-2:] != (4, 4) or s2.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 maps, got shapes {s1.shape} and {s2.shape}")
-    initial = _check_state(initial, normalized=True)
-    # on the reshuffled state the product map is s1 X s2^T.  One X for a
-    # stack of maps: s1 X as one 2-D product over the stacked rows of s1
-    x = _reshuffle(initial)
-    if x.ndim == 2:
-        s1_x = (s1.reshape(-1, 4) @ x).reshape(s1.shape[:-2] + (4, 4))
-    else:
-        s1_x = s1 @ x
+    if initial.ndim > 2:
+        raise ValueError(f"expected one initial state, got a stack of shape {initial.shape}")
+    # on the reshuffled state the product map is s1 X s2^T: s1 X as one
+    # 2-D product over the stacked rows of s1
+    x = _reshuffle(_check_state(initial, normalized=True))
+    s1_x = (s1.reshape(-1, 4) @ x).reshape(s1.shape[:-2] + (4, 4))
     raw = _reshuffle(s1_x @ np.swapaxes(s2, -1, -2))
     prob = np.trace(raw, axis1=-2, axis2=-1).real
     _refuse_flagged(prob, prob <= MIN_DETECTION_PROB, "detection probability vanished ({:.3e})")
@@ -192,20 +190,19 @@ def _largest_population(logs: np.ndarray) -> np.ndarray:
 
 
 def x_state_traces(
-    log_weight_ratio: float | Sequence[float], logs1: np.ndarray, logs2: np.ndarray
+    log_weight_ratios: Sequence[float], logs1: np.ndarray, logs2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Negativity and detection probability of a|HH> + b|VV> through two lines, in closed form.
 
-    log_weight_ratio is log(a^2 / b^2), -inf for |VV> and +inf for |HH>;
-    logs1 and logs2 are the two lines' entry logs (T, 4) over their slow
-    modes, (log H, log V, log h, log c) per row
-    (dynamics.entry_logs_over_slow).  Returns the negativity (T,) and the
-    detection probability (T,) over the product of the slow modes, like
-    conditional_state's.  A sequence of S ratios gives (S, T) of each, row
-    k the bits of the call with ratio k alone: every step below acts per
-    element, and each sum over terms adds them in the same order.  The
-    output is an X-state (Yu and Eberly, Quantum
-    Inf. Comput. 7, 459 (2007)), with unnormalized diagonal
+    log_weight_ratios holds S states' log(a^2 / b^2), -inf for |VV> and
+    +inf for |HH>; logs1 and logs2 are the two lines' entry logs (T, 4)
+    over their slow modes, (log H, log V, log h, log c) per row
+    (dynamics.entry_logs_over_slow).  Returns the negativity (S, T) and the
+    detection probability (S, T) over the product of the slow modes, like
+    conditional_state's.  Row k holds the bits of the call with ratio k
+    alone: every step below acts per element, and each sum over terms adds
+    them in the same order.  The output is an X-state (Yu and Eberly,
+    Quantum Inf. Comput. 7, 459 (2007)), with unnormalized diagonal
 
         rho11 = a^2 H1 H2 + b^2 h1 h2,    rho22 = a^2 H1 h2 + b^2 h1 V2,
         rho33 = a^2 h1 H2 + b^2 V1 h2,    rho44 = a^2 h1 h2 + b^2 V1 V2,
@@ -224,12 +221,10 @@ def x_state_traces(
     """
     import numpy as np
 
-    single = np.ndim(log_weight_ratio) == 0
-    ratios = [log_weight_ratio] if single else list(log_weight_ratio)
     # per state (log a^2, log b^2, log ab), the larger weight being 1, and
     # a^2 + b^2 = 1 + exp(-|log(a^2 / b^2)|)
     weight_logs, norms = [], []
-    for ratio in ratios:
+    for ratio in log_weight_ratios:
         log_a2, log_b2 = min(ratio, 0.0), min(-ratio, 0.0)
         weight_logs.append((log_a2, log_b2, 0.5 * (log_a2 + log_b2)))
         norms.append(1.0 + math.exp(-abs(ratio)))
@@ -268,8 +263,7 @@ def x_state_traces(
     neg = np.zeros(excess.shape)
     np.divide(excess, np.hypot(0.5 * (rho22 - rho33), rho14) + 0.5 * (rho22 + rho33),
               out=neg, where=excess > 0.0)
-    prob = np.exp(scale) * trace / np.array(norms)[:, None]
-    return (neg[0], prob[0]) if single else (neg, prob)
+    return neg, np.exp(scale) * trace / np.array(norms)[:, None]
 
 
 def lifetime_lhs(params1: ChannelParams, params2: ChannelParams, t: float) -> float:
@@ -496,18 +490,6 @@ class OptimalState(NamedTuple):
     schmidt_coefficients: tuple[float, float]
     filter_shapes: tuple[tuple[float, float], tuple[float, float]]
     log_weight_ratio: float
-
-    @property
-    def rho(self) -> np.ndarray:
-        """|psi><psi| as a complex 4x4 array, built on each read.
-
-        psi is real, so psi psi^T has the bits of the outer product with
-        psi's conjugate.
-        """
-        import numpy as np
-
-        psi = np.array(self.psi)
-        return psi[:, None] * psi
 
 
 def optimal_state(

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import ChannelParams, pauli_transfer, ptm_at, ptm_via_integration, superop_over_slow
+from .dynamics import (ChannelParams, entry_logs_over_slow, pauli_transfer, ptm_at,
+                       ptm_via_integration, superop_over_slow)
 from .entanglement import max_lifetime
 from .linalg import PAULI_INPUTS
 from .sinkhorn import SinkhornDecomposition, decompose, fixed_point_iterate
@@ -167,8 +168,9 @@ def run_all() -> list[SuiteResult]:
     """Every suite's verdict, on maps and normal forms that are each formed once."""
     closed = np.array([[ptm_at(params, t) for t in TIME_GRID] for params in GRID])
     # each line's maps over their slow modes, scaled back and put on the Pauli basis at once
-    over_slow = [superop_over_slow(params, TIME_GRID) for params in GRID]
-    entry_maps = np.array([slows[:, None, None] * maps for slows, maps in over_slow])
+    over_slow = [entry_logs_over_slow(params, TIME_GRID) for params in GRID]
+    entry_maps = np.array([slows[:, None, None] * superop_over_slow(logs)
+                           for slows, logs in over_slow])
     entry_maps = pauli_transfer(entry_maps @ PAULI_INPUTS)
     integrated = np.stack([ptm_via_integration(GRID, t, ORACLE_DT) for t in TIME_GRID], axis=1)
     # the normal form is checked on the depolarizing lines alone

@@ -28,7 +28,9 @@ from qsink.dynamics import (
     _log_add,
     _mode_ratio,
     decay_modes,
+    entry_logs_over_slow,
     ptm_at,
+    superop_over_slow,
 )
 from qsink.entanglement import negativity
 from qsink.linalg import PD_MIN_EIG, PSD_TOL, SIGMA, hermitian_part
@@ -314,6 +316,11 @@ def width_fixed_point(
 def entry_logs_at(params: ChannelParams, t: float) -> tuple[float, float, float, float]:
     """dynamics._entry_logs at time t: (log H, log V, log h, log c) over the slow mode."""
     return _entry_logs(params, *_mode_ratio(params, t))
+
+
+def map_over_slow(params: ChannelParams, t: float) -> np.ndarray:
+    """One line's 4x4 map over its slow mode at t: row 0 of the one-time superop_over_slow."""
+    return superop_over_slow(entry_logs_over_slow(params, [t])[1])[0]
 
 
 def decimal_fixed_point(params: ChannelParams, t: float) -> tuple:

@@ -13,13 +13,14 @@ import pytest
 from conftest import (
     PSI_PLUS,
     is_entangled,
+    map_over_slow,
     random_density,
     random_pure_density,
     random_separable,
     read_csv_columns,
 )
 from qsink.cli import EXIT_OK, main
-from qsink.dynamics import ChannelParams, ptm_at, superop_over_slow
+from qsink.dynamics import ChannelParams, ptm_at
 from qsink.entanglement import (
     conditional_state,
     max_lifetime,
@@ -125,10 +126,11 @@ def test_criterion_6_optimality(capsys):
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     state = optimal_state(REFERENCE, REFERENCE, tau)
 
-    m_before = superop_over_slow(REFERENCE, tau * (1.0 - 1e-3))[1]
-    survives = is_entangled(conditional_state(m_before, m_before, state.rho)[0])
+    m_before = map_over_slow(REFERENCE, tau * (1.0 - 1e-3))
+    rho_opt = np.outer(state.psi, np.conj(state.psi))
+    survives = is_entangled(conditional_state(m_before, m_before, rho_opt)[0])
 
-    m_after = superop_over_slow(REFERENCE, tau * (1.0 + 1e-3))[1]
+    m_after = map_over_slow(REFERENCE, tau * (1.0 + 1e-3))
     false_survivors = 0
     for k in range(200):
         rho = random_pure_density(rng, 4) if k < 150 else random_density(rng, 4)
@@ -163,8 +165,8 @@ def test_criterion_7_negativity_values(capsys):
 
 def test_criterion_8_postselection_invariance(capsys):
     t = 0.3
-    m1 = superop_over_slow(REFERENCE, t)[1]
-    m2 = superop_over_slow(REFERENCE, t)[1]
+    m1 = map_over_slow(REFERENCE, t)
+    m2 = map_over_slow(REFERENCE, t)
     base = negativity(conditional_state(m1, m2, RHO_PSI_PLUS)[0])
     worst = 0.0
     for p in (0.1, 0.5, 0.9):

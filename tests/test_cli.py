@@ -1221,7 +1221,8 @@ def test_the_lifetime_and_optimal_state_run_without_numpy():
         "entanglement.max_lifetime(line1, line2).tau)",
         # dataclasses would load inspect, ast, dis and tokenize with it
         "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])",
-        "state.rho",
+        # an array function loads numpy on its first call
+        "dynamics.ptm_at(line1, 0.3)",
         "print('numpy' in sys.modules)",
         # numpy loads inspect, but no qsink module loads dataclasses
         "import qsink.cli, qsink.validate",

@@ -12,12 +12,14 @@ from conftest import (
     entry_logs_at,
     is_cp,
     is_trace_nonincreasing,
+    map_over_slow,
     ptm_to_superop,
     random_density,
 )
 from qsink.dynamics import (
     ChannelParams,
     decay_modes,
+    entry_logs_over_slow,
     ptm_at,
     ptm_via_integration,
     superop_over_slow,
@@ -167,7 +169,7 @@ def test_abcd_rejects_negative_time():
         with pytest.raises(ValueError, match="finite and >= 0"):
             ptm_at(REFERENCE, t)
         with pytest.raises(ValueError):
-            ptm_via_integration(REFERENCE, t, 1e-3)
+            ptm_via_integration([REFERENCE], t, 1e-3)
 
 
 def test_ptm_layout():
@@ -189,16 +191,17 @@ def test_superop_over_slow_is_the_lifted_transfer_matrix(rng):
     for _ in range(50):
         params = ChannelParams(*rng.uniform(0.0, 5.0, size=3))
         t = float(rng.uniform(0.0, 3.0))
-        slow, s = superop_over_slow(params, t)
+        slows, logs = entry_logs_over_slow(params, [t])
+        slow, s = slows[0], superop_over_slow(logs)[0]
         assert slow == decay_modes(params, t)[0]
         assert np.max(np.abs(s - ptm_to_superop(ptm_at(params, t)) / slow)) <= 1e-15
 
 
 def test_superop_over_slow_entries_are_non_negative_past_underflow():
     for params in (REFERENCE, ChannelParams(100.0, 0.0, 0.01), ChannelParams(0.0, 0.0, 3.0)):
-        assert np.array_equal(superop_over_slow(params, 0.0)[1], np.eye(4))
+        assert np.array_equal(map_over_slow(params, 0.0), np.eye(4))
         for t in (0.3, 10.0, 1e4, 1e300):
-            s = superop_over_slow(params, t)[1]
+            s = map_over_slow(params, t)
             assert np.all((s >= 0.0) & (s <= 1.0))
             assert s[0, 3] == s[3, 0] and s[1, 1] == s[2, 2]
             mask = np.ones((4, 4), dtype=bool)
@@ -210,7 +213,7 @@ def test_superop_over_slow_entries_are_non_negative_past_underflow():
 def test_superop_over_slow_pure_loss_is_exact():
     # over the slower V mode, H keeps exp(-(gh - gv) t) and nothing crosses over
     t = 1.7
-    s = superop_over_slow(ChannelParams(3.0, 0.5, 0.0), t)[1]
+    s = map_over_slow(ChannelParams(3.0, 0.5, 0.0), t)
     assert s[0, 0] == math.exp(-2.5 * t) and s[3, 3] == 1.0
     assert s[0, 3] == 0.0
 
@@ -226,13 +229,16 @@ def test_superop_over_slow_pure_loss_is_exact():
     ],
 )
 def test_superop_over_slow_on_a_sequence_is_the_stacked_single_calls(params, times):
-    slows, maps = superop_over_slow(params, times)
+    # each row, bit for bit, is the row of the call on its own time alone
+    slows, logs = entry_logs_over_slow(params, times)
+    maps = superop_over_slow(logs)
     assert slows.shape == (len(times),) and maps.shape == (len(times), 4, 4)
     for k, t in enumerate(times):
-        slow, s = superop_over_slow(params, t)
-        assert type(slow) is float and s.shape == (4, 4)
-        assert slows[k].tobytes() == np.float64(slow).tobytes()
-        assert maps[k].tobytes() == s.tobytes()
+        slow, log_row = entry_logs_over_slow(params, [t])
+        s = superop_over_slow(log_row)
+        assert slow.shape == (1,) and s.shape == (1, 4, 4)
+        assert slows[k].tobytes() == slow[0].tobytes()
+        assert maps[k].tobytes() == s[0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -247,55 +253,56 @@ def test_superop_over_slow_on_a_sequence_is_the_stacked_single_calls(params, tim
 def test_superop_over_slow_entries_are_the_exponentials_of_the_entry_logs(params):
     # to the bit, alone and stacked: the map holds no second formula for its entries
     times = [0.0, 1e-300, 0.3, 1.7, 1e3, 1e300]
-    _, maps = superop_over_slow(params, times)
+    maps = superop_over_slow(entry_logs_over_slow(params, times)[1])
     for t, stacked in zip(times, maps):
         log_hh, log_vv, log_hv, log_c = entry_logs_at(params, t)
         expected = np.zeros((4, 4))
         expected[0, 0], expected[3, 3] = math.exp(log_hh), math.exp(log_vv)
         expected[0, 3] = expected[3, 0] = math.exp(log_hv)
         expected[1, 1] = expected[2, 2] = math.exp(log_c)
-        assert superop_over_slow(params, t)[1].tobytes() == expected.tobytes()
+        assert map_over_slow(params, t).tobytes() == expected.tobytes()
         assert stacked.tobytes() == expected.tobytes()
 
 
 def test_superop_over_slow_grid_is_pinned_to_the_bit():
     # the bytes of 1000 single-time calls, each formed with math's
     # exponentials: numpy's ufuncs match those only to the last bit
-    slows, maps = superop_over_slow(REFERENCE, np.linspace(0.0, 1.0, 1000).tolist())
+    slows, logs = entry_logs_over_slow(REFERENCE, np.linspace(0.0, 1.0, 1000).tolist())
+    maps = superop_over_slow(logs)
     digest = hashlib.sha256(slows.tobytes() + maps.tobytes()).hexdigest()
     assert digest == "bad1c087d1ed47e1222f0750bd3875f5badd056c2699ab8664140983cff74c82"
 
 
 def test_integration_at_zero_is_identity():
-    assert np.array_equal(ptm_via_integration(REFERENCE, 0.0, 1e-3), np.eye(4))
+    assert np.array_equal(ptm_via_integration([REFERENCE], 0.0, 1e-3), [np.eye(4)])
 
 
 def test_integration_agrees_with_closed_form():
     for t in (0.1, 0.5, 1.0):
-        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_integration(REFERENCE, t, 1e-4)))
+        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_integration([REFERENCE], t, 1e-4)[0]))
         assert dev <= 1e-8
 
 
 def test_integration_default_step():
     # 1e-4 over REFERENCE's largest rate: at this fine a step the oracle meets
     # the closed form to 1e-10
-    dev = np.max(np.abs(ptm_at(REFERENCE, 0.05) - ptm_via_integration(REFERENCE, 0.05, 2e-5)))
+    dev = np.max(np.abs(ptm_at(REFERENCE, 0.05) - ptm_via_integration([REFERENCE], 0.05, 2e-5)[0]))
     assert dev <= 1e-10
 
 
 def test_integration_rejects_bad_step():
     with pytest.raises(ValueError):
-        ptm_via_integration(REFERENCE, 1.0, 0.0)
+        ptm_via_integration([REFERENCE], 1.0, 0.0)
     with pytest.raises(ValueError):
-        ptm_via_integration(REFERENCE, 1.0, -1e-3)
+        ptm_via_integration([REFERENCE], 1.0, -1e-3)
 
 
 def test_integration_rejects_non_finite_time():
     for t in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ptm_via_integration(REFERENCE, t, 1e-3)
-        with pytest.raises(ValueError):
-            ptm_via_integration([REFERENCE, REFERENCE], t, 1e-3)
+        # also with no line to integrate
+        for lines in ([], [REFERENCE, REFERENCE]):
+            with pytest.raises(ValueError):
+                ptm_via_integration(lines, t, 1e-3)
 
 
 # a subset of the validate grid: pure loss, pure depolarization, both, and
@@ -311,18 +318,25 @@ STACK_PARAMS = [
 
 
 def test_integration_stack_matches_single_calls():
+    # each row, bit for bit, is the call on its own line alone
     for dt in (5e-4, 1e-4):
         for t in (0.1, 0.25):
             stacked = ptm_via_integration(STACK_PARAMS, t, dt)
-            single = [ptm_via_integration(p, t, dt) for p in STACK_PARAMS]
+            single = [ptm_via_integration([p], t, dt) for p in STACK_PARAMS]
             assert stacked.shape == (len(STACK_PARAMS), 4, 4)
-            assert single[0].shape == (4, 4)
-            assert np.array_equal(stacked, np.stack(single))
+            assert single[0].shape == (1, 4, 4)
+            assert stacked.tobytes() == np.concatenate(single).tobytes()
 
 
 def test_integration_stack_at_zero_is_identity():
     stacked = ptm_via_integration(STACK_PARAMS, 0.0, 1e-3)
     assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25])
+def test_integration_of_no_lines_is_an_empty_stack(t):
+    # as conditional_state, negativity and fixed_point_iterate answer an empty stack
+    assert ptm_via_integration([], t, 1e-3).shape == (0, 4, 4)
 
 
 def test_integration_stack_matches_single_calls_across_bit_lengths():
@@ -335,25 +349,25 @@ def test_integration_stack_matches_single_calls_across_bit_lengths():
         # dt = t and dt > t: one step
         for dt in (h, t, 3.0 * t):
             stacked = ptm_via_integration(STACK_PARAMS, t, dt)
-            single = [ptm_via_integration(p, t, dt) for p in STACK_PARAMS]
-            assert np.array_equal(stacked, np.stack(single))
+            single = [ptm_via_integration([p], t, dt) for p in STACK_PARAMS]
+            assert stacked.tobytes() == np.concatenate(single).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 4097])
 def test_integration_semigroup_at_a_fixed_step(n):
     # h a power of two, so that t = n h and t / h = n are exact
     h = 2.0**-10
-    half = ptm_via_integration(REFERENCE, n * h, h)
-    whole = ptm_via_integration(REFERENCE, 2 * n * h, h)
+    half = ptm_via_integration([REFERENCE], n * h, h)[0]
+    whole = ptm_via_integration([REFERENCE], 2 * n * h, h)[0]
     assert np.max(np.abs(whole - half @ half)) <= 1e-14
 
 
 def test_integration_at_the_step_cap():
     # 1e8 steps asked for, MAX_RK4_STEPS = 1e7 taken
-    capped = ptm_via_integration(REFERENCE, 1.0, 1e-8)
-    assert np.max(np.abs(ptm_at(REFERENCE, 1.0) - capped)) <= 1e-10
+    capped = ptm_via_integration([REFERENCE], 1.0, 1e-8)
+    assert np.max(np.abs(ptm_at(REFERENCE, 1.0) - capped[0])) <= 1e-10
     # t / dt = inf is capped the same way
-    assert np.array_equal(ptm_via_integration(REFERENCE, 1.0, 1e-320), capped)
+    assert np.array_equal(ptm_via_integration([REFERENCE], 1.0, 1e-320), capped)
 
 
 def test_pure_depolarization_both_paths():
@@ -361,7 +375,7 @@ def test_pure_depolarization_both_paths():
     params = ChannelParams(0.0, 0.0, g)
     expected = np.diag([1.0, math.exp(-g * t), math.exp(-g * t), math.exp(-g * t)])
     assert np.max(np.abs(ptm_at(params, t) - expected)) <= 1e-12
-    assert np.max(np.abs(ptm_via_integration(params, t, 1e-4) - expected)) <= 1e-8
+    assert np.max(np.abs(ptm_via_integration([params], t, 1e-4)[0] - expected)) <= 1e-8
 
 
 def test_semigroup_property(rng):

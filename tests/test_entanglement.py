@@ -15,6 +15,7 @@ from conftest import (
     apply_two_qubit_oracle,
     identity_ptm,
     is_entangled,
+    map_over_slow,
     ptm_to_superop,
     random_density,
     random_pure_density,
@@ -117,8 +118,8 @@ def test_conditional_state_matches_superoperator_oracle():
 
 
 def test_conditional_state_rescaling_invariance():
-    m1 = superop_over_slow(REFERENCE, 0.4)[1]
-    m2 = superop_over_slow(REFERENCE, 0.4)[1]
+    m1 = map_over_slow(REFERENCE, 0.4)
+    m2 = map_over_slow(REFERENCE, 0.4)
     base_state, base_prob = conditional_state(m1, m2, RHO_PSI_PLUS)
     for p in (0.1, 0.5, 0.9):
         out, prob = conditional_state(p * m1, m2, RHO_PSI_PLUS)
@@ -136,6 +137,15 @@ def test_conditional_state_requires_normalized_input():
         conditional_state(identity_ptm(), identity_ptm(), 0.5 * RHO_PSI_PLUS)
 
 
+def test_conditional_state_refuses_a_stack_of_initial_states():
+    # by its shape, before any state of it is checked: the second is not even Hermitian
+    stack = np.stack([RHO_PSI_PLUS, np.full((4, 4), np.nan)])
+    for maps in (identity_ptm(), np.stack([identity_ptm()] * 2)):
+        with pytest.raises(ValueError, match=r"^expected one initial state, got a stack of "
+                                             r"shape \(2, 4, 4\)$"):
+            conditional_state(maps, maps, stack)
+
+
 # ---------------------------------------------------------------------------
 # stacks of maps and states
 # ---------------------------------------------------------------------------
@@ -144,8 +154,8 @@ def test_conditional_state_requires_normalized_input():
 def test_stacked_conditional_state_and_negativity_match_single_calls(rng):
     lines = [ChannelParams(*rng.uniform(0.0, 5.0, size=3)) for _ in range(2)]
     times = rng.uniform(0.0, 1.5, size=8)
-    m1 = np.stack([superop_over_slow(lines[0], float(t))[1] for t in times])
-    m2 = np.stack([superop_over_slow(lines[1], float(t))[1] for t in times])
+    m1 = np.stack([map_over_slow(lines[0], float(t)) for t in times])
+    m2 = np.stack([map_over_slow(lines[1], float(t)) for t in times])
     # non-X states: every entry of the density matrix is populated
     for initial in (RHO_PSI_PLUS, random_pure_density(rng, 4), random_density(rng, 4)):
         states, probs = conditional_state(m1, m2, initial)
@@ -169,8 +179,8 @@ def test_each_row_of_a_stacked_conditional_state_is_that_row_alone(params1, para
     a = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
     initial = a @ a.conj().T + 0.01 * np.eye(4)
     initial /= np.trace(initial).real
-    maps1 = superop_over_slow(params1, times)[1]
-    maps2 = superop_over_slow(params2, times)[1]
+    maps1 = superop_over_slow(entry_logs_over_slow(params1, times)[1])
+    maps2 = superop_over_slow(entry_logs_over_slow(params2, times)[1])
     if shared_second_map:
         maps2 = maps2[0]
     states, probs = conditional_state(maps1, maps2, initial)
@@ -277,7 +287,7 @@ def test_state_check_accepts_and_refuses_as_eigvalsh_does(rho, normalized):
 def test_the_screen_passes_states_within_its_size_bound(rng):
     states = np.stack([random_pure_density(rng, 4), random_density(rng, 4), RHO_PSI_PLUS])
     assert entanglement._passes_screen(states)
-    maps = superop_over_slow(REFERENCE, np.linspace(0.0, 1.0, 50))[1]
+    maps = superop_over_slow(entry_logs_over_slow(REFERENCE, np.linspace(0.0, 1.0, 50))[1])
     assert entanglement._passes_screen(conditional_state(maps, maps, states[1])[0])
     assert not entanglement._passes_screen(np.diag([0.5, 0.5, -PSD_TOL, 0.0]).astype(complex))
     # past its size bound the screen decides nothing, even on a state
@@ -364,7 +374,7 @@ def test_negativity_is_the_eigvalsh_sum_to_the_bit(rho):
 def test_a_certified_stack_makes_no_eigvalsh_call(rng, monkeypatch):
     # past the lifetime every conditional state is separable
     tau = max_lifetime(REFERENCE, REFERENCE).tau
-    maps = superop_over_slow(REFERENCE, np.linspace(1.5 * tau, 2.0 * tau, 64))[1]
+    maps = superop_over_slow(entry_logs_over_slow(REFERENCE, np.linspace(1.5 * tau, 2.0 * tau, 64))[1])
     states = conditional_state(maps, maps, random_density(rng, 4))[0]
     stacks = [states, np.stack([random_separable(rng) for _ in range(8)]), states[0]]
     eigvalsh, calls = np.linalg.eigvalsh, []
@@ -595,12 +605,10 @@ def test_optimal_state_shape_and_weights():
     sq_sum = sum(c * c for c in state.schmidt_coefficients)
     assert abs(sq_sum - 1.0) <= 1e-12
     assert state.schmidt_coefficients[0] >= state.schmidt_coefficients[1]
-    assert np.array_equal(state.rho, np.outer(psi, psi.conj()))
 
 
 def test_optimal_state_amplitudes_are_its_schmidt_coefficients_to_the_bit():
-    # psi is formed from the same rounded amp / norm as the Schmidt coefficients, and
-    # rho is psi's outer product bit for bit, the zero imaginary parts' signs included
+    # psi is formed from the same rounded amp / norm as the Schmidt coefficients
     rng = random.Random(1)
     for _ in range(300):
         line1, line2 = (ChannelParams(*(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
@@ -612,8 +620,6 @@ def test_optimal_state_amplitudes_are_its_schmidt_coefficients_to_the_bit():
         amp_h, amp_v = psi[[0, 3]].real
         assert sorted((amp_h, amp_v), reverse=True) == list(state.schmidt_coefficients)
         assert not psi.imag.any() and not psi[1:3].any()
-        outer = np.outer(psi, psi.conj())
-        assert state.rho.tobytes() == outer.tobytes()
 
 
 def test_optimal_state_swap_symmetry():
@@ -641,8 +647,8 @@ def test_optimal_state_survives_to_the_lifetime():
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     state = optimal_state(REFERENCE, REFERENCE, tau)
     t_probe = tau * (1.0 - 1e-3)
-    m = superop_over_slow(REFERENCE, t_probe)[1]
-    out, _ = conditional_state(m, m, state.rho)
+    m = map_over_slow(REFERENCE, t_probe)
+    out, _ = conditional_state(m, m, np.outer(state.psi, np.conj(state.psi)))
     assert is_entangled(out)
 
 
@@ -652,11 +658,12 @@ def test_window_before_lifetime_separates_the_states():
     # that window (the pair dies around 0.85 tau for these lines)
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     opt = optimal_state(REFERENCE, REFERENCE, tau)
+    rho_opt = np.outer(opt.psi, np.conj(opt.psi))
     psi_dead = []
     for t in np.linspace(0.8 * tau, tau, 50, endpoint=False):
-        m = superop_over_slow(REFERENCE, float(t))[1]
+        m = map_over_slow(REFERENCE, float(t))
         out_psi, _ = conditional_state(m, m, RHO_PSI_PLUS)
-        out_opt, _ = conditional_state(m, m, opt.rho)
+        out_opt, _ = conditional_state(m, m, rho_opt)
         psi_dead.append(negativity(out_psi) <= 1e-12)
         assert negativity(out_opt) > 1e-6
     assert any(psi_dead)
@@ -668,10 +675,11 @@ def test_window_before_lifetime_separates_the_states():
 def test_early_times_favor_the_maximally_entangled_pair():
     tau = max_lifetime(REFERENCE, REFERENCE).tau
     opt = optimal_state(REFERENCE, REFERENCE, tau)
+    rho_opt = np.outer(opt.psi, np.conj(opt.psi))
     for frac in (0.1, 0.25):
-        m = superop_over_slow(REFERENCE, frac * tau)[1]
+        m = map_over_slow(REFERENCE, frac * tau)
         n_psi = negativity(conditional_state(m, m, RHO_PSI_PLUS)[0])
-        n_opt = negativity(conditional_state(m, m, opt.rho)[0])
+        n_opt = negativity(conditional_state(m, m, rho_opt)[0])
         assert n_psi > n_opt
 
 
@@ -710,10 +718,10 @@ def test_x_state_traces_are_the_general_path(params1, params2, fractions):
     tau = max_lifetime(params1, params2).tau
     times = [fraction * tau for fraction in fractions]
     logs1, logs2 = entry_logs_over_slow(params1, times)[1], entry_logs_over_slow(params2, times)[1]
-    maps1, maps2 = superop_over_slow(params1, times)[1], superop_over_slow(params2, times)[1]
+    maps1, maps2 = superop_over_slow(logs1), superop_over_slow(logs2)
     opt = optimal_state(params1, params2, tau)
-    for log_weight_ratio, rho in ((0.0, RHO_PSI_PLUS), (opt.log_weight_ratio, opt.rho)):
-        neg, prob = x_state_traces(log_weight_ratio, logs1, logs2)
+    negs, probs = x_state_traces([0.0, opt.log_weight_ratio], logs1, logs2)
+    for neg, prob, rho in zip(negs, probs, (RHO_PSI_PLUS, np.outer(opt.psi, np.conj(opt.psi)))):
         for k in range(len(times)):
             try:
                 out, expected_prob = conditional_state(maps1[k], maps2[k], rho)
@@ -732,7 +740,7 @@ def test_x_state_traces_of_the_vv_limit(params):
     times = np.linspace(0.0, 3.0, 31).tolist()
     slow1, logs1 = entry_logs_over_slow(params, times)
     slow2, logs2 = entry_logs_over_slow(depolarizing(0.7), times)
-    neg, prob = x_state_traces(-math.inf, logs1, logs2)
+    (neg,), (prob,) = x_state_traces([-math.inf], logs1, logs2)
     assert neg.tolist() == [0.0] * len(times)
     kept1 = np.exp(logs1[:, 1]) + np.exp(logs1[:, 2])
     kept2 = np.exp(logs2[:, 1]) + np.exp(logs2[:, 2])
@@ -741,8 +749,7 @@ def test_x_state_traces_of_the_vv_limit(params):
     # the general path agrees
     vv = np.zeros((4, 4), dtype=complex)
     vv[3, 3] = 1.0
-    maps1, maps2 = superop_over_slow(params, times)[1], superop_over_slow(depolarizing(0.7), times)[1]
-    out, general_prob = conditional_state(maps1, maps2, vv)
+    out, general_prob = conditional_state(superop_over_slow(logs1), superop_over_slow(logs2), vv)
     assert np.all(negativity(out) == 0.0)
     assert np.all(np.abs(prob - general_prob) <= 1e-15 * general_prob)
 
@@ -757,8 +764,8 @@ def test_the_longest_lifetime_needs_no_maximally_entangled_state(params1, params
     tau = result.tau
     times = [tau * (1.0 - 1e-6), tau, tau * (1.0 + 1e-6)]
     logs1, logs2 = entry_logs_over_slow(params1, times)[1], entry_logs_over_slow(params2, times)[1]
-    optimal_neg = x_state_traces(optimal_state(params1, params2, tau).log_weight_ratio, logs1, logs2)[0]
-    psi_plus_neg = x_state_traces(0.0, logs1, logs2)[0]
+    ratios = [optimal_state(params1, params2, tau).log_weight_ratio, 0.0]
+    optimal_neg, psi_plus_neg = x_state_traces(ratios, logs1, logs2)[0]
     assert optimal_neg[0] > 0.0
     assert psi_plus_neg[2] == 0.0
     if result.residual <= 0.0:
@@ -775,7 +782,7 @@ def test_the_maximally_entangled_pair_dies_first_on_the_reference_line():
     optimal = optimal_state(REFERENCE, REFERENCE, tau)
     early = np.array(times) < tau
     assert early.sum() == 2500
-    for log_weight_ratio, alive in ((0.0, 2113), (optimal.log_weight_ratio, 2500)):
-        neg = x_state_traces(log_weight_ratio, logs, logs)[0]
+    negs = x_state_traces([0.0, optimal.log_weight_ratio], logs, logs)[0]
+    for neg, alive in zip(negs, (2113, 2500)):
         assert np.all(neg[:alive] > 0.0) and np.all(neg[alive:] == 0.0)
     assert 0.84 < times[2112] / tau < 0.85

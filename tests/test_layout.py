@@ -1,6 +1,7 @@
 """Code layout: nothing in src/qsink is there for the tests alone, and nothing is taken unread.
 
-No function, class or module constant lacks a caller in src/qsink, no
+No function, class or module constant lacks a caller in src/qsink (a
+parameter or local of the same name calls nothing), no
 module imports a name that it never reads, and no function takes a
 parameter that its body never reads.  A check that refuses the first bad
 entry of a stack does so through linalg._refuse_flagged, not through a
@@ -51,6 +52,46 @@ def _constants(tree: ast.Module) -> list[SimpleNamespace]:
     return found
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(function: ast.AST) -> list[str]:
+    args = function.args
+    return [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                args.vararg, args.kwarg) if arg is not None]
+
+
+def _locals(function: ast.AST) -> set[str]:
+    """The names a function binds: its parameters and the names it stores, nested scopes aside."""
+    bound = set(_parameters(function))
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _references(node: ast.AST, module: str, bound: frozenset = frozenset()) -> list[tuple]:
+    """(module, name, line) of each Name and attribute, but a Name that an enclosing function binds.
+
+    A parameter or a local of the same text is not a reference to a
+    definition: neither is the parameter rho of a function to a property rho.
+    """
+    found = []
+    if isinstance(node, _SCOPES):
+        bound = bound | _locals(node)
+    elif isinstance(node, ast.Name) and node.id not in bound:
+        found.append((module, node.id, node.lineno))
+    elif isinstance(node, ast.Attribute):
+        found.append((module, node.attr, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        found += _references(child, module, bound)
+    return found
+
+
 def test_every_definition_is_referenced_in_src():
     definitions, references = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -62,13 +103,12 @@ def test_every_definition_is_referenced_in_src():
             for item in node.body
         }
         definitions += [(path.stem, constant, None) for constant in _constants(tree)]
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, node, classes.get(id(node))))
-            elif isinstance(node, ast.Name):
-                references.append((path.stem, node.id, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                references.append((path.stem, node.attr, node.lineno))
+        definitions += [
+            (path.stem, node, classes.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        references += _references(tree, path.stem)
     assert definitions and references
     unreferenced = [
         f"{module}.{node.name}"
@@ -123,11 +163,9 @@ def test_every_parameter_is_read_in_its_function():
     unread = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not isinstance(node, _SCOPES):
                 continue
-            args = node.args
-            params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                                          args.vararg, args.kwarg) if arg is not None]
+            params = _parameters(node)
             # a lambda's body is one expression; a nested function's reads count too
             body = node.body if isinstance(node.body, list) else [node.body]
             reads = {

@@ -171,9 +171,9 @@ _REFUSALS = {
                                   np.diag([0.6, 0.6, -0.2, 0.0]))),
         "state is not positive semidefinite (min eigenvalue -1.000e-01)",
     ),
+    # conditional_state, the one check of a unit trace, takes one initial state
     "state_not_unit_trace": (
-        lambda: conditional_state(np.eye(4), np.eye(4),
-                                  _stack(_MIXED, 0.5 * _MIXED, 3.0 * _MIXED)),
+        lambda: conditional_state(np.eye(4), np.eye(4), 0.5 * _MIXED),
         "state must have unit trace, got 0.5",
     ),
     "state_trace_outside_unit_interval": (

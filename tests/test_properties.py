@@ -283,8 +283,8 @@ def test_optimal_state_is_a_unit_vector_wherever_a_lifetime_exists(params1, para
 @given(LINES, LINES, st.lists(TIMES, min_size=1, max_size=8),
        st.lists(st.floats(allow_nan=False), max_size=3))
 def test_x_state_traces_over_ratios_are_the_one_ratio_calls(params1, params2, times, drawn):
-    # a sequence of S ratios gives (S, T) of each column, row k the bits of
-    # the call with ratio k alone: |VV>, |HH>, the maximally entangled pair,
+    # S ratios give (S, T) of each column, row k the bits of the one-row
+    # call with ratio k alone: |VV>, |HH>, the maximally entangled pair,
     # the optimal state where there is one, and any other ratio
     ratios = [-math.inf, math.inf, 0.0, *drawn]
     tau = max_lifetime(params1, params2).tau
@@ -294,10 +294,10 @@ def test_x_state_traces_over_ratios_are_the_one_ratio_calls(params1, params2, ti
     negs, probs = x_state_traces(ratios, logs1, logs2)
     assert negs.shape == probs.shape == (len(ratios), len(times))
     for k, ratio in enumerate(ratios):
-        neg, prob = x_state_traces(ratio, logs1, logs2)
-        assert neg.shape == prob.shape == (len(times),)
-        assert [x.hex() for x in negs[k].tolist()] == [x.hex() for x in neg.tolist()]
-        assert [x.hex() for x in probs[k].tolist()] == [x.hex() for x in prob.tolist()]
+        neg, prob = x_state_traces([ratio], logs1, logs2)
+        assert neg.shape == prob.shape == (1, len(times))
+        assert [x.hex() for x in negs[k].tolist()] == [x.hex() for x in neg[0].tolist()]
+        assert [x.hex() for x in probs[k].tolist()] == [x.hex() for x in prob[0].tolist()]
 
 
 def _assert_decompose_agrees_with_the_pauli_route(params, t):

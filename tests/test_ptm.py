@@ -124,14 +124,14 @@ def random_loss_maps(rng: np.random.Generator, count: int) -> np.ndarray:
 def test_apply_two_qubit_stacked_matches_single_calls_and_oracle(rng):
     m1, m2 = random_loss_maps(rng, 6), random_loss_maps(rng, 6)
     states = np.stack([random_density(rng, 4) for _ in range(6)])
-    # one state per map pair, and one state shared by a stack of pairs
-    for rho_stack, rho_at in ((states, lambda k: states[k]), (states[0], lambda k: states[0])):
-        out = apply_two_qubit(m1, m2, rho_stack)
+    # one state through a stack of map pairs, for each of several states
+    for rho in states:
+        out = apply_two_qubit(m1, m2, rho)
         assert out.shape == (6, 4, 4)
         for k in range(6):
-            single = apply_two_qubit(m1[k], m2[k], rho_at(k))
+            single = apply_two_qubit(m1[k], m2[k], rho)
             assert np.max(np.abs(out[k] - single)) <= 1e-14
-            expected = apply_two_qubit_oracle(m1[k], m2[k], rho_at(k))
+            expected = apply_two_qubit_oracle(m1[k], m2[k], rho)
             assert np.max(np.abs(out[k] - expected)) <= 1e-12
     nested = apply_two_qubit(m1.reshape(2, 3, 4, 4), m2.reshape(2, 3, 4, 4), states[0])
     assert np.array_equal(nested.reshape(6, 4, 4), apply_two_qubit(m1, m2, states[0]))

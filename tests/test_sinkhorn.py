@@ -15,10 +15,11 @@ from conftest import (
     is_cp,
     is_trace_preserving,
     is_unital,
+    map_over_slow,
     sandwich,
 )
 from qsink import cli, sinkhorn
-from qsink.dynamics import ChannelParams, decay_modes, ptm_at, superop_over_slow
+from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.linalg import SIGMA
 from qsink.sinkhorn import (
     NORMAL_FORM_TOL,
@@ -231,7 +232,7 @@ def test_lambdas_are_the_identities_on_the_map_entries():
     # mode, wherever H and V are normal doubles
     checked = 0
     for params, t in random_lines_and_times(17, 2000):
-        _, x = superop_over_slow(params, t)
+        x = map_over_slow(params, t)
         hh, vv, hv, coherence = x[0, 0], x[3, 3], x[0, 3], x[1, 1]
         if min(hh, vv) < sys.float_info.min:
             continue
