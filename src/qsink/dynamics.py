@@ -341,8 +341,8 @@ def ptm_via_integration(params: Sequence[ChannelParams], t: float, dt: float) ->
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if t == 0.0:
         return np.tile(np.eye(4), (len(params), 1, 1))
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     n = max(1, math.ceil(min(t / dt, MAX_RK4_STEPS)))
     h = t / n
 

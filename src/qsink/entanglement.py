@@ -50,9 +50,7 @@ _SETTLE_MARGIN = 1e-12
 # eigvalsh finds no eigenvalue below -PSD_TOL.  The separability certificate
 # shifts down by twice their sum, so a completed factorization of
 # PT - _SEPARABLE_SHIFT * I implies that eigvalsh finds every eigenvalue of
-# PT positive, and the negativity it gives is exactly 0.  _SCREEN_SHIFT is
-# 0.5 * linalg.PSD_TOL, written out so that loading this module loads no linalg.
-_SCREEN_SHIFT = 5e-10
+# PT positive, and the negativity it gives is exactly 0.
 _SCREEN_MAX_ABS = 1e3
 _SEPARABLE_SHIFT = 8e-11
 
@@ -71,11 +69,6 @@ def _cholesky_completes(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _passes_screen(rho: np.ndarray) -> bool:
-    """True only if every state of rho has no eigenvalue below -PSD_TOL; False decides nothing."""
-    return _cholesky_completes(rho, _SCREEN_SHIFT)
-
-
 def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
     """rho, or each state of a stack, symmetrized and checked; errors name the first bad one.
 
@@ -88,7 +81,8 @@ def _check_state(rho: np.ndarray, normalized: bool) -> np.ndarray:
     rho = hermitian_part(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    if not _passes_screen(rho):
+    # the Cholesky screen; where it does not complete, eigvalsh decides
+    if not _cholesky_completes(rho, 0.5 * PSD_TOL):
         low = np.linalg.eigvalsh(rho)[..., 0]
         _refuse_flagged(low, ~(low >= -PSD_TOL),
                         "state is not positive semidefinite (min eigenvalue {:.3e})")
@@ -329,11 +323,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     as g = 2 y exp(-S) + exp(-2 S) - 1, with both lines' -gamma t / 2 and A
     from sinkhorn._signal_exponents, the helper unital_lambdas reads too:
     below G t / 2 = 20 on both lines, a sinh and an asinh per line and two
-    exps.  This g differs from the product of the lines' signal parameters
-    in its last bits only: tau, the bracket and the evaluation counts are
-    the same on the benchmark's scan seeds 1 and 7919, and
-    test_tau_and_psi_are_pinned_over_a_scan_like_sample holds 300 roots to
-    the bit.
+    exps.
 
     The bisection is certified, not shortened: it halves the doubling's
     bracket and stops exactly where an evaluation of every midpoint would,
@@ -358,10 +348,7 @@ def max_lifetime(params1: ChannelParams, params2: ChannelParams) -> LifetimeResu
     instead, which leaves unsettled only the band where |g| is at most
     about 1.5 clear, and the secant stops.  When a step would leave the
     interval, the midpoint is evaluated as the plain bisection evaluates
-    it, and the secant goes on from there.  On the benchmark's scan sweep
-    (seed 1: 1500 rate pairs on [1e-3, 1e3], 1426 roots) the search takes
-    9.7 g evaluations per root (bracket 3.30, secant 5.17, bisection
-    1.24), where the plain bisection needs about 36.
+    it, and the secant goes on from there.
     """
     # the doubling starts at 1 / (sum of the depolarizing lines' rates)
     if params1.gamma > 0.0:

@@ -61,7 +61,7 @@ def _as_matrices(m: np.ndarray) -> np.ndarray:
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (m + m^dag)/2, refusing inputs that are not Hermitian to tolerance."""
     m = _as_matrices(m)
-    # ndarray methods, cheaper than the numpy functions on 2x2 inputs
+    # ndarray methods, a little cheaper per call than the numpy functions
     adjoint = m.swapaxes(-1, -2).conj()
     drift = float(np.abs(m - adjoint).max(initial=0.0))
     # fails closed: a NaN entry gives a NaN drift; an empty stack has none

@@ -61,9 +61,10 @@ g/G through its log, so the parameters stay finite and exact at times
 where the modes themselves underflow, which the lifetime search probes on
 purpose, and where g/G underflows.
 
-The signal parameters and the fixed point's logs are math alone, and the
-module loads without numpy; decompose, fixed_point_iterate and its
-positivity probe import numpy and linalg in their own bodies.
+The signal parameters, the fixed point's logs and decompose are math
+alone, and the module loads without numpy: upsilon is held as its four
+diagonal entries.  fixed_point_iterate and its positivity probe, the
+cross-check on stacks of maps, import numpy and linalg in their own bodies.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from .dynamics import _DOUBLE_MIN, _LN2, ChannelParams, _entry_logs, _log_add, _
 if TYPE_CHECKING:
     import numpy as np
 
-# Upsilon must be diag(1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
+# upsilon must be (1, lx, ly, lz), and the filters' shape squared 1 +- s, this closely.
 NORMAL_FORM_TOL = 1e-9
 
 FIXED_POINT_TOL = 1e-12
@@ -86,12 +87,14 @@ _NEG_INF = -math.inf
 
 
 class SinkhornDecomposition(NamedTuple):
-    """One map's normal form: L = F_{A^-1} . upsilon . F_{B^-1}, with B = exp(log_b_scale) A.
+    """One map's normal form: L = F_{A^-1} . Upsilon . F_{B^-1}, with B = exp(log_b_scale) A.
 
-    a_diag is A = sqrt(S) = diag(sqrt(1 + s), sqrt(1 - s)), either entry
-    possibly 0.  self_check is the larger of two deviations, that of
-    upsilon from diag(1, lx, ly, lz) and that of a_diag's squares from
-    1 +- s, which decompose holds to NORMAL_FORM_TOL.
+    upsilon is Upsilon's transfer matrix, diagonal on the Pauli basis,
+    held as its four diagonal entries.  a_diag is A = sqrt(S) =
+    diag(sqrt(1 + s), sqrt(1 - s)), either entry possibly 0.  self_check
+    is the largest of six deviations, those of upsilon from (1, lx, ly, lz)
+    and those of a_diag's squares from 1 +- s, which decompose holds to
+    NORMAL_FORM_TOL.
     """
 
     s: float
@@ -100,7 +103,7 @@ class SinkhornDecomposition(NamedTuple):
     lambda_x: float
     lambda_y: float
     lambda_z: float
-    upsilon: np.ndarray
+    upsilon: tuple[float, float, float, float]
     self_check: float
 
 
@@ -260,15 +263,13 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
 
     Both filters are diagonal, and a diagonal filter X scales the matrix
     unit |i><j| by x_i x_j, so upsilon is read off the map's entries over
-    its slow mode (dynamics._entry_logs), B taken over it too: it is
-    diag(root + cross, c/w, c/w, root - cross), with root = sqrt(H V) / w
+    its slow mode (dynamics._entry_logs), B taken over it too: its diagonal
+    is (root + cross, c/w, c/w, root - cross), with root = sqrt(H V) / w
     and cross = h / w.  Raises ValueError where log_b_scale is not finite
     (a log(1 +- s) of -inf, or a slow mode's log past the double range)
-    and RuntimeError unless upsilon is diag(1, lx, ly, lz) and the
-    filters' shape squared is 1 +- s, both to NORMAL_FORM_TOL.
+    and RuntimeError unless upsilon is (1, lx, ly, lz) and the filters'
+    shape squared is 1 +- s, both to NORMAL_FORM_TOL; a NaN fails too.
     """
-    import numpy as np
-
     log_q, one_minus_q = _mode_ratio(params, t)
     log_hh, log_vv, log_hv, log_c = _entry_logs(params, log_q, one_minus_q)
     log_plus_s, log_minus_s, log_w = _fixed_point(log_hh, log_vv, log_hv)
@@ -292,13 +293,14 @@ def decompose(params: ChannelParams, t: float) -> SinkhornDecomposition:
     root = math.exp(0.5 * (log_hh + log_vv) - log_w)
     cross = math.exp(log_hv - log_w)
     coherence = math.exp(log_c - log_w)
-    upsilon = np.diag([root + cross, coherence, coherence, root - cross])
+    upsilon = (root + cross, coherence, coherence, root - cross)
     a_diag = _filter_shape(log_plus_s, log_minus_s)
 
-    target = np.diag([1.0, lam_x, lam_y, lam_z])
+    deviations = [abs(u - target) for u, target in zip(upsilon, (1.0, lam_x, lam_y, lam_z))]
     # the filters' shape against s, which is formed apart from the logs the shape comes from
-    shape = np.square(a_diag) - (1.0 + s, 1.0 - s)
-    residual = float(np.maximum(abs(upsilon - target).max(), abs(shape).max()))
+    deviations += [abs(a * a - target) for a, target in zip(a_diag, (1.0 + s, 1.0 - s))]
+    # max keeps a NaN only in first place, and the check must fail on one anywhere
+    residual = math.nan if any(map(math.isnan, deviations)) else max(deviations)
     if not residual <= NORMAL_FORM_TOL:
         raise RuntimeError(
             f"normal form self-check failed: |upsilon - diag(1, lx, ly, lz)| or "

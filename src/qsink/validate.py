@@ -134,13 +134,12 @@ def suite_normal_form_predicates(
     Duality is read off the integrated maps at DUALITY_T: ptm_at's matrix
     is symmetric by construction, so only the oracle's can fail the check.
     """
-    upsilons = np.array([dec.upsilon for dec in normal_forms])
-    # Upsilon's first row (trace preserving) and column (unital) against (1, 0, 0, 0)
-    edges = np.stack((upsilons[:, 0], upsilons[:, :, 0]), axis=1) - (1.0, 0.0, 0.0, 0.0)
+    # Upsilon = diag(upsilon) is trace preserving and unital exactly when upsilon[0] is 1
+    first = np.array([dec.upsilon[0] for dec in normal_forms]) - 1.0
     # the family's map is its own dual: its transfer matrix is symmetric
     duals = integrated[:, TIME_GRID.index(DUALITY_T)]
     asymmetry = duals - duals.swapaxes(-1, -2)
-    devs = np.append(abs(edges).max(axis=(-2, -1)), abs(asymmetry).max(axis=(-2, -1)))
+    devs = np.append(abs(first), abs(asymmetry).max(axis=(-2, -1)))
     return _verdict(
         "normal-form-predicates", devs, np.repeat((1e-9, 1e-12), (len(cases), len(GRID))),
         lambda i: "{}, t={}".format(*cases[i]) if i < len(cases)
@@ -152,7 +151,7 @@ def suite_normal_form_predicates(
 # would give deviates by inf, so both suites that read normal forms fail on it
 _REFUSED = SinkhornDecomposition(
     s=math.inf, a_diag=(math.inf, math.inf), log_b_scale=math.inf, lambda_x=math.inf,
-    lambda_y=math.inf, lambda_z=math.inf, upsilon=np.full((4, 4), math.inf), self_check=math.inf,
+    lambda_y=math.inf, lambda_z=math.inf, upsilon=(math.inf,) * 4, self_check=math.inf,
 )
 
 

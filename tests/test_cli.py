@@ -1217,6 +1217,7 @@ def test_the_lifetime_and_optimal_state_run_without_numpy():
         "        dynamics.decay_modes(line, 0.3)",
         "        sinkhorn.unital_lambdas(line, 0.3)",
         "    entanglement.lifetime_lhs(line1, line2, 0.3)",
+        "    sinkhorn.decompose(line1, 0.3)",
         "    state = entanglement.optimal_state(line1, line2, "
         "entanglement.max_lifetime(line1, line2).tau)",
         # dataclasses would load inspect, ast, dis and tokenize with it

@@ -291,10 +291,10 @@ def test_integration_default_step():
 
 
 def test_integration_rejects_bad_step():
-    with pytest.raises(ValueError):
-        ptm_via_integration([REFERENCE], 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ptm_via_integration([REFERENCE], 1.0, -1e-3)
+    # an infinite step was once one RK4 step over the whole interval
+    for dt in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            ptm_via_integration([REFERENCE], 1.0, dt)
 
 
 def test_integration_rejects_non_finite_time():

@@ -280,23 +280,20 @@ def test_state_check_accepts_and_refuses_as_eigvalsh_does(rho, normalized):
         _eigvalsh_rule, rho, normalized
     )
     symmetric = hermitian_part(rho)
-    if entanglement._passes_screen(symmetric):
+    if entanglement._cholesky_completes(symmetric, 0.5 * PSD_TOL):
         assert np.linalg.eigvalsh(symmetric)[..., 0].min() >= -PSD_TOL
 
 
 def test_the_screen_passes_states_within_its_size_bound(rng):
     states = np.stack([random_pure_density(rng, 4), random_density(rng, 4), RHO_PSI_PLUS])
-    assert entanglement._passes_screen(states)
+    assert entanglement._cholesky_completes(states, 0.5 * PSD_TOL)
     maps = superop_over_slow(entry_logs_over_slow(REFERENCE, np.linspace(0.0, 1.0, 50))[1])
-    assert entanglement._passes_screen(conditional_state(maps, maps, states[1])[0])
-    assert not entanglement._passes_screen(np.diag([0.5, 0.5, -PSD_TOL, 0.0]).astype(complex))
+    conditional = conditional_state(maps, maps, states[1])[0]
+    assert entanglement._cholesky_completes(conditional, 0.5 * PSD_TOL)
+    below = np.diag([0.5, 0.5, -PSD_TOL, 0.0]).astype(complex)
+    assert not entanglement._cholesky_completes(below, 0.5 * PSD_TOL)
     # past its size bound the screen decides nothing, even on a state
-    assert not entanglement._passes_screen(2e3 * states)
-
-
-def test_the_screen_shifts_by_half_of_psd_tol():
-    # written out in entanglement, which loads without linalg
-    assert entanglement._SCREEN_SHIFT == 0.5 * PSD_TOL
+    assert not entanglement._cholesky_completes(2e3 * states, 0.5 * PSD_TOL)
 
 
 def test_an_empty_stack_has_no_negativities_and_a_nan_state_is_still_refused():
@@ -304,11 +301,11 @@ def test_an_empty_stack_has_no_negativities_and_a_nan_state_is_still_refused():
     empty = np.zeros((0, 4, 4))
     states = conditional_state(empty, empty, RHO_PSI_PLUS)[0]
     assert states.shape == hermitian_part(empty).shape == (0, 4, 4)
-    assert entanglement._passes_screen(states)
+    assert entanglement._cholesky_completes(states, 0.5 * PSD_TOL)
     assert negativity(states).shape == (0,)
     nan_state = RHO_PSI_PLUS.copy()
     nan_state[0, 0] = np.nan
-    assert not entanglement._passes_screen(nan_state)
+    assert not entanglement._cholesky_completes(nan_state, 0.5 * PSD_TOL)
     with pytest.raises(ValueError, match="not Hermitian"):
         negativity(nan_state)
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -691,7 +688,7 @@ def test_unital_parts_kill_psi_plus_exactly_at_the_lifetime():
 
     def entangled_after_unital(t: float) -> bool:
         dec = decompose(REFERENCE, t)
-        upsilon = ptm_to_superop(dec.upsilon)
+        upsilon = ptm_to_superop(np.diag(dec.upsilon))
         return is_entangled(conditional_state(upsilon, upsilon, RHO_PSI_PLUS)[0])
 
     low, high = 0.5 * tau, 1.4 * tau

@@ -329,7 +329,7 @@ def _assert_decompose_agrees_with_the_pauli_route(params, t):
     assert np.all(np.abs(np.array(found.a_diag) - a_expected) <= 1e-14 * a_expected)
     b_found = math.exp(found.log_b_scale) * np.array(found.a_diag)
     assert np.all(np.abs(b_found - b_expected) <= 1e-14 * b_expected)
-    assert np.max(np.abs(found.upsilon - expected["upsilon"])) <= NORMAL_FORM_TOL
+    assert np.max(np.abs(np.diag(found.upsilon) - expected["upsilon"])) <= NORMAL_FORM_TOL
     assert found.self_check <= 1e-14
 
 

@@ -321,7 +321,7 @@ def test_decompose_at_zero_is_trivial():
     assert (dec.lambda_x, dec.lambda_y, dec.lambda_z) == (1.0, 1.0, 1.0)
     assert max(abs(a - 1.0) for a in dec.a_diag) <= 1e-12
     assert abs(dec.log_b_scale) <= 1e-12
-    assert np.max(np.abs(dec.upsilon - identity_ptm())) <= 1e-9
+    assert np.max(np.abs(np.diag(dec.upsilon) - identity_ptm())) <= 1e-9
 
 
 def test_decompose_rejects_negative_time():
@@ -349,7 +349,7 @@ def test_decompose_pure_depolarization():
 
 def test_decompose_pure_loss_unital_part_is_identity():
     dec = decompose(ChannelParams(2.0, 0.5, 0.0), 1.3)
-    assert np.max(np.abs(dec.upsilon - identity_ptm())) <= 1e-12
+    assert np.max(np.abs(np.diag(dec.upsilon) - identity_ptm())) <= 1e-12
     assert abs(dec.lambda_x - dec.lambda_z) <= 1e-12
 
 
@@ -371,15 +371,28 @@ def test_decompose_unital_part_properties():
     for params in (REFERENCE, ChannelParams(0.5, 0.0, 5.0)):
         for t in (0.1, 1.0):
             dec = decompose(params, t)
-            assert is_trace_preserving(dec.upsilon)
-            assert is_unital(dec.upsilon)
-            assert is_cp(dec.upsilon)
+            upsilon = np.diag(dec.upsilon)
+            assert is_trace_preserving(upsilon)
+            assert is_unital(upsilon)
+            assert is_cp(upsilon)
             target = np.diag([1.0, dec.lambda_x, dec.lambda_y, dec.lambda_z])
-            assert np.max(np.abs(dec.upsilon - target)) <= NORMAL_FORM_TOL
-            # decompose reports the residual of its own self-check: upsilon
-            # against the signal parameters, and the filters' shape against s
+            assert np.max(np.abs(upsilon - target)) <= NORMAL_FORM_TOL
+
+
+def test_decompose_self_check_is_the_dense_residual_to_the_bit():
+    # decompose reports the residual of its own self-check: upsilon against
+    # the signal parameters, and the filters' shape against s.  On the
+    # validate grid's depolarizing cases it is the largest deviation of
+    # Upsilon's whole 4x4 transfer matrix, as it was when that was held dense
+    for params in PARAM_GRID:
+        if params.gamma == 0.0:
+            continue
+        for t in TIME_GRID:
+            dec = decompose(params, t)
+            target = np.diag([1.0, dec.lambda_x, dec.lambda_y, dec.lambda_z])
             shape = np.square(dec.a_diag) - (1.0 + dec.s, 1.0 - dec.s)
-            assert dec.self_check == max(np.max(np.abs(dec.upsilon - target)), np.max(np.abs(shape)))
+            dense = np.maximum(abs(np.diag(dec.upsilon) - target).max(), abs(shape).max())
+            assert dec.self_check.hex() == float(dense).hex(), (params, t)
 
 
 def b_diag(dec) -> np.ndarray:
@@ -405,7 +418,7 @@ def test_decompose_round_trip():
             dec = decompose(params, t)
             a_inv = np.diag(1.0 / np.array(dec.a_diag))
             b_inv = np.diag(1.0 / b_diag(dec))
-            rebuilt = sandwich(a_inv) @ (dec.upsilon @ sandwich(b_inv))
+            rebuilt = sandwich(a_inv) @ (np.diag(dec.upsilon) @ sandwich(b_inv))
             assert np.max(np.abs(rebuilt - ptm_at(params, t))) <= 1e-9
 
 
@@ -441,6 +454,18 @@ def test_decompose_refuses_a_normal_form_its_self_check_fails(capsys, monkeypatc
     assert captured.err.startswith("error: normal form self-check failed")
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_decompose_refuses_a_nan_in_its_self_check(monkeypatch, index):
+    # one NaN signal parameter, which Python's max would pass over past the first place
+    lambdas = sinkhorn.unital_lambdas
+    monkeypatch.setattr(sinkhorn, "unital_lambdas", lambda *args: tuple(
+        math.nan if k == index else lam for k, lam in enumerate(lambdas(*args))
+    ))
+    with pytest.raises(RuntimeError, match="normal form self-check failed: .* = nan"):
+        decompose(REFERENCE, 0.3)
+
+
+
 def test_decompose_returns_past_mode_underflow():
     # a strongly filtering pure-loss line: L^dag[S]'s eigenvalues are about
     # e^-400 at t = 200, and at t = 800 the fast mode and the shape's entry
@@ -450,7 +475,7 @@ def test_decompose_returns_past_mode_underflow():
     eps = sys.float_info.epsilon
     for t in (200.0, 800.0):
         dec = decompose(params, t)
-        assert np.max(np.abs(dec.upsilon - identity_ptm())) <= 1e-12
+        assert np.max(np.abs(np.diag(dec.upsilon) - identity_ptm())) <= 1e-12
         _, ref_logs, _ = decimal_fixed_point(params, t)
         found_logs = _fixed_point(*entry_logs_at(params, t)[:3])
         for found, ref in zip(found_logs, ref_logs, strict=True):

@@ -1,5 +1,6 @@
 """validate's one pass: each input formed once, and each verdict failing on a doctored input."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_an_upsilon_off_by_a_millionth_fails_the_predicates_verdict(capsys, monk
     def doctor(dec, params, t):
         if (params, t) != (line, 0.25):
             return dec
-        return dec._replace(upsilon=dec.upsilon + np.diag([1e-6, 0.0, 0.0, 0.0]))
+        return dec._replace(upsilon=(dec.upsilon[0] + 1e-6, *dec.upsilon[1:]))
 
     code, lines, err = replay_doctored(capsys, monkeypatch, "decompose", doctor)
     assert code == cli.EXIT_VALIDATION
@@ -146,7 +147,7 @@ def nan_lifetime(result, params1, params2):
 def nan_upsilon(dec, params, t):
     if (params, t) != NAN_NORMAL_FORM:
         return dec
-    return dec._replace(upsilon=np.full_like(dec.upsilon, np.nan))
+    return dec._replace(upsilon=(math.nan,) * 4)
 
 
 @pytest.mark.parametrize(("name", "doctor", "suite", "header", "case"), [
