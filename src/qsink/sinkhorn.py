@@ -14,7 +14,12 @@ For this family S = I + s sigma_z with a closed-form s, which decompose()
 uses directly; fixed_point_iterate() recovers the same S by iterating F and
 serves as the independent cross-check.  It iterates on the real Pauli
 coefficients c_k = tr[sigma_k S], the basis the transfer matrix is written
-in, and inverts each image in closed form (linalg.pd_inverse).
+in, and inverts each image in closed form (linalg.pd_inverse).  Each step
+mixes F's image with the last one, depth-1 Anderson acceleration (Walker
+and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), and falls back to the plain
+step, which contracts in Hilbert's projective metric (Georgiou and Pavon,
+J. Math. Phys. 56, 033301 (2015)), wherever the mixing is not safe.  It
+reads F alone, never the closed form.
 
 A and B are real and diagonal, and a diagonal filter X scales the matrix
 unit |i><j| by x_i x_j.  decompose() therefore works on the |H>, |V>
@@ -149,11 +154,23 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     on which L is m @ c and L^dag is m^T @ c: a step is two real 4x4
     products and two closed-form qubit inverses.  A step moves S by the
     largest entry of the 2x2 change D = (d_0 + d . sigma) / 2, which is
-    max(|d_0| + |d_z|, |d_x + i d_y|) / 2.
+    max(|d_0| + |d_z|, |d_x + i d_y|) / 2.  A map stops once the plain
+    step F[S] moves its S by <= FIXED_POINT_TOL, and returns that F[S].
+
+    Otherwise the next S is mixed, depth-1 Anderson acceleration: with
+    g = F[S] in the gauge, f = g - S, and g', f' those of the last step,
+    S <- g - theta (g - g'), theta = f . (f - f') / |f - f'|^2.  A map
+    takes the plain step g instead on its first step, where |f| grew since
+    its last step, where f - f' = 0 and where the mixed point is not
+    positive definite.  Each map's arithmetic is its own, so a stack
+    gives each map the bits it gets alone.  The error of the returned S is
+    about FIXED_POINT_TOL / (1 - rho), rho F's contraction ratio near the
+    fixed point, as for the plain iteration, and so grows where the
+    signal parameters approach 1; the mixing only takes fewer steps.
     """
     import numpy as np
 
-    from .linalg import SIGMA, _refuse_flagged, pd_inverse
+    from .linalg import PD_MIN_EIG, SIGMA, _refuse_flagged, pauli_eigenvalues, pd_inverse
 
     m = np.asarray(m, dtype=float)
     if m.shape[-2:] != (4, 4):
@@ -163,23 +180,42 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     _refuse_flagged(m, ~np.isfinite(m), "map entries must be finite, got {!r}")
     _probe_positivity(m)
     fixed = np.empty((len(m), 4))
-    # the rows still moving, with their maps, their duals and their current S
+    # the rows still moving, with their maps, their duals, their current S and
+    # their last step's gauged image, residual and squared residual, which
+    # starts at -inf so that the first step is plain
     active = np.arange(len(m))
     dual = m.swapaxes(-1, -2)
     s_coeffs = np.broadcast_to(np.array([2.0, 0.0, 0.0, 0.0]), fixed.shape)
+    last_image, last_residual, last_norm = s_coeffs, np.zeros(fixed.shape), np.full(len(m), -np.inf)
     for _ in range(FIXED_POINT_MAX_ITER):
         inner = pd_inverse(np.einsum("nij,nj->ni", dual, s_coeffs))
         image = pd_inverse(np.einsum("nij,nj->ni", m, inner))
         step = np.abs(image - s_coeffs)
         moved = 0.5 * np.maximum(step[:, 0] + step[:, 3], np.hypot(step[:, 1], step[:, 2]))
         done = moved <= FIXED_POINT_TOL
-        s_coeffs = image * (2.0 / image[:, :1])
+        image = image * (2.0 / image[:, :1])
         if done.any():
-            fixed[active[done]] = s_coeffs[done]
+            fixed[active[done]] = image[done]
             keep = ~done
-            active, m, dual, s_coeffs = active[keep], m[keep], dual[keep], s_coeffs[keep]
+            active, m, dual, s_coeffs, image, last_image, last_residual, last_norm = (
+                rows[keep]
+                for rows in (active, m, dual, s_coeffs, image, last_image, last_residual, last_norm)
+            )
         if not active.size:
             return 0.5 * np.einsum("nk,kab->nab", fixed, SIGMA).reshape(lead + (2, 2))
+        # depth-1 Anderson: the image less theta times its last change, with
+        # theta the least-squares weight that cancels the residual's change
+        residual = image - s_coeffs
+        norm = (residual * residual).sum(axis=-1)
+        change = residual - last_residual
+        change_norm = (change * change).sum(axis=-1)
+        theta = (residual * change).sum(axis=-1) / np.where(change_norm > 0.0, change_norm, 1.0)
+        mixed = image - theta[:, None] * (image - last_image)
+        # the plain step where the residual grew, its change vanished or the
+        # mixed point is not positive definite; each test fails on NaN
+        mix = (norm <= last_norm) & (change_norm > 0.0) & (pauli_eigenvalues(mixed)[0] > PD_MIN_EIG)
+        s_coeffs = np.where(mix[:, None], mixed, image)
+        last_image, last_residual, last_norm = image, residual, norm
     raise RuntimeError(
         f"fixed-point iteration did not converge within {FIXED_POINT_MAX_ITER} steps"
     )

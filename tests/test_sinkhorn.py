@@ -18,7 +18,7 @@ from conftest import (
     map_over_slow,
     sandwich,
 )
-from qsink import cli, sinkhorn
+from qsink import cli, linalg, sinkhorn, validate
 from qsink.dynamics import ChannelParams, decay_modes, ptm_at
 from qsink.linalg import SIGMA
 from qsink.sinkhorn import (
@@ -77,20 +77,22 @@ def test_iterate_gauge_and_diagonality():
     assert abs(s_op[1, 0]) <= 1e-15
 
 
+# a rotation by 0.8 about the axis (1, 2, 2) / 3: L' = U L[.] U^dag is not
+# self-dual, and F'[S] = U F[U^dag S U] U^dag, so its fixed point U S U^dag
+# has every Pauli component
+TILT = math.cos(0.4) * np.eye(2) - 1j * math.sin(0.4) * sum(
+    n * pauli for n, pauli in zip((1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0), SIGMA[1:])
+)
+TILTED_CASES = ((REFERENCE, 0.3), (ChannelParams(5.0, 0.5, 1.0), 1.0))
+
+
 def test_iterate_after_a_unitary_gives_the_rotated_fixed_point():
-    # L' = U L[.] U^dag is not self-dual, and F'[S] = U F[U^dag S U] U^dag,
-    # so its fixed point U S U^dag has every Pauli component
-    axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    half_angle = 0.4
-    u = math.cos(half_angle) * np.eye(2) - 1j * math.sin(half_angle) * sum(
-        n * pauli for n, pauli in zip(axis, SIGMA[1:])
-    )
-    for params, t in ((REFERENCE, 0.3), (ChannelParams(5.0, 0.5, 1.0), 1.0)):
+    for params, t in TILTED_CASES:
         s_op = np.eye(2) + decompose(params, t).s * SIGMA_Z
-        iterated = fixed_point_iterate(sandwich(u) @ ptm_at(params, t))
+        iterated = fixed_point_iterate(sandwich(TILT) @ ptm_at(params, t))
         assert np.array_equal(iterated, iterated.conj().T)
         assert min(abs(iterated[0, 1].real), abs(iterated[0, 1].imag)) >= 0.01
-        assert np.max(np.abs(iterated - u @ s_op @ u.conj().T)) <= 1e-9
+        assert np.max(np.abs(iterated - TILT @ s_op @ TILT.conj().T)) <= 1e-9
 
 
 def test_iterate_converges_in_the_off_diagonal_entries():
@@ -102,6 +104,34 @@ def test_iterate_converges_in_the_off_diagonal_entries():
     iterated = fixed_point_iterate(sandwich(u) @ ptm_at(params, t))
     expected = np.eye(2) + decompose(params, t).s * SIGMA[1]
     assert np.max(np.abs(iterated - expected)) <= 1e-10
+
+
+def test_iterate_takes_few_steps_on_the_validate_grid(monkeypatch):
+    # each step inverts twice; a fall back to the plain step would take 232
+    maps = np.array(
+        [ptm_at(p, t) for p in validate.GRID if p.gamma > 0.0 for t in validate.TIME_GRID]
+    )
+    assert len(maps) == 240
+    calls = []
+    inverse = linalg.pd_inverse
+
+    def counted_inverse(c):
+        calls.append(len(c))
+        return inverse(c)
+
+    monkeypatch.setattr(linalg, "pd_inverse", counted_inverse)
+    fixed_point_iterate(maps)
+    # 7 steps measured
+    assert len(calls) % 2 == 0 and len(calls) // 2 <= 12
+
+
+def test_iterate_converges_fast_where_the_plain_step_crawls(monkeypatch):
+    # the plain step took 8364 steps on this map, with a contraction ratio near 1
+    params = ChannelParams(0.0029249729819476357, 0.1411823759109623, 0.040868386142966825)
+    t = 0.0205
+    monkeypatch.setattr(sinkhorn, "FIXED_POINT_MAX_ITER", 10)
+    s_op = fixed_point_iterate(ptm_at(params, t))
+    assert abs(weight_of(s_op) - decompose(params, t).s) <= 1e-9
 
 
 def test_iterate_rejects_expanding_map():
@@ -151,7 +181,8 @@ def test_iterate_rejects_non_finite_maps():
 
 
 # a subset of the validate grid: (0, 0, 0.5) converges in 1 step at every
-# time, (0, 5, 0.5) and (5, 0.5, 0.5) at t = 0.1 take 232 steps, the most
+# time, (5, 0.5, 0.5), (0.5, 5, 0.5) and (5, 1, 0.5) at t = 1 take 7 steps,
+# the most
 STACK_PARAMS = [
     ChannelParams(gh, gv, g)
     for gh, gv, g in (
@@ -163,7 +194,8 @@ STACK_PARAMS = [
 
 
 def test_iterate_stack_matches_single_calls():
-    maps = np.stack([ptm_at(p, t) for p in STACK_PARAMS for t in (0.1, 1.0)])
+    maps = np.stack([ptm_at(p, t) for p in STACK_PARAMS for t in (0.1, 1.0)]
+                    + [sandwich(TILT) @ ptm_at(p, t) for p, t in TILTED_CASES])
     single = np.stack([fixed_point_iterate(m) for m in maps])
     assert single.shape == (len(maps), 2, 2)
     assert np.array_equal(fixed_point_iterate(maps), single)
