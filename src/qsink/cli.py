@@ -277,7 +277,10 @@ def cmd_evolve(cfg: JobConfig) -> int:
     if cfg.initial_state is not None:
         ordered += ["negativity_custom", "detection_prob_custom"]
     table: dict[str, list[float]] = {c: [] for c in ordered}
-    table["t"] = np.linspace(0.0, t_max, cfg.steps).tolist()
+    # linspace forms its last point as (steps - 1) * (t_max / (steps - 1)), which
+    # may round past the largest double before t_max itself replaces it
+    with np.errstate(over="ignore"):
+        table["t"] = np.linspace(0.0, t_max, cfg.steps).tolist()
     # equal rates give equal entries and maps: two identical lines are formed once
     same = cfg.line2 == cfg.line1
     for start in range(0, cfg.steps, EVOLVE_BLOCK):

@@ -155,7 +155,8 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     products and two closed-form qubit inverses.  A step moves S by the
     largest entry of the 2x2 change D = (d_0 + d . sigma) / 2, which is
     max(|d_0| + |d_z|, |d_x + i d_y|) / 2.  A map stops once the plain
-    step F[S] moves its S by <= FIXED_POINT_TOL, and returns that F[S].
+    step F[S], in the gauge, moves its S by <= FIXED_POINT_TOL, and returns
+    that F[S].
 
     Otherwise the next S is mixed, depth-1 Anderson acceleration: with
     g = F[S] in the gauge, f = g - S, and g', f' those of the last step,
@@ -190,10 +191,12 @@ def fixed_point_iterate(m: np.ndarray) -> np.ndarray:
     for _ in range(FIXED_POINT_MAX_ITER):
         inner = pd_inverse(np.einsum("nij,nj->ni", dual, s_coeffs))
         image = pd_inverse(np.einsum("nij,nj->ni", m, inner))
+        # gauged before the stopping test: F[S]'s own scale carries the
+        # rounding of both inverses, which can sit above FIXED_POINT_TOL
+        image = image * (2.0 / image[:, :1])
         step = np.abs(image - s_coeffs)
         moved = 0.5 * np.maximum(step[:, 0] + step[:, 3], np.hypot(step[:, 1], step[:, 2]))
         done = moved <= FIXED_POINT_TOL
-        image = image * (2.0 / image[:, :1])
         if done.any():
             fixed[active[done]] = image[done]
             keep = ~done

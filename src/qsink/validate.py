@@ -1,10 +1,11 @@
 """Self-check suites: every closed form is replayed against an independent path.
 
 Used by the command-line `validate` subcommand and by the acceptance gate.
-The oracles: RK4 integration at one shared step, ORACLE_DT, fixed-point
-iteration, and the self-check residual decompose() returns with each normal form.
-RK4 checks both closed forms of each map: ptm_at's Pauli sums and the map
-that evolve and decompose read off the entry logs (superop_over_slow).
+The oracles: the exponential of the master equation's generator,
+fixed-point iteration, and the self-check residual decompose() returns with
+each normal form.  The exponential checks both closed forms of each map:
+ptm_at's Pauli sums and the map that evolve and decompose read off the
+entry logs (superop_over_slow).
 run_all forms the grid's maps and normal forms once, and each suite is a
 verdict on the inputs it is handed.
 
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (ChannelParams, entry_logs_over_slow, pauli_transfer, ptm_at,
-                       ptm_via_integration, superop_over_slow)
+                       ptm_via_exponential, superop_over_slow)
 from .entanglement import max_lifetime
 from .linalg import PAULI_INPUTS
 from .sinkhorn import SinkhornDecomposition, decompose, fixed_point_iterate
@@ -38,10 +39,7 @@ GRID = tuple(
     ChannelParams(gh, gv, g) for gh, gv, g in product(RATE_GRID, repeat=3) if gh or gv or g
 )
 
-# Step size for the integration oracle on the grids; small enough that the
-# integrator error sits far below the comparison tolerances.
-ORACLE_DT = 5e-4
-# the grid time whose integrated maps are checked for duality
+# the grid time whose oracle maps are checked for duality
 DUALITY_T = 0.5
 
 
@@ -77,14 +75,14 @@ def _verdict(name: str, deviations, tolerances, label: Callable[..., str]) -> Su
 
 
 def suite_ptm_oracle(
-    closed: np.ndarray, entry_maps: np.ndarray, integrated: np.ndarray
+    closed: np.ndarray, entry_maps: np.ndarray, oracle: np.ndarray
 ) -> SuiteResult:
-    """Both closed-form transfer matrices against RK4 integration.
+    """Both closed-form transfer matrices against the exponential of the generator.
 
-    closed[i, j], entry_maps[i, j] and integrated[i, j] are line GRID[i]'s
+    closed[i, j], entry_maps[i, j] and oracle[i, j] are line GRID[i]'s
     maps at TIME_GRID[j]: ptm_at's, the entry logs' and the oracle's.
     """
-    devs = np.maximum(abs(closed - integrated), abs(entry_maps - integrated)).max(axis=(-2, -1))
+    devs = np.maximum(abs(closed - oracle), abs(entry_maps - oracle)).max(axis=(-2, -1))
     return _verdict(
         "ptm-vs-integration", devs, 1e-8, lambda i, j: f"{GRID[i]}, t={TIME_GRID[j]}"
     )
@@ -127,17 +125,18 @@ def suite_lifetime() -> SuiteResult:
 
 
 def suite_normal_form_predicates(
-    cases: list, normal_forms: list, integrated: np.ndarray
+    cases: list, normal_forms: list, oracle: np.ndarray
 ) -> SuiteResult:
     """The composed normal form must be trace preserving and unital, and each map its own dual.
 
-    Duality is read off the integrated maps at DUALITY_T: ptm_at's matrix
-    is symmetric by construction, so only the oracle's can fail the check.
+    Duality is read off the oracle's maps at DUALITY_T: ptm_at's matrix is
+    symmetric by construction, so only the oracle's can fail the check (an
+    asymmetric generator is refused before its eigendecomposition).
     """
     # Upsilon = diag(upsilon) is trace preserving and unital exactly when upsilon[0] is 1
     first = np.array([dec.upsilon[0] for dec in normal_forms]) - 1.0
     # the family's map is its own dual: its transfer matrix is symmetric
-    duals = integrated[:, TIME_GRID.index(DUALITY_T)]
+    duals = oracle[:, TIME_GRID.index(DUALITY_T)]
     asymmetry = duals - duals.swapaxes(-1, -2)
     devs = np.append(abs(first), abs(asymmetry).max(axis=(-2, -1)))
     return _verdict(
@@ -171,14 +170,14 @@ def run_all() -> list[SuiteResult]:
     entry_maps = np.array([slows[:, None, None] * superop_over_slow(logs)
                            for slows, logs in over_slow])
     entry_maps = pauli_transfer(entry_maps @ PAULI_INPUTS)
-    integrated = np.stack([ptm_via_integration(GRID, t, ORACLE_DT) for t in TIME_GRID], axis=1)
+    oracle = np.stack([ptm_via_exponential(GRID, t) for t in TIME_GRID], axis=1)
     # the normal form is checked on the depolarizing lines alone
     depolarizing = [i for i, params in enumerate(GRID) if params.gamma > 0.0]
     cases = [(GRID[i], t) for i in depolarizing for t in TIME_GRID]
     normal_forms = [_normal_form(params, t) for params, t in cases]
     return [
-        suite_ptm_oracle(closed, entry_maps, integrated),
+        suite_ptm_oracle(closed, entry_maps, oracle),
         suite_sinkhorn(cases, closed[depolarizing].reshape(-1, 4, 4), normal_forms),
         suite_lifetime(),
-        suite_normal_form_predicates(cases, normal_forms, integrated),
+        suite_normal_form_predicates(cases, normal_forms, oracle),
     ]

@@ -66,8 +66,9 @@ def check_suite(result: SuiteResult, tol: float, cases: int) -> tuple[bool, str]
 
 
 def test_criterion_1_closed_form_vs_integration(capsys, replay):
-    # closed-form transfer matrices against RK4 integration; the time is the
-    # whole replay's, every suite's inputs included
+    # closed-form transfer matrices against the exponential of the master
+    # equation's generator; the time is the whole replay's, every suite's
+    # inputs included
     results, elapsed = replay
     ok, detail = check_suite(results["ptm-vs-integration"], 1e-8, 315)
     report(capsys, 1, ok and elapsed < 30.0, f"{detail}, in {elapsed:.2f} s (< 30 s)")

@@ -634,6 +634,9 @@ def _t_max_near_the_top(rates: tuple, fraction: float) -> float | None:
 @example("evolve", (0.0, 1.04e-322, 5.822e-320, 0.0, 0.0, 1.0), 3, None)
 # both coherence logs near -t: their sum once overflowed with a RuntimeWarning
 @example("evolve", (0.0, 0.0, 1.0, 0.0, 0.0, 1.0), 2, 1.2)
+# a grid end at the largest double: 18 times its eighteenth once overflowed
+# inside linspace with a RuntimeWarning
+@example("evolve", (0.0, 0.0, 0.0, 0.0, 0.0, 0.1), 19, 1.0)
 def test_valid_input_over_the_double_range_exits_zero_or_two(command, rates, steps, fraction):
     flags = ("--gh1", "--gv1", "--g1", "--gh2", "--gv2", "--g2")
     argv = [command, *(arg for flag, rate in zip(flags, rates) for arg in (flag, repr(rate))),
@@ -812,7 +815,7 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
     "validate": (
         ["validate"],
         """\
-[PASS] ptm-vs-integration: 315 cases, max deviation 1.926e-12 (ChannelParams(gamma_h=5.0, gamma_v=5.0, gamma=5.0), t=0.1)
+[PASS] ptm-vs-integration: 315 cases, max deviation 4.441e-16 (ChannelParams(gamma_h=0.0, gamma_v=0.5, gamma=5.0), t=0.1)
 [PASS] sinkhorn-normal-form: 240 cases, max deviation 1.906e-12 (ChannelParams(gamma_h=0.0, gamma_v=1.0, gamma=0.5), t=0.25)
 [PASS] lifetime-closed-forms: 5 cases, max deviation 3.958e-11 (ChannelParams(gamma_h=0.0, gamma_v=0.0, gamma=0.25))
 [PASS] normal-form-predicates: 303 cases, max deviation 2.220e-16 (ChannelParams(gamma_h=0.0, gamma_v=5.0, gamma=0.5), t=2.0)

@@ -1,4 +1,4 @@
-"""Loss-model dynamics: closed form against the integration oracle."""
+"""Loss-model dynamics: closed form against the exponential oracle."""
 
 import hashlib
 import math
@@ -16,12 +16,13 @@ from conftest import (
     ptm_to_superop,
     random_density,
 )
+from qsink import linalg
 from qsink.dynamics import (
     ChannelParams,
     decay_modes,
     entry_logs_over_slow,
     ptm_at,
-    ptm_via_integration,
+    ptm_via_exponential,
     superop_over_slow,
 )
 
@@ -169,7 +170,7 @@ def test_abcd_rejects_negative_time():
         with pytest.raises(ValueError, match="finite and >= 0"):
             ptm_at(REFERENCE, t)
         with pytest.raises(ValueError):
-            ptm_via_integration([REFERENCE], t, 1e-3)
+            ptm_via_exponential([REFERENCE], t)
 
 
 def test_ptm_layout():
@@ -274,35 +275,21 @@ def test_superop_over_slow_grid_is_pinned_to_the_bit():
 
 
 def test_integration_at_zero_is_identity():
-    assert np.array_equal(ptm_via_integration([REFERENCE], 0.0, 1e-3), [np.eye(4)])
+    assert np.array_equal(ptm_via_exponential([REFERENCE], 0.0), [np.eye(4)])
 
 
 def test_integration_agrees_with_closed_form():
     for t in (0.1, 0.5, 1.0):
-        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_integration([REFERENCE], t, 1e-4)[0]))
+        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_exponential([REFERENCE], t)[0]))
         assert dev <= 1e-8
-
-
-def test_integration_default_step():
-    # 1e-4 over REFERENCE's largest rate: at this fine a step the oracle meets
-    # the closed form to 1e-10
-    dev = np.max(np.abs(ptm_at(REFERENCE, 0.05) - ptm_via_integration([REFERENCE], 0.05, 2e-5)[0]))
-    assert dev <= 1e-10
-
-
-def test_integration_rejects_bad_step():
-    # an infinite step was once one RK4 step over the whole interval
-    for dt in (0.0, -1e-3, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dt must be finite and > 0"):
-            ptm_via_integration([REFERENCE], 1.0, dt)
 
 
 def test_integration_rejects_non_finite_time():
     for t in (math.inf, math.nan):
-        # also with no line to integrate
+        # also with no line to exponentiate
         for lines in ([], [REFERENCE, REFERENCE]):
             with pytest.raises(ValueError):
-                ptm_via_integration(lines, t, 1e-3)
+                ptm_via_exponential(lines, t)
 
 
 # a subset of the validate grid: pure loss, pure depolarization, both, and
@@ -319,55 +306,59 @@ STACK_PARAMS = [
 
 def test_integration_stack_matches_single_calls():
     # each row, bit for bit, is the call on its own line alone
-    for dt in (5e-4, 1e-4):
-        for t in (0.1, 0.25):
-            stacked = ptm_via_integration(STACK_PARAMS, t, dt)
-            single = [ptm_via_integration([p], t, dt) for p in STACK_PARAMS]
-            assert stacked.shape == (len(STACK_PARAMS), 4, 4)
-            assert single[0].shape == (1, 4, 4)
-            assert stacked.tobytes() == np.concatenate(single).tobytes()
+    for t in (0.1, 0.25, 1.0, 10.0):
+        stacked = ptm_via_exponential(STACK_PARAMS, t)
+        single = [ptm_via_exponential([p], t) for p in STACK_PARAMS]
+        assert stacked.shape == (len(STACK_PARAMS), 4, 4)
+        assert single[0].shape == (1, 4, 4)
+        assert stacked.tobytes() == np.concatenate(single).tobytes()
 
 
 def test_integration_stack_at_zero_is_identity():
-    stacked = ptm_via_integration(STACK_PARAMS, 0.0, 1e-3)
+    stacked = ptm_via_exponential(STACK_PARAMS, 0.0)
     assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25])
 def test_integration_of_no_lines_is_an_empty_stack(t):
     # as conditional_state, negativity and fixed_point_iterate answer an empty stack
-    assert ptm_via_integration([], t, 1e-3).shape == (0, 4, 4)
+    assert ptm_via_exponential([], t).shape == (0, 4, 4)
 
 
-def test_integration_stack_matches_single_calls_across_bit_lengths():
-    # h a power of two, so that t = n h takes exactly n steps: one step, and
-    # both sides of two powers of two
-    h = 2.0**-14
-    for n in (1, 1023, 1024, 1025, 2048, 2049):
-        t = n * h
-        assert math.ceil(t / h) == n
-        # dt = t and dt > t: one step
-        for dt in (h, t, 3.0 * t):
-            stacked = ptm_via_integration(STACK_PARAMS, t, dt)
-            single = [ptm_via_integration([p], t, dt) for p in STACK_PARAMS]
-            assert stacked.tobytes() == np.concatenate(single).tobytes()
+def test_integration_refuses_an_asymmetric_generator(monkeypatch):
+    # eigh would read one triangle of it; sigma_x with a stray entry breaks
+    # the sandwiches' symmetry, so the generator is no map's own dual
+    stray = linalg.SIGMA[1] + np.array([[0.0, 0.0], [1e-6, 0.0]])
+    monkeypatch.setattr(linalg, "SIGMA", (linalg.SIGMA[0], stray, *linalg.SIGMA[2:]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ptm_via_exponential([REFERENCE], 0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 4097])
 def test_integration_semigroup_at_a_fixed_step(n):
-    # h a power of two, so that t = n h and t / h = n are exact
+    # exp(L 2t) against exp(L t)^2, with t = n h and h a power of two, so 2t is exact
     h = 2.0**-10
-    half = ptm_via_integration([REFERENCE], n * h, h)[0]
-    whole = ptm_via_integration([REFERENCE], 2 * n * h, h)[0]
+    half = ptm_via_exponential([REFERENCE], n * h)[0]
+    whole = ptm_via_exponential([REFERENCE], 2 * n * h)[0]
     assert np.max(np.abs(whole - half @ half)) <= 1e-14
 
 
-def test_integration_at_the_step_cap():
-    # 1e8 steps asked for, MAX_RK4_STEPS = 1e7 taken
-    capped = ptm_via_integration([REFERENCE], 1.0, 1e-8)
-    assert np.max(np.abs(ptm_at(REFERENCE, 1.0) - capped[0])) <= 1e-10
-    # t / dt = inf is capped the same way
-    assert np.array_equal(ptm_via_integration([REFERENCE], 1.0, 1e-320), capped)
+# stiff lines, with L t up to about 1e6: loss and depolarization both at
+# 1e3, one loss a million times the other, and a loss four thousand times
+# the depolarization (test_sinkhorn's ill-conditioned line)
+STIFF_PARAMS = (
+    ChannelParams(1e3, 0.0, 1e3),
+    ChannelParams(1e-3, 1e3, 0.5),
+    ChannelParams(65.23, 0.00559, 0.01436),
+)
+
+
+@pytest.mark.parametrize("params", STIFF_PARAMS, ids=str)
+@pytest.mark.parametrize("t", [1e-3, 1.0, 10.0, 1e3])
+def test_integration_agrees_with_closed_form_on_stiff_lines(params, t):
+    # 1.5e-14 measured at worst
+    dev = np.max(np.abs(ptm_at(params, t) - ptm_via_exponential([params], t)[0]))
+    assert dev <= 1e-13
 
 
 def test_pure_depolarization_both_paths():
@@ -375,7 +366,7 @@ def test_pure_depolarization_both_paths():
     params = ChannelParams(0.0, 0.0, g)
     expected = np.diag([1.0, math.exp(-g * t), math.exp(-g * t), math.exp(-g * t)])
     assert np.max(np.abs(ptm_at(params, t) - expected)) <= 1e-12
-    assert np.max(np.abs(ptm_via_integration([params], t, 1e-4)[0] - expected)) <= 1e-8
+    assert np.max(np.abs(ptm_via_exponential([params], t)[0] - expected)) <= 1e-8
 
 
 def test_semigroup_property(rng):

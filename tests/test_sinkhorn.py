@@ -134,6 +134,26 @@ def test_iterate_converges_fast_where_the_plain_step_crawls(monkeypatch):
     assert abs(weight_of(s_op) - decompose(params, t).s) <= 1e-9
 
 
+def test_iterate_stops_on_ill_conditioned_rotated_maps(monkeypatch):
+    # S's smallest eigenvalue is about 2e-4 here, so the rounding of F[S]'s
+    # scale stays above FIXED_POINT_TOL: compared with S before the gauge, 11
+    # of these 20 maps ran to FIXED_POINT_MAX_ITER; in the gauge each takes 5 steps
+    params, t = ChannelParams(65.23, 0.00559, 0.01436), 1.2009
+    rng = np.random.default_rng(1)
+    maps = []
+    for _ in range(20):
+        rotation = np.eye(4)
+        rotation[1:, 1:] = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        # a proper rotation of the Pauli block
+        rotation[1:, 1] *= np.sign(np.linalg.det(rotation))
+        maps.append(rotation @ ptm_at(params, t) @ rotation.T)
+    monkeypatch.setattr(sinkhorn, "FIXED_POINT_MAX_ITER", 20)
+    s = abs(decompose(params, t).s)
+    # the fixed point is a rotated I + s sigma_z, eigenvalues 1 -+ |s|; 8.2e-13 measured
+    eigenvalues = np.linalg.eigvalsh(fixed_point_iterate(np.array(maps)))
+    assert np.max(np.abs(eigenvalues - [1.0 - s, 1.0 + s])) <= 1e-11
+
+
 def test_iterate_rejects_expanding_map():
     with pytest.raises(ValueError):
         fixed_point_iterate(np.diag([1.0, 1.2, 1.2, 1.2]))

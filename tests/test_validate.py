@@ -14,7 +14,7 @@ def test_one_pass_forms_each_map_and_normal_form_once(monkeypatch):
     # counted through every module that binds them, as a call from anywhere counts
     calls = Counter()
     for module in (dynamics, sinkhorn, entanglement, validate):
-        for name in ("ptm_at", "superop_over_slow", "ptm_via_integration", "decompose"):
+        for name in ("ptm_at", "superop_over_slow", "ptm_via_exponential", "decompose"):
             if name in vars(module):
                 def counted(*args, _name=name, _call=getattr(module, name)):
                     calls[_name] += 1
@@ -22,7 +22,7 @@ def test_one_pass_forms_each_map_and_normal_form_once(monkeypatch):
 
                 monkeypatch.setattr(module, name, counted)
     results = validate.run_all()
-    assert calls == {"ptm_at": 315, "superop_over_slow": 63, "ptm_via_integration": 5,
+    assert calls == {"ptm_at": 315, "superop_over_slow": 63, "ptm_via_exponential": 5,
                      "decompose": 240}
     assert [result.cases for result in results] == [315, 240, 5, 303]
     assert all(result.passed for result in results)
@@ -90,13 +90,13 @@ def test_an_asymmetric_integrated_map_fails_the_duality_check(capsys, monkeypatc
     line = ChannelParams(5.0, 0.0, 0.5)
     row = validate.GRID.index(line)
 
-    def doctor(maps, grid, t, dt):
+    def doctor(maps, grid, t):
         if t == validate.DUALITY_T:
             maps = maps.copy()
             maps[row, 0, 3] += 1e-11
         return maps
 
-    code, lines, err = replay_doctored(capsys, monkeypatch, "ptm_via_integration", doctor)
+    code, lines, err = replay_doctored(capsys, monkeypatch, "ptm_via_exponential", doctor)
     assert code == cli.EXIT_VALIDATION
     assert lines["predicates"].startswith("[FAIL] normal-form-predicates: 303 cases")
     assert lines["predicates"].endswith(f"(dual mismatch at {line}, t=0.5)")
