@@ -38,8 +38,8 @@ the normal form in sinkhorn.py reads its fixed point, filters and middle
 map off the same logs.  ptm_at() forms the transfer matrix in closed form
 on the Pauli basis and scales it back by the slow mode.
 ptm_via_exponential() recomputes the transfer matrices of a sequence of
-lines from the eigendecomposition of the master equation's own generator,
-as an independent cross-check;
+lines at a sequence of times from one eigendecomposition per line of the
+master equation's own generator, as an independent cross-check;
 pauli_transfer() puts its result, or any map on the matrix units, on the
 Pauli basis.
 
@@ -314,45 +314,65 @@ def pauli_transfer(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ptm_via_exponential(params: Sequence[ChannelParams], t: float) -> np.ndarray:
-    """Transfer matrices (N, 4, 4) of N lines at time t from the exponential of the master equation.
+def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """X -> left X right on the row-major vec'd 2x2 units: kron(left, right^T), stacks broadcast.
+
+    Formed by elementwise products, not matrix products: a real matrix
+    product would load BLAS kernels that no other step of a validate run
+    needs, and their code pages would raise its peak memory.
+    """
+    product = left[..., :, None, :, None] * right.swapaxes(-2, -1)[..., None, :, None, :]
+    return product.reshape(*product.shape[:-4], 4, 4)
+
+
+def ptm_via_exponential(params: Sequence[ChannelParams], times: Sequence[float]) -> np.ndarray:
+    """Transfer matrices (N, T, 4, 4) of N lines at T times from the master equation's exponential.
 
     The generator L is the literal right-hand side on the four 2x2 matrix
     units: anticommutator and Pauli sandwiches, nothing of the closed form.
-    It is constant and Hermitian (real symmetric) on the row-major vec'd
-    units, so exp(L t) = V exp(t Lambda) V^dag from its eigendecomposition
-    L = V Lambda V^dag, in one step at every t.  Lambda's rounding, about
-    eps times the largest rate, is scaled by t: on random lines the maps
-    erred by up to 5e-13 where the largest rate times t is 1e3, and 2e-6
-    where it is 1e10.  eigh reads one triangle only, so L first passes
-    hermitian_part(), which refuses an asymmetric generator: a map that
-    is not its own dual.  exp(L t) is applied to the four Pauli inputs
-    vec'd and read off by pauli_transfer().
+    Each term is real, sigma_y X sigma_y being -J X J with J = i sigma_y,
+    so L is formed in real arithmetic.  It is constant and symmetric on the
+    row-major vec'd units, so exp(L t) = V exp(t Lambda) V^T from one
+    eigendecomposition L = V Lambda V^T per line, at every time at once.
+    eigh reads one triangle only, so L first passes hermitian_part(), which
+    refuses an asymmetric generator: a map that is not its own dual.
+    Lambda is held at or below 0, as a trace-nonincreasing semigroup has no
+    growing mode, so no entry exceeds 1 in magnitude at any t.  Lambda's
+    rounding, about eps times the largest rate, is still scaled by t: on
+    random lines the maps erred by up to 5e-13 where the largest rate times
+    t is 1e3, and 2e-6 where it is 1e10.  exp(L t) is applied to the four
+    Pauli inputs vec'd and read off by pauli_transfer().
 
-    Each row gets the operations its line would get alone, and t = 0 gives
-    the identity exactly.
+    Each (line, time) entry gets the operations it would get alone, and
+    t = 0 gives the identity exactly.  A non-finite or negative time is
+    refused, the first one named.
     """
     import numpy as np
 
-    from .linalg import PAULI_INPUTS, SIGMA, hermitian_part
+    from .linalg import PAULI_INPUTS, SIGMA, _refuse_flagged, hermitian_part
 
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if t == 0.0:
-        return np.tile(np.eye(4), (len(params), 1, 1))
+    times = np.asarray(times, dtype=float)
+    # fails closed: NaN is neither >= 0 nor <= the largest double
+    _refuse_flagged(times, ~((times >= 0.0) & (times <= _DOUBLE_MAX)),
+                    "t must be finite and >= 0, got {!r}")
 
-    # each line's rates (N, 1, ...) against the units (4, 2, 2), unit k at divmod(k, 2);
-    # (N, 3) also where N = 0
+    # each line's loss D = diag(gh, gv) (N, 2, 2) and depolarization (N, 1, 1);
+    # (N, 3) rates also where N = 0
     rates = np.array([(c.gamma_h, c.gamma_v, c.gamma) for c in params]).reshape(-1, 3)
-    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    loss = np.zeros((len(rates), 1, 2, 2), dtype=complex)
-    loss[:, 0, 0, 0], loss[:, 0, 1, 1] = rates[:, 0], rates[:, 1]
-    g = rates[:, 2, None, None, None]
-    rhs = -0.5 * (loss @ units + units @ loss)
-    for pauli in SIGMA[1:]:
-        rhs += 0.25 * g * (pauli @ units @ pauli)
-    rhs -= 0.75 * g * units
-    # column k of the generator is the right-hand side on unit k, row-major vec'd
-    eigenvalues, vectors = np.linalg.eigh(hermitian_part(rhs.reshape(-1, 4, 4).swapaxes(-2, -1)))
-    propagator = (vectors * np.exp(t * eigenvalues)[:, None, :]) @ vectors.swapaxes(-2, -1).conj()
-    return pauli_transfer(propagator @ PAULI_INPUTS)
+    loss = np.zeros((len(rates), 2, 2))
+    loss[:, 0, 0], loss[:, 1, 1] = rates[:, 0], rates[:, 1]
+    g = rates[:, 2, None, None]
+    identity = np.eye(2)
+    generator = -0.5 * (_sandwich(loss, identity) + _sandwich(identity, loss))
+    # sigma_y X sigma_y = -J X J, with J = i sigma_y real
+    for sign, pauli in ((1.0, SIGMA[1].real), (-1.0, (1j * SIGMA[2]).real), (1.0, SIGMA[3].real)):
+        generator += sign * 0.25 * g * _sandwich(pauli, pauli)
+    generator -= 0.75 * g * np.eye(4)
+    generator = hermitian_part(generator).real
+    eigenvalues, vectors = np.linalg.eigh(generator)
+    np.minimum(eigenvalues, 0.0, out=eigenvalues)
+    decays = np.exp(times[:, None] * eigenvalues[:, None, :])
+    propagators = (vectors[:, None] * decays[:, :, None, :]) @ vectors.swapaxes(-2, -1)[:, None]
+    maps = pauli_transfer(propagators @ PAULI_INPUTS)
+    maps[:, times == 0.0] = np.eye(4)
+    return maps

@@ -70,7 +70,7 @@ def test_criterion_1_closed_form_vs_integration(capsys, replay):
     # equation's generator; the time is the whole replay's, every suite's
     # inputs included
     results, elapsed = replay
-    ok, detail = check_suite(results["ptm-vs-integration"], 1e-8, 315)
+    ok, detail = check_suite(results["ptm-vs-exponential"], 1e-8, 315)
     report(capsys, 1, ok and elapsed < 30.0, f"{detail}, in {elapsed:.2f} s (< 30 s)")
 
 

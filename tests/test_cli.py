@@ -815,7 +815,7 @@ t,negativity_psi_plus,negativity_optimal,detection_prob_psi_plus,detection_prob_
     "validate": (
         ["validate"],
         """\
-[PASS] ptm-vs-integration: 315 cases, max deviation 4.441e-16 (ChannelParams(gamma_h=0.0, gamma_v=0.5, gamma=5.0), t=0.1)
+[PASS] ptm-vs-exponential: 315 cases, max deviation 4.441e-16 (ChannelParams(gamma_h=0.0, gamma_v=0.5, gamma=5.0), t=0.1)
 [PASS] sinkhorn-normal-form: 240 cases, max deviation 1.906e-12 (ChannelParams(gamma_h=0.0, gamma_v=1.0, gamma=0.5), t=0.25)
 [PASS] lifetime-closed-forms: 5 cases, max deviation 3.958e-11 (ChannelParams(gamma_h=0.0, gamma_v=0.0, gamma=0.25))
 [PASS] normal-form-predicates: 303 cases, max deviation 2.220e-16 (ChannelParams(gamma_h=0.0, gamma_v=5.0, gamma=0.5), t=2.0)

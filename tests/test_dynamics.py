@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import warnings
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_abcd_rejects_negative_time():
         with pytest.raises(ValueError, match="finite and >= 0"):
             ptm_at(REFERENCE, t)
         with pytest.raises(ValueError):
-            ptm_via_exponential([REFERENCE], t)
+            ptm_via_exponential([REFERENCE], [t])
 
 
 def test_ptm_layout():
@@ -275,12 +276,12 @@ def test_superop_over_slow_grid_is_pinned_to_the_bit():
 
 
 def test_integration_at_zero_is_identity():
-    assert np.array_equal(ptm_via_exponential([REFERENCE], 0.0), [np.eye(4)])
+    assert np.array_equal(ptm_via_exponential([REFERENCE], [0.0]), [[np.eye(4)]])
 
 
 def test_integration_agrees_with_closed_form():
     for t in (0.1, 0.5, 1.0):
-        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_exponential([REFERENCE], t)[0]))
+        dev = np.max(np.abs(ptm_at(REFERENCE, t) - ptm_via_exponential([REFERENCE], [t])[0, 0]))
         assert dev <= 1e-8
 
 
@@ -289,7 +290,12 @@ def test_integration_rejects_non_finite_time():
         # also with no line to exponentiate
         for lines in ([], [REFERENCE, REFERENCE]):
             with pytest.raises(ValueError):
-                ptm_via_exponential(lines, t)
+                ptm_via_exponential(lines, [t])
+
+
+def test_integration_names_the_first_bad_time():
+    with pytest.raises(ValueError, match=r"^t must be finite and >= 0, got -0.5$"):
+        ptm_via_exponential([REFERENCE], [0.1, -0.5, math.nan, -1.0])
 
 
 # a subset of the validate grid: pure loss, pure depolarization, both, and
@@ -305,24 +311,30 @@ STACK_PARAMS = [
 
 
 def test_integration_stack_matches_single_calls():
-    # each row, bit for bit, is the call on its own line alone
-    for t in (0.1, 0.25, 1.0, 10.0):
-        stacked = ptm_via_exponential(STACK_PARAMS, t)
-        single = [ptm_via_exponential([p], t) for p in STACK_PARAMS]
-        assert stacked.shape == (len(STACK_PARAMS), 4, 4)
-        assert single[0].shape == (1, 4, 4)
-        assert stacked.tobytes() == np.concatenate(single).tobytes()
+    # each (line, time) entry, bit for bit, is the call on its own line and time alone
+    times = [0.1, 0.25, 0.0, 1.0, 10.0]
+    stacked = ptm_via_exponential(STACK_PARAMS, times)
+    assert stacked.shape == (len(STACK_PARAMS), len(times), 4, 4)
+    for row, params in zip(stacked, STACK_PARAMS):
+        for entry, t in zip(row, times):
+            single = ptm_via_exponential([params], [t])
+            assert single.shape == (1, 1, 4, 4)
+            assert entry.tobytes() == single.tobytes()
 
 
 def test_integration_stack_at_zero_is_identity():
-    stacked = ptm_via_exponential(STACK_PARAMS, 0.0)
-    assert np.array_equal(stacked, np.tile(np.eye(4), (len(STACK_PARAMS), 1, 1)))
+    stacked = ptm_via_exponential(STACK_PARAMS, [0.0, 0.5, -0.0])
+    assert np.array_equal(stacked[:, [0, 2]], np.tile(np.eye(4), (len(STACK_PARAMS), 2, 1, 1)))
 
 
 @pytest.mark.parametrize("t", [0.0, 0.25])
 def test_integration_of_no_lines_is_an_empty_stack(t):
     # as conditional_state, negativity and fixed_point_iterate answer an empty stack
-    assert ptm_via_exponential([], t).shape == (0, 4, 4)
+    assert ptm_via_exponential([], [t, 0.5]).shape == (0, 2, 4, 4)
+
+
+def test_integration_at_no_times_is_an_empty_stack():
+    assert ptm_via_exponential(STACK_PARAMS, []).shape == (len(STACK_PARAMS), 0, 4, 4)
 
 
 def test_integration_refuses_an_asymmetric_generator(monkeypatch):
@@ -331,15 +343,15 @@ def test_integration_refuses_an_asymmetric_generator(monkeypatch):
     stray = linalg.SIGMA[1] + np.array([[0.0, 0.0], [1e-6, 0.0]])
     monkeypatch.setattr(linalg, "SIGMA", (linalg.SIGMA[0], stray, *linalg.SIGMA[2:]))
     with pytest.raises(ValueError, match="not Hermitian"):
-        ptm_via_exponential([REFERENCE], 0.5)
+        ptm_via_exponential([REFERENCE], [0.5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 1000, 4097])
 def test_integration_semigroup_at_a_fixed_step(n):
     # exp(L 2t) against exp(L t)^2, with t = n h and h a power of two, so 2t is exact
     h = 2.0**-10
-    half = ptm_via_exponential([REFERENCE], n * h)[0]
-    whole = ptm_via_exponential([REFERENCE], 2 * n * h)[0]
+    half = ptm_via_exponential([REFERENCE], [n * h])[0, 0]
+    whole = ptm_via_exponential([REFERENCE], [2 * n * h])[0, 0]
     assert np.max(np.abs(whole - half @ half)) <= 1e-14
 
 
@@ -357,7 +369,7 @@ STIFF_PARAMS = (
 @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0, 1e3])
 def test_integration_agrees_with_closed_form_on_stiff_lines(params, t):
     # 1.5e-14 measured at worst
-    dev = np.max(np.abs(ptm_at(params, t) - ptm_via_exponential([params], t)[0]))
+    dev = np.max(np.abs(ptm_at(params, t) - ptm_via_exponential([params], [t])[0, 0]))
     assert dev <= 1e-13
 
 
@@ -366,7 +378,27 @@ def test_pure_depolarization_both_paths():
     params = ChannelParams(0.0, 0.0, g)
     expected = np.diag([1.0, math.exp(-g * t), math.exp(-g * t), math.exp(-g * t)])
     assert np.max(np.abs(ptm_at(params, t) - expected)) <= 1e-12
-    assert np.max(np.abs(ptm_via_exponential([params], t)[0] - expected)) <= 1e-8
+    assert np.max(np.abs(ptm_via_exponential([params], [t])[0, 0] - expected)) <= 1e-8
+
+
+def test_integration_stays_within_one_out_to_rate_times_t_1e300():
+    # a rounding-positive eigenvalue of the generator, scaled by t, once grew
+    # without bound: 8.3e3 at rate t = 1e17, 1.6e39 at 1e18, an overflow and NaN
+    # at 1e19.  Held at or below 0, none grows, and no entry exceeds 1
+    rng = random.Random(1)
+    lines = [
+        ChannelParams(*(0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-3.0, 3.0)
+                        for _ in range(3)))
+        for _ in range(297)
+    ]
+    scaled_times = [10.0**k for k in range(3, 301)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in lines:
+            rate = params.max_rate or 1.0
+            maps = ptm_via_exponential([params], [x / rate for x in scaled_times])
+            assert np.isfinite(maps).all()
+            assert np.abs(maps).max() <= 1.0
 
 
 def test_semigroup_property(rng):

@@ -554,7 +554,7 @@ def test_max_lifetime_needs_few_g_evaluations_per_root():
         result = max_lifetime(line1, line2)
         assert result.tau is not None
         counts.append(result.iterations)
-    assert sum(counts) / len(counts) <= 16.0
+    assert sum(counts) / len(counts) <= 12.0
 
 
 @pytest.mark.parametrize("case", list(PINNED_ROOTS))

@@ -22,10 +22,24 @@ def test_one_pass_forms_each_map_and_normal_form_once(monkeypatch):
 
                 monkeypatch.setattr(module, name, counted)
     results = validate.run_all()
-    assert calls == {"ptm_at": 315, "superop_over_slow": 63, "ptm_via_exponential": 5,
+    assert calls == {"ptm_at": 315, "superop_over_slow": 1, "ptm_via_exponential": 1,
                      "decompose": 240}
     assert [result.cases for result in results] == [315, 240, 5, 303]
     assert all(result.passed for result in results)
+
+
+def test_one_pass_diagonalizes_each_generator_once_in_real_arithmetic(monkeypatch):
+    # one stacked real eigh of the grid's 63 generators for all five times
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append((a.shape, a.dtype))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    validate.run_all()
+    assert calls == [((len(validate.GRID), 4, 4), np.dtype(float))]
 
 
 def replay_doctored(capsys, monkeypatch, name, doctor):
@@ -48,10 +62,10 @@ def test_a_corrupted_closed_map_fails_the_oracle_verdict(capsys, monkeypatch):
     code, lines, err = replay_doctored(capsys, monkeypatch, "ptm_at", doctor)
     assert code == cli.EXIT_VALIDATION
     assert lines["ptm"].startswith(
-        "[FAIL] ptm-vs-integration: 315 cases, max deviation 1.000e-06"
+        "[FAIL] ptm-vs-exponential: 315 cases, max deviation 1.000e-06"
     )
     assert lines["ptm"].endswith(f"({line}, t=1.0)")
-    assert err == f"validation failed: ptm-vs-integration at {line}, t=1.0\n"
+    assert err == f"validation failed: ptm-vs-exponential at {line}, t=1.0\n"
 
 
 def test_a_corrupted_entry_log_map_fails_the_oracle_verdict(capsys, monkeypatch):
@@ -66,7 +80,7 @@ def test_a_corrupted_entry_log_map_fails_the_oracle_verdict(capsys, monkeypatch)
     code = cli.main(["validate"])
     lines = capsys.readouterr().out.splitlines()
     assert code == cli.EXIT_VALIDATION
-    assert lines[0].startswith("[FAIL] ptm-vs-integration: 315 cases, max deviation 5.000e-07")
+    assert lines[0].startswith("[FAIL] ptm-vs-exponential: 315 cases, max deviation 5.000e-07")
     assert all(line.startswith("[PASS]") for line in lines[1:])
 
 
@@ -90,10 +104,9 @@ def test_an_asymmetric_integrated_map_fails_the_duality_check(capsys, monkeypatc
     line = ChannelParams(5.0, 0.0, 0.5)
     row = validate.GRID.index(line)
 
-    def doctor(maps, grid, t):
-        if t == validate.DUALITY_T:
-            maps = maps.copy()
-            maps[row, 0, 3] += 1e-11
+    def doctor(maps, grid, times):
+        maps = maps.copy()
+        maps[row, times.index(validate.DUALITY_T), 0, 3] += 1e-11
         return maps
 
     code, lines, err = replay_doctored(capsys, monkeypatch, "ptm_via_exponential", doctor)
@@ -151,7 +164,7 @@ def nan_upsilon(dec, params, t):
 
 
 @pytest.mark.parametrize(("name", "doctor", "suite", "header", "case"), [
-    pytest.param("ptm_at", nan_map, "ptm", "ptm-vs-integration: 315 cases",
+    pytest.param("ptm_at", nan_map, "ptm", "ptm-vs-exponential: 315 cases",
                  "{}, t={}".format(*NAN_MAP), id="ptm"),
     pytest.param("fixed_point_iterate", nan_fixed_point, "sinkhorn",
                  "sinkhorn-normal-form: 240 cases", "{}, t={}".format(*NAN_NORMAL_FORM),
